@@ -13,8 +13,11 @@ header followed by one word per line as a bare comma list. Blank lines and
 
 Exit status: 0 on success, 1 when a hypothesis of the requested
 construction fails (reported, expected), 2 on parse or internal errors.
-The environment variable ``WREATHACT_CAP`` overrides the default
-enumeration cap.
+The enumeration cap (``--cap`` on ``split`` and ``verify``, default from
+the environment variable ``WREATHACT_CAP``) bounds their brute-force work:
+|Pi| for ``split``, the full wreath product for ``verify``, which is
+refused before any other work when over the cap. The other subcommands
+certify without enumerating and take no cap.
 """
 
 from __future__ import annotations
@@ -138,7 +141,7 @@ def cmd_components(args, out) -> int:
 def cmd_normalize(args, out) -> int:
     X = load_group(args.group)
     phi = _parse_fix(args.fix, X.ctx)
-    result = normalizing_element(X, phi, cap=args.cap)
+    result = normalizing_element(X, phi)
     _emit(out, "context", _fmt_ctx(X.ctx))
     transversal = result.transversal
     for k, (orbit, rep) in enumerate(zip(transversal.orbits, transversal.reps)):
@@ -168,7 +171,7 @@ def cmd_normalize(args, out) -> int:
 def cmd_embed(args, out) -> int:
     X = load_group(args.group)
     phi = _parse_fix(args.fix, X.ctx)
-    result = embed_in_wreath(X, delta1=args.delta1, phi=phi, cap=args.cap)
+    result = embed_in_wreath(X, delta1=args.delta1, phi=phi)
     _emit(out, "context", _fmt_ctx(X.ctx))
     _emit(out, "delta1", result.delta1)
     _emit(out, "G-generators", _fmt_perm_list(result.G.generators))
@@ -210,7 +213,7 @@ def cmd_split(args, out) -> int:
 def cmd_code_canon(args, out) -> int:
     code = load_code(args.code)
     X = load_group(args.group)
-    result = canonicalize(code, X, args.gamma, args.nu, cap=args.cap)
+    result = canonicalize(code, X, args.gamma, args.nu)
     _emit(out, "context", _fmt_ctx(code.ctx))
     _emit(out, "code-size", len(code))
     _emit(out, "min-distance", code.min_distance())
@@ -236,6 +239,13 @@ def cmd_code_canon(args, out) -> int:
 
 def cmd_verify(args, out) -> int:
     ctx = WreathContext(args.q, args.m)
+    # the stabilizer count runs over the whole wreath product: count first,
+    # so that an over-cap context is refused before Pi is listed
+    constant = ctx.constant_point(0)
+    try:
+        count = stabilizer_order_oracle(ctx, constant, cap=args.cap)
+    except EnumerationOverflow as exc:
+        raise EnumerationOverflow(f"verify: stabilizer count: {exc}") from None
     rng = random.Random(args.seed)
     _emit(out, "context", _fmt_ctx(ctx))
     _emit(out, "seed", args.seed)
@@ -253,9 +263,7 @@ def cmd_verify(args, out) -> int:
     _emit(out, "action-pairs", args.pairs)
     _emit(out, "action-failures", failures)
 
-    # stabilizer of the constant word in the full wreath product
-    constant = ctx.constant_point(0)
-    count = stabilizer_order_oracle(ctx, constant, cap=args.cap)
+    # stabilizer of the constant word, counted above
     expected = math.factorial(ctx.gamma_size - 1) ** ctx.delta_size * math.factorial(
         ctx.delta_size
     )
@@ -303,20 +311,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("components", help="coordinate components and orbits")
     p.add_argument("group", help="group file")
-    add_cap(p)
     p.set_defaults(func=cmd_components)
 
     p = sub.add_parser("normalize", help="conjugate so components are constant per orbit")
     p.add_argument("group", help="group file")
     p.add_argument("--fix", help="point of Pi the conjugating element must fix")
-    add_cap(p)
     p.set_defaults(func=cmd_normalize)
 
     p = sub.add_parser("embed", help="certified embedding into G wr H")
     p.add_argument("group", help="group file")
     p.add_argument("--delta1", type=int, default=0, help="coordinate whose component is G")
     p.add_argument("--fix", help="point of Pi the conjugating element must fix")
-    add_cap(p)
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("split", help="split along an invariant coordinate subset")
@@ -330,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("group", help="group file of code automorphisms")
     p.add_argument("--gamma", type=int, required=True, help="letter of the constant word")
     p.add_argument("--nu", type=int, required=True, help="letter of the first d entries")
-    add_cap(p)
     p.set_defaults(func=cmd_code_canon)
 
     p = sub.add_parser("verify", help="oracle suite at a given context size")

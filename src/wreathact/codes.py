@@ -13,11 +13,13 @@ group sits inside G wr K with K conjugate to the original induced group.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DegreeMismatchError, HypothesisViolation, ParseError
-from .perm import DEFAULT_CAP, GenGroup, Permutation, TWO_TRANSITIVE
+from .perm import GenGroup, Permutation, TWO_TRANSITIVE
 from .components import WreathSubgroup
 from .normalize import (
     EmbedCertificate,
@@ -73,17 +75,42 @@ class Code:
         return sorted(self.words)
 
     def min_distance(self) -> int:
-        """Exact pairwise minimum Hamming distance; undefined for singletons."""
+        """Exact minimum Hamming distance; undefined for singletons.
+
+        Searches the Hamming spheres of radius r = 1, 2, ... around every
+        word for another codeword; the first radius with a hit is the
+        distance. Once a sphere search would cost at least as many word
+        tests as the |C|(|C|-1)/2 pairs, it scans the pairs instead.
+        """
         if len(self.words) < 2:
             raise ValueError("minimum distance is undefined for a singleton code")
         if self._min_distance is None:
-            ws = self.sorted_words()
-            self._min_distance = min(
-                hamming_distance(ws[i], ws[j])
-                for i in range(len(ws))
-                for j in range(i + 1, len(ws))
-            )
+            self._min_distance = self._search_min_distance()
         return self._min_distance
+
+    def _search_min_distance(self) -> int:
+        q, m = self.ctx.gamma_size, self.ctx.delta_size
+        words = self.words
+        n = len(words)
+        pairs = n * (n - 1) // 2
+        for r in range(1, m + 1):
+            if n * math.comb(m, r) * (q - 1) ** r >= pairs:
+                ws = self.sorted_words()
+                return min(
+                    hamming_distance(ws[i], ws[j])
+                    for i in range(n)
+                    for j in range(i + 1, n)
+                )
+            for w in words:
+                for positions in itertools.combinations(range(m), r):
+                    others = [[a for a in range(q) if a != w[i]] for i in positions]
+                    for letters in itertools.product(*others):
+                        v = list(w)
+                        for i, a in zip(positions, letters):
+                            v[i] = a
+                        if tuple(v) in words:
+                            return r
+        raise RuntimeError("internal invariant: distinct words at no distance")
 
     def transform(self, x: WreathElement) -> "Code":
         """The equivalent code obtained by applying ``x`` to every word."""
@@ -161,7 +188,6 @@ def canonicalize(
     X: WreathSubgroup,
     gamma: int,
     nu: int,
-    cap: int = DEFAULT_CAP,
 ) -> CanonicalizationResult:
     """Pin (gamma^m) and (nu^d, gamma^(m-d)) into an equivalent code.
 
@@ -220,7 +246,7 @@ def canonicalize(
 
     # stage 2: embed, fixing the constant word
     X1 = conjugate_subgroup(X, x1)
-    embedding = embed_in_wreath(X1, delta1=0, phi=constant, cap=cap)
+    embedding = embed_in_wreath(X1, delta1=0, phi=constant)
     x2 = embedding.x
     G = embedding.G
 

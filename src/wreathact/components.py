@@ -3,12 +3,13 @@
 For X <= Sym(Gamma) wr Sym(Delta), the stabilizer of coordinate d (the
 subgroup whose tops fix d) projects onto a permutation group on Gamma via
 ``fh -> f[d]``, the d-component of X. Components are computed from lifted
-Schreier generators, never by enumerating X; enumeration exists only in
-the brute-force oracles.
+Schreier generators, never by enumerating X.
 
 The module also provides the permutational embedding that splits X along
-an invariant subset of the coordinates, and the transitivity scan report
-used to confirm that a group transitive on Pi has transitive components.
+an invariant subset of the coordinates, certified on generators and
+stabilizer chains, and the transitivity scan report used to confirm that
+a group transitive on Pi has transitive components. Only that scan and
+the brute-force oracles enumerate X, under a cap.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DegreeMismatchError, EnumerationOverflow
-from .perm import DEFAULT_CAP, GenGroup, Permutation
+from .perm import DEFAULT_CAP, GenGroup, Permutation, same_group
 from .wreath import Point, WreathContext, WreathElement
 
 
@@ -274,10 +275,13 @@ class WreathSubgroup:
 
         Restricting every generator to ``delta0`` and to its complement
         (coordinates renumbered in natural order) yields two subgroups
-        whose product action reproduces the original one; the result
-        certifies this at enumerable scale: the point map is a bijection,
-        the element map is injective and equivariant, and every component
-        is preserved.
+        whose product action reproduces the original one. The result
+        certifies this without enumerating X: the point map is a bijection
+        (checked over Pi, so |Pi| must stay below ``cap``); restriction to
+        an invariant subset is a homomorphism, so the element map is
+        injective once every generator reassembles from its two
+        restrictions, and equivariant once every generator is; every
+        component is preserved (``same_group``).
         """
         part0 = sorted(set(delta0))
         m = self.ctx.delta_size
@@ -306,50 +310,43 @@ class WreathSubgroup:
             )
             halves.append((WreathSubgroup(sub_ctx, restricted), position))
         (x0, pos0), (x1, pos1) = halves
-
-        def restrict_element(w: WreathElement, part: list[int], pos: dict[int, int]) -> WreathElement:
-            return WreathElement(
-                tuple(w.base[d] for d in part),
-                Permutation(pos[w.top[d]] for d in part),
-            )
+        gens0, gens1 = x0.generators, x1.generators
 
         def restrict_point(phi: Point, part: list[int]) -> Point:
             return tuple(phi[d] for d in part)
 
-        # (a) the restriction pair is a bijection Pi -> Omega0 x Omega1
+        # (a) the restriction pair is a bijection Pi -> Omega0 x Omega1;
+        # (d) equivariance of the point map, generator by generator
         images = set()
         total = 0
+        equivariant = True
         for phi in self.ctx.all_points():
             total += 1
             if total > cap:
                 raise EnumerationOverflow(f"|Pi| exceeds cap {cap}")
-            images.add((restrict_point(phi, part0), restrict_point(phi, part1)))
+            phi0, phi1 = restrict_point(phi, part0), restrict_point(phi, part1)
+            images.add((phi0, phi1))
+            for g, g0, g1 in zip(self.generators, gens0, gens1):
+                image = g.apply(phi)
+                if (
+                    restrict_point(image, part0) != g0.apply(phi0)
+                    or restrict_point(image, part1) != g1.apply(phi1)
+                ):
+                    equivariant = False
         theta_bijective = len(images) == self.ctx.point_count()
 
-        # (b) injectivity of the element map on the enumerated subgroup,
-        # (d) equivariance of the point map for every (point, element) pair
-        elements = sorted(self.enumerate_elements(cap), key=element_sort_key)
-        pairs = set()
-        equivariant = True
-        for w in elements:
-            w0 = restrict_element(w, part0, pos0)
-            w1 = restrict_element(w, part1, pos1)
-            pairs.add((w0, w1))
-            for phi in self.ctx.all_points():
-                image = w.apply(phi)
-                if restrict_point(image, part0) != w0.apply(restrict_point(phi, part0)):
-                    equivariant = False
-                if restrict_point(image, part1) != w1.apply(restrict_point(phi, part1)):
-                    equivariant = False
-        chi_injective = len(pairs) == len(elements)
+        # (b) injectivity: every generator reassembles from its restrictions
+        chi_injective = all(
+            _reassemble((part0, part1), (g0, g1)) == g
+            for g, g0, g1 in zip(self.generators, gens0, gens1)
+        )
 
         # (c) components are preserved coordinate by coordinate
         component_preserved: dict[int, bool] = {}
         for part, pos, half in ((part0, pos0, x0), (part1, pos1, x1)):
             for d in part:
-                component_preserved[d] = (
-                    self.component(d).enumerate_elements(cap)
-                    == half.component(pos[d]).enumerate_elements(cap)
+                component_preserved[d] = same_group(
+                    self.component(d), half.component(pos[d])
                 )
 
         return SplitResult(
@@ -365,6 +362,21 @@ class WreathSubgroup:
             equivariant=equivariant,
             component_preserved=component_preserved,
         )
+
+
+def _reassemble(
+    parts: tuple[list[int], list[int]], halves: tuple[WreathElement, WreathElement]
+) -> WreathElement:
+    """The element of the full wreath product acting as ``halves[i]`` on
+    the coordinates ``parts[i]`` (renumbered in natural order)."""
+    base: dict[int, Permutation] = {}
+    top: dict[int, int] = {}
+    for part, half in zip(parts, halves):
+        for i, d in enumerate(part):
+            base[d] = half.base[i]
+            top[d] = part[half.top[i]]
+    coordinates = range(len(base))
+    return WreathElement([base[d] for d in coordinates], Permutation(top[d] for d in coordinates))
 
 
 def _pruned_entries(elements: Sequence[WreathElement], delta: int) -> tuple[Permutation, ...]:

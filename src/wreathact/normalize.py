@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegreeMismatchError, HypothesisViolation
-from .perm import DEFAULT_CAP, GenGroup, Permutation
+from .perm import GenGroup, Permutation, same_group
 from .components import WreathSubgroup
 from .wreath import Point, WreathElement
 
@@ -116,9 +116,9 @@ class NormalizationResult:
     """Base element x with the conjugate X^x and its per-orbit certificate.
 
     ``component_flags[d]`` records that the component of X^x at d equals,
-    as a closure set, the component of X at the representative of d's
-    orbit. ``common_components`` maps each representative to that common
-    value, presented by the lifted Schreier images of the conjugate at the
+    as a group, the component of X at the representative of d's orbit.
+    ``common_components`` maps each representative to that common value,
+    presented by the lifted Schreier images of the conjugate at the
     representative.
     """
 
@@ -148,15 +148,14 @@ def normalizing_element(
     X: WreathSubgroup,
     phi: Point | None = None,
     preferred_reps: tuple[int, ...] = (),
-    cap: int = DEFAULT_CAP,
 ) -> NormalizationResult:
     """Base element x making the components of X^x constant on each orbit.
 
     The entry of x at coordinate d is the inverse of the base entry, at the
     orbit representative, of the transversal element for d. When ``phi`` is
     given, every component must be transitive and the returned x fixes
-    ``phi``. The certificate compares closure sets, so the components must
-    stay below ``cap``.
+    ``phi``. The certificate compares groups exactly through their
+    stabilizer chains (``same_group``), so it needs no enumeration cap.
     """
     transversal = build_transversal(X, preferred_reps)
     if phi is not None:
@@ -172,12 +171,10 @@ def normalizing_element(
     component_flags: dict[int, bool] = {}
     common_components: dict[int, GenGroup] = {}
     for orbit, rep in zip(transversal.orbits, transversal.reps):
-        reference = X.component(rep).enumerate_elements(cap)
+        reference = X.component(rep)
         common_components[rep] = conjugated.component(rep)
         for d in orbit:
-            component_flags[d] = (
-                conjugated.component(d).enumerate_elements(cap) == reference
-            )
+            component_flags[d] = same_group(conjugated.component(d), reference)
     fixes_point = None if phi is None else (x.apply(phi) == phi)
     return NormalizationResult(
         x=x,
@@ -237,7 +234,6 @@ def embed_in_wreath(
     X: WreathSubgroup,
     delta1: int = 0,
     phi: Point | None = None,
-    cap: int = DEFAULT_CAP,
 ) -> EmbedResult:
     """Conjugate X into G wr H, G the component at ``delta1``, H the induced group.
 
@@ -254,7 +250,7 @@ def embed_in_wreath(
         )
     G = X.component(delta1)
     H = X.induced_group
-    normalization = normalizing_element(X, phi, preferred_reps=(delta1,), cap=cap)
+    normalization = normalizing_element(X, phi, preferred_reps=(delta1,))
     certificate = sift_embedding(normalization.conjugated.generators, G, H)
     return EmbedResult(
         G=G,

@@ -374,11 +374,15 @@ class GenGroup:
         return TRANSITIVE
 
 
-def same_group(a: GenGroup, b: GenGroup, cap: int = DEFAULT_CAP) -> bool:
-    """Closure-set equality of two generated groups (exact, desk scale)."""
+def same_group(a: GenGroup, b: GenGroup) -> bool:
+    """Exact equality of two generated groups, with no enumeration.
+
+    Every generator of ``b`` lying in ``a`` gives B <= A, and then equal
+    orders give A = B; both come from the stabilizer chains.
+    """
     if a.degree != b.degree:
         return False
-    return a.enumerate_elements(cap) == b.enumerate_elements(cap)
+    return a.order() == b.order() and all(a.contains(g) for g in b.generators)
 
 
 def symmetric_gens(degree: int) -> tuple[Permutation, ...]:

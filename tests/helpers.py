@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from types import SimpleNamespace
 
 from wreathact import (
     Code,
@@ -101,6 +102,124 @@ def wreath_closure(gens, cap: int = 100000) -> set[WreathElement]:
                     new.append(c)
         frontier = new
     return elements
+
+
+# ----- raw-tuple split oracle -----
+#
+# A wreath element is the pair (base, top) of image tuples. The action is
+# written in its forward form, image[top[d]] = base[d][phi[d]], and the
+# product is read off from it, so neither goes through WreathElement.
+
+
+def raw_wreath(w: WreathElement) -> tuple:
+    return tuple(p.images for p in w.base), w.top.images
+
+
+def raw_apply(w: tuple, phi: tuple[int, ...]) -> tuple[int, ...]:
+    base, top = w
+    image = [0] * len(phi)
+    for d, entry in enumerate(phi):
+        image[top[d]] = base[d][entry]
+    return tuple(image)
+
+
+def raw_multiply(a: tuple, b: tuple) -> tuple:
+    """Apply ``a`` first, then ``b``: the entry at d moves to a_top[d]."""
+    (fa, ha), (fb, hb) = a, b
+    base = tuple(tuple_compose(fa[d], fb[ha[d]]) for d in range(len(ha)))
+    return base, tuple_compose(ha, hb)
+
+
+def raw_closure(gens: list[tuple], q: int, m: int) -> set[tuple]:
+    identity = ((tuple(range(q)),) * m, tuple(range(m)))
+    elements = {identity}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for e in frontier:
+            for s in gens:
+                c = raw_multiply(e, s)
+                if c not in elements:
+                    elements.add(c)
+                    new.append(c)
+        frontier = new
+    return elements
+
+
+def raw_restrict(w: tuple, part: list[int]) -> tuple:
+    base, top = w
+    return tuple(base[d] for d in part), tuple(part.index(top[d]) for d in part)
+
+
+def raw_component(elements: set[tuple], d: int) -> set[tuple[int, ...]]:
+    return {base[d] for base, top in elements if top[d] == d}
+
+
+def split_oracle(X: WreathSubgroup, delta0) -> SimpleNamespace:
+    """Brute-force split certificate over all of X x Pi, on raw tuples.
+
+    Checks that restriction to ``delta0`` and its complement is a
+    bijection on points, injective on the elements of X and equivariant
+    for every (element, point) pair, and that the component of X at d
+    equals the component of the restricted half at d's new position. The
+    components of X are also returned as closures (``tuple_closure``) of
+    the library's component generators, which must equal the projections.
+    """
+    q, m = X.ctx.gamma_size, X.ctx.delta_size
+    part0 = sorted(delta0)
+    part1 = [d for d in range(m) if d not in part0]
+    parts = (part0, part1)
+    gens = [raw_wreath(g) for g in X.generators]
+    elements = raw_closure(gens, q, m)
+    points = list(itertools.product(range(q), repeat=m))
+
+    restricted_points = {
+        tuple(tuple(phi[d] for d in part) for part in parts) for phi in points
+    }
+    restricted_elements = {
+        tuple(raw_restrict(w, part) for part in parts) for w in elements
+    }
+    equivariant = all(
+        tuple(image[d] for d in part) == raw_apply(raw_restrict(w, part), tuple(phi[d] for d in part))
+        for w in elements
+        for phi in points
+        for image in (raw_apply(w, phi),)
+        for part in parts
+    )
+    component_preserved = {}
+    for part in parts:
+        half = raw_closure([raw_restrict(g, part) for g in gens], q, len(part))
+        for i, d in enumerate(part):
+            component_preserved[d] = raw_component(elements, d) == raw_component(half, i)
+    library_components = {
+        d: tuple_closure([g.images for g in X.component(d).generators], q)
+        for d in range(m)
+    }
+    return SimpleNamespace(
+        theta_bijective=len(restricted_points) == len(points),
+        chi_injective=len(restricted_elements) == len(elements),
+        equivariant=equivariant,
+        component_preserved=component_preserved,
+        components_match_library=all(
+            library_components[d] == raw_component(elements, d) for d in range(m)
+        ),
+    )
+
+
+def split_oracle_agrees(X: WreathSubgroup, result) -> bool:
+    """Whether the oracle's verdicts equal those of a ``SplitResult``."""
+    oracle = split_oracle(X, result.delta0)
+    return oracle.components_match_library and (
+        oracle.theta_bijective,
+        oracle.chi_injective,
+        oracle.equivariant,
+        oracle.component_preserved,
+    ) == (
+        result.theta_bijective,
+        result.chi_injective,
+        result.equivariant,
+        result.component_preserved,
+    )
 
 
 # ----- random instance families -----

@@ -1,5 +1,6 @@
 import io
 import os
+import time
 
 import pytest
 
@@ -128,6 +129,17 @@ class TestVerifyCommand:
     def test_seeded_runs_are_identical(self):
         args = ("verify", "--q", "2", "--m", "2", "--pairs", "15", "--samples", "25")
         assert run(*args) == run(*args)
+
+    def test_refuses_over_cap_before_any_work(self):
+        # (6!)^7 * 7! is over the default cap: refused before listing the
+        # 6^7 points or running the action pair
+        start = time.perf_counter()
+        status, text = run("verify", "--q", "6", "--m", "7", "--pairs", "1", "--samples", "0")
+        elapsed = time.perf_counter() - start
+        assert status == 2
+        assert "verify: stabilizer count" in text
+        assert "cap" in text
+        assert elapsed < 1.0
 
 
 class TestParsing:

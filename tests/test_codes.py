@@ -16,6 +16,7 @@ from wreathact import (
     is_automorphism,
     parse_code,
 )
+import wreathact.codes as codes_module
 from helpers import hamming_code_with_automorphisms, p, we
 
 S = p(1, 0)
@@ -69,6 +70,83 @@ class TestMinDistance:
     def test_singleton_has_no_distance(self):
         with pytest.raises(ValueError):
             Code(WreathContext(2, 2), [(0, 0)]).min_distance()
+
+    @staticmethod
+    def pair_scan(words) -> int:
+        return min(
+            sum(1 for x, y in zip(a, b) if x != y)
+            for a, b in itertools.combinations(words, 2)
+        )
+
+    @staticmethod
+    def counting_distance(monkeypatch) -> list[int]:
+        """Count the pairwise-scan distance calls inside ``Code.min_distance``."""
+        calls = [0]
+
+        def counted(a, b):
+            calls[0] += 1
+            return hamming_distance(a, b)
+
+        monkeypatch.setattr(codes_module, "hamming_distance", counted)
+        return calls
+
+    def test_agrees_with_pair_scan_on_random_codes(self):
+        # greedy random codes with a drawn distance floor, so that the
+        # sphere search also has to pass radii without a hit
+        rng = random.Random(71)
+        distances = set()
+        for _ in range(120):
+            q = rng.randint(2, 5)
+            m = rng.randint(2, 7)
+            floor = rng.randint(1, 3)
+            words = [tuple(rng.randrange(q) for _ in range(m))]
+            for _ in range(rng.randint(1, 200)):
+                w = tuple(rng.randrange(q) for _ in range(m))
+                if all(hamming_distance(w, c) >= floor for c in words):
+                    words.append(w)
+            if len(words) < 2:
+                continue
+            code = Code(WreathContext(q, m), words)
+            d = self.pair_scan(words)
+            assert code.min_distance() == d
+            distances.add(d)
+        assert {1, 2, 3} <= distances
+
+    def test_agrees_with_pair_scan_on_dense_parity_subcodes(self):
+        # dense enough that the radius-2 sphere search runs and hits
+        rng = random.Random(73)
+        for q, m in ((2, 5), (2, 6), (2, 7), (3, 6), (3, 7)):
+            parity = [w for w in itertools.product(range(q), repeat=m) if sum(w) % q == 0]
+            for _ in range(3):
+                size = rng.randint(min(len(parity), 300) * 3 // 4, min(len(parity), 300))
+                words = rng.sample(parity, size)
+                code = Code(WreathContext(q, m), words)
+                assert code.min_distance() == self.pair_scan(words) == 2
+
+    def test_sphere_search_skips_the_pair_scan(self, monkeypatch):
+        calls = self.counting_distance(monkeypatch)
+        words = [w for w in itertools.product(range(5), repeat=5) if sum(w) % 5 == 0]
+        code = Code(WreathContext(5, 5), words)
+        assert code.min_distance() == 2
+        assert calls[0] == 0
+
+    def test_small_codes_fall_back_to_the_pair_scan(self, monkeypatch):
+        calls = self.counting_distance(monkeypatch)
+        code = Code(WreathContext(3, 4), [(0, 0, 0, 0), (1, 1, 2, 0), (2, 2, 2, 2)])
+        assert code.min_distance() == 3
+        assert calls[0] == 3
+
+    def test_repetition_codes_reach_full_length(self, monkeypatch):
+        calls = self.counting_distance(monkeypatch)
+        for q in range(2, 6):
+            for m in range(2, 8):
+                words = [(a,) * m for a in range(q)]
+                assert Code(WreathContext(q, m), words).min_distance() == m
+        # the even-weight code over Z_2 of length 6 has d = 2 and needs no pairs
+        even = [w for w in itertools.product(range(2), repeat=6) if sum(w) % 2 == 0]
+        before = calls[0]
+        assert Code(WreathContext(2, 6), even).min_distance() == 2
+        assert calls[0] == before
 
 
 class TestIsAutomorphism:

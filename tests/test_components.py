@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -8,13 +9,15 @@ from wreathact import (
     WreathContext,
     WreathElement,
     WreathSubgroup,
-    same_group,
+    conjugate_subgroup,
 )
 from helpers import (
     block_intransitive_subgroup,
     p,
     random_wreath_subgroup,
+    split_oracle_agrees,
     sym_perms,
+    tuple_closure,
     we,
     wreath_closure,
 )
@@ -188,6 +191,7 @@ class TestSplit:
         X = WreathSubgroup(ctx, (WreathElement((S, ID2), ID2),))
         result = X.split([0])
         assert result.ok
+        assert split_oracle_agrees(X, result)
         assert result.first.generators == (WreathElement((S,), Permutation.identity(1)),)
         assert result.second.generators == (
             WreathElement((ID2,), Permutation.identity(1)),
@@ -199,9 +203,23 @@ class TestSplit:
         assert len(X.enumerate_elements()) == 2
         result = X.split([0, 1])
         assert result.ok
+        assert split_oracle_agrees(X, result)
         assert len(result.first.enumerate_elements()) == 2
         assert len(result.second.enumerate_elements()) == 1
         assert result.position1 == {2: 0}
+
+    def test_oracle_disagrees_with_a_wrong_verdict(self):
+        X = WreathSubgroup(
+            WreathContext(2, 3), (we([[1, 0], [1, 0], [0, 1]], [1, 0, 2]),)
+        )
+        result = X.split([0, 1])
+        assert split_oracle_agrees(X, result)
+        for field in ("theta_bijective", "chi_injective", "equivariant"):
+            assert not split_oracle_agrees(X, dataclasses.replace(result, **{field: False}))
+        broken = {**result.component_preserved, 2: False}
+        assert not split_oracle_agrees(
+            X, dataclasses.replace(result, component_preserved=broken)
+        )
 
     def test_invalid_subsets_rejected(self):
         X = WreathSubgroup(
@@ -233,10 +251,31 @@ class TestSplit:
             assert result.chi_injective
             assert result.equivariant
             assert all(result.component_preserved.values())
+            assert split_oracle_agrees(X, result)
             for d in delta0:
-                assert same_group(
-                    X.component(d), result.first.component(result.position0[d])
-                )
+                half = result.first.component(result.position0[d])
+                assert tuple_closure(
+                    [g.images for g in X.component(d).generators], q
+                ) == tuple_closure([g.images for g in half.generators], q)
+            done += 1
+
+    def test_scattered_invariant_sets(self):
+        # conjugating by an element with a top scatters the blocks, so the
+        # invariant subsets and their complements are not intervals
+        rng = random.Random(57)
+        done = 0
+        while done < 12:
+            q = rng.choice([2, 3])
+            m = rng.choice([3, 4])
+            X0 = block_intransitive_subgroup(rng, q, m)
+            X = conjugate_subgroup(X0, X0.ctx.random_element(rng))
+            orbits = X.delta_orbits
+            if len(orbits) < 2:
+                continue
+            delta0 = sorted(orbits[rng.randrange(len(orbits))])
+            result = X.split(delta0)
+            assert result.ok
+            assert split_oracle_agrees(X, result)
             done += 1
 
 

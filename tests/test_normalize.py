@@ -1,4 +1,6 @@
+import math
 import random
+import time
 
 import pytest
 
@@ -14,6 +16,7 @@ from wreathact import (
     embed_in_wreath,
     normalizing_element,
     sift_embedding,
+    symmetric_gens,
 )
 from helpers import diagonal_instance, p, sym_perms, we
 
@@ -196,6 +199,41 @@ class TestNormalizingElement:
                     second.conjugated.component(d).enumerate_elements()
                     == first.conjugated.component(d).enumerate_elements()
                 )
+
+
+def full_wreath_product(q: int, m: int) -> WreathSubgroup:
+    """Sym(q) wr Sym(m) from the standard generators of both factors."""
+    ctx = WreathContext(q, m)
+    id_q, id_m = Permutation.identity(q), Permutation.identity(m)
+    gens = [WreathElement((s,) + (id_q,) * (m - 1), id_m) for s in symmetric_gens(q)]
+    gens += [WreathElement((id_q,) * m, h) for h in symmetric_gens(m)]
+    return WreathSubgroup(ctx, tuple(gens))
+
+
+class TestBeyondEnumeration:
+    """Full wreath products whose components the default cap of 10**6 could
+    not enumerate (10! = 3628800) or only slowly (9! = 362880)."""
+
+    @pytest.mark.parametrize("q, m", [(10, 2), (10, 4), (9, 6)])
+    def test_normalize_and_embed_under_the_default_cap(self, q, m):
+        phi = (0,) * m
+        X = full_wreath_product(q, m)
+        start = time.perf_counter()
+        normalization = normalizing_element(X, phi)
+        normalize_s = time.perf_counter() - start
+        start = time.perf_counter()
+        embedding = embed_in_wreath(X, 0, phi)
+        embed_s = time.perf_counter() - start
+        for result in (normalization, embedding.normalization):
+            assert result.ok
+            assert result.fixes_point
+            assert all(result.component_flags.values())
+            assert [c.order() for c in result.common_components.values()] == [
+                math.factorial(q)
+            ]
+        assert embedding.ok and embedding.certificate.passed
+        assert normalize_s < 1.0
+        assert embed_s < 1.0
 
 
 class TestEmbedInWreath:

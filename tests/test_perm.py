@@ -14,9 +14,10 @@ from wreathact import (
     TWO_TRANSITIVE,
     compose,
     random_permutation,
+    same_group,
     symmetric_gens,
 )
-from helpers import p, perm_closure, sym_perms
+from helpers import p, perm_closure, sym_perms, tuple_closure
 
 
 @st.composite
@@ -212,6 +213,40 @@ class TestMembership:
             if candidate not in elements:
                 assert not g.contains(candidate)
                 misses += 1
+
+
+class TestSameGroup:
+    def test_equal_groups_from_different_generators(self):
+        a = GenGroup(4, (p(1, 0, 2, 3), p(1, 2, 3, 0)))
+        b = GenGroup(4, (p(0, 1, 3, 2), p(3, 0, 1, 2), p(2, 1, 0, 3)))
+        assert same_group(a, b)
+        assert same_group(b, a)
+
+    def test_same_order_different_groups(self):
+        a = GenGroup(3, (p(1, 0, 2),))
+        b = GenGroup(3, (p(0, 2, 1),))
+        assert a.order() == b.order() == 2
+        assert not same_group(a, b)
+        assert not same_group(b, a)
+
+    def test_proper_subgroup(self):
+        whole = GenGroup(4, symmetric_gens(4))
+        alternating = GenGroup(4, (p(1, 2, 0, 3), p(0, 2, 3, 1)))
+        assert alternating.order() == 12
+        assert not same_group(whole, alternating)
+        assert not same_group(alternating, whole)
+
+    def test_degree_mismatch_is_not_equal(self):
+        assert not same_group(GenGroup(2, ()), GenGroup(3, ()))
+
+    def test_agrees_with_closures(self):
+        rng = random.Random(67)
+        for _ in range(40):
+            degree = rng.randint(1, 5)
+            a = GenGroup(degree, tuple(random_permutation(rng, degree) for _ in range(rng.randint(0, 2))))
+            b = GenGroup(degree, tuple(random_permutation(rng, degree) for _ in range(rng.randint(0, 2))))
+            closures = [tuple_closure([g.images for g in x.generators], degree) for x in (a, b)]
+            assert same_group(a, b) == (closures[0] == closures[1])
 
 
 class TestEnumeration:
