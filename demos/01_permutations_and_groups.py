@@ -5,15 +5,15 @@ by generators, with orbits, Schreier generators and membership sifting on
 top.
 """
 
-from wreathact import GenGroup, Permutation, compose
+from wreathact import GenGroup, Permutation
 
 # images notation: p sends i to p[i]
 p = Permutation([1, 0, 2])   # the transposition (0 1)
 q = Permutation([0, 2, 1])   # the transposition (1 2)
 
 print("p =", p, " q =", q)
-print("p then q =", compose(p, q))
-print("q then p =", compose(q, p))
+print("p then q =", p * q)
+print("q then p =", q * p)
 print("p inverse =", p.inverse())
 
 # the symmetric group on three points, generated by the two transpositions

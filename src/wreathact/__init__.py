@@ -24,7 +24,6 @@ from .perm import (
     Permutation,
     TRANSITIVE,
     TWO_TRANSITIVE,
-    compose,
     random_permutation,
     same_group,
     symmetric_gens,
@@ -94,7 +93,6 @@ __all__ = [
     "adjust_transversal",
     "build_transversal",
     "canonicalize",
-    "compose",
     "conjugate_subgroup",
     "element_sort_key",
     "embed_in_wreath",

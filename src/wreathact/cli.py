@@ -31,12 +31,26 @@ from typing import Sequence
 
 from .errors import EnumerationOverflow, HypothesisViolation, ParseError
 from .perm import DEFAULT_CAP
-from .wreath import WreathContext, WreathElement, format_point, parse_point, stabilizer_order_oracle
-from .components import WreathSubgroup
+from .wreath import (
+    WreathContext,
+    WreathElement,
+    format_point,
+    parse_point,
+    parse_with_header,
+    stabilizer_order_oracle,
+)
+from .components import WreathSubgroup, _yn
 from .normalize import embed_in_wreath, normalizing_element
 from .codes import canonicalize, parse_code
 
 ENV_CAP = "WREATHACT_CAP"
+
+
+def checked_cap(cap: int, source: str) -> int:
+    """``cap`` itself, or a ParseError naming ``source`` when it is not positive."""
+    if cap < 1:
+        raise ParseError(f"{source} must be positive, got {cap}")
+    return cap
 
 
 def default_cap() -> int:
@@ -47,40 +61,19 @@ def default_cap() -> int:
         cap = int(raw)
     except ValueError:
         raise ParseError(f"{ENV_CAP} must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ParseError(f"{ENV_CAP} must be positive, got {cap}")
-    return cap
+    return checked_cap(cap, ENV_CAP)
+
+
+def _read_generator(line: str, ctx: WreathContext) -> WreathElement:
+    element = WreathElement.parse(line)
+    if element.ctx != ctx:
+        raise ParseError(f"element context {element.ctx!r} does not match header {ctx!r}")
+    return element
 
 
 def parse_group_text(text: str) -> WreathSubgroup:
     """Parse a group file: header ``q m`` then one wreath element per line."""
-    ctx: WreathContext | None = None
-    generators: list[WreathElement] = []
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if ctx is None:
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(f"line {number}: expected header 'q m'")
-            try:
-                ctx = WreathContext(int(parts[0]), int(parts[1]))
-            except ValueError as exc:
-                raise ParseError(f"line {number}: {exc}") from None
-            continue
-        try:
-            element = WreathElement.parse(line)
-        except ValueError as exc:
-            raise ParseError(f"line {number}: {exc}") from None
-        if element.ctx != ctx:
-            raise ParseError(
-                f"line {number}: element context {element.ctx!r} does not match header {ctx!r}"
-            )
-        generators.append(element)
-    if ctx is None:
-        raise ParseError("missing header line 'q m'")
-    return WreathSubgroup(ctx, generators)
+    return WreathSubgroup(*parse_with_header(text, _read_generator))
 
 
 def load_group(path: str) -> WreathSubgroup:
@@ -103,10 +96,6 @@ def _fmt_ctx(ctx: WreathContext) -> str:
 
 def _fmt_perm_list(perms) -> str:
     return "[" + ";".join(str(p) for p in perms) + "]"
-
-
-def _yn(flag: bool) -> str:
-    return "yes" if flag else "no"
 
 
 def _parse_fix(arg: str | None, ctx: WreathContext):
@@ -238,6 +227,9 @@ def cmd_code_canon(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
+    for flag, count in (("--pairs", args.pairs), ("--samples", args.samples)):
+        if count < 0:
+            raise ParseError(f"{flag} must be non-negative, got {count}")
     ctx = WreathContext(args.q, args.m)
     # the stabilizer count runs over the whole wreath product: count first,
     # so that an over-cap context is refused before Pi is listed
@@ -356,6 +348,8 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
     try:
         if getattr(args, "cap", None) is None:
             args.cap = default_cap()
+        else:
+            args.cap = checked_cap(args.cap, "--cap")
         return args.func(args, out)
     except HypothesisViolation as exc:
         out.write(f"error: {exc}\n")

@@ -28,7 +28,7 @@ from .normalize import (
     embed_in_wreath,
     sift_embedding,
 )
-from .wreath import Point, WreathContext, WreathElement, format_point, parse_point
+from .wreath import Point, WreathContext, WreathElement, format_point, parse_point, parse_with_header
 
 
 def hamming_distance(a: Point, b: Point) -> int:
@@ -131,28 +131,7 @@ def parse_code(text: str) -> Code:
 
     Words are bare comma lists; blank lines and ``#`` comments are skipped.
     """
-    ctx: WreathContext | None = None
-    words: list[Point] = []
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if ctx is None:
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(f"line {number}: expected header 'q m'")
-            try:
-                q, m = int(parts[0]), int(parts[1])
-                ctx = WreathContext(q, m)
-            except ValueError as exc:
-                raise ParseError(f"line {number}: {exc}") from None
-            continue
-        try:
-            words.append(parse_point(line, ctx))
-        except ParseError as exc:
-            raise ParseError(f"line {number}: {exc}") from None
-    if ctx is None:
-        raise ParseError("missing header line 'q m'")
+    ctx, words = parse_with_header(text, parse_point)
     if not words:
         raise ParseError("code file contains no words")
     return Code(ctx, words)

@@ -18,7 +18,15 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DegreeMismatchError, EnumerationOverflow
-from .perm import DEFAULT_CAP, GenGroup, Permutation, same_group
+from .perm import (
+    DEFAULT_CAP,
+    GenGroup,
+    Permutation,
+    closure,
+    orbit_with_witnesses,
+    same_group,
+    schreier_generators,
+)
 from .wreath import Point, WreathContext, WreathElement
 
 
@@ -45,11 +53,11 @@ class ComponentWitnessOrbit:
 class WreathSubgroup:
     """A finitely generated subgroup of Sym(Gamma) wr Sym(Delta).
 
-    The induced coordinate action, its orbit partition, and the stabilizer
-    generators and component of every coordinate are built eagerly at
-    construction; afterwards all reads are pure, so instances are safe to
-    share read-only across threads. (The brute-force element closure is the
-    one lazy cache; build it before sharing if a thread will need it.)
+    The induced coordinate action and its orbit partition are built at
+    construction. The stabilizer generators and the component of each
+    coordinate, and the brute-force element closure, are lazy caches built
+    on first use; build the ones a thread will need before sharing an
+    instance across threads, after which all reads are pure.
     """
 
     def __init__(self, ctx: WreathContext, generators: Iterable[WreathElement]):
@@ -70,8 +78,6 @@ class WreathSubgroup:
         self._stab_gens: dict[int, tuple[WreathElement, ...]] = {}
         self._components: dict[int, GenGroup] = {}
         self._closure: frozenset[WreathElement] | None = None
-        for d in range(ctx.delta_size):
-            self.component(d)
 
     def __repr__(self) -> str:
         return f"WreathSubgroup({self.ctx!r}, generators={len(self.generators)})"
@@ -95,18 +101,7 @@ class WreathSubgroup:
         """
         if not 0 <= start < self.ctx.delta_size:
             raise ValueError(f"coordinate {start} out of range")
-        orbit = [start]
-        witness = {start: self.identity()}
-        i = 0
-        while i < len(orbit):
-            beta = orbit[i]
-            i += 1
-            for s in self.generators:
-                gamma = s.top[beta]
-                if gamma not in witness:
-                    witness[gamma] = witness[beta] * s
-                    orbit.append(gamma)
-        return orbit, witness
+        return orbit_with_witnesses(start, self.generators, _top_image, self.identity())
 
     # ----- coordinate stabilizers and components -----
 
@@ -120,17 +115,7 @@ class WreathSubgroup:
         if delta in self._stab_gens:
             return self._stab_gens[delta]
         orbit, witness = self.delta_orbit_with_witnesses(delta)
-        out: list[WreathElement] = []
-        seen: set[WreathElement] = set()
-        for beta in orbit:
-            u = witness[beta]
-            for s in self.generators:
-                schreier = u * s * witness[s.top[beta]].inverse()
-                if schreier.is_identity() or schreier in seen:
-                    continue
-                seen.add(schreier)
-                out.append(schreier)
-        result = tuple(out)
+        result = tuple(schreier_generators(orbit, witness, self.generators, _top_image))
         self._stab_gens[delta] = result
         return result
 
@@ -141,36 +126,21 @@ class WreathSubgroup:
         generators; sound because homomorphic images of generating sets
         generate the image.
         """
-        if delta in self._components:
-            return self._components[delta]
-        entries: list[Permutation] = []
-        seen: set[Permutation] = set()
-        for g in self.partition_stabilizer_gens(delta):
-            p = g.base[delta]
-            if p.is_identity() or p in seen:
-                continue
-            seen.add(p)
-            entries.append(p)
-        group = GenGroup(self.ctx.gamma_size, tuple(entries))
-        self._components[delta] = group
-        return group
+        if delta not in self._components:
+            entries = _pruned_entries(self.partition_stabilizer_gens(delta), delta)
+            self._components[delta] = GenGroup(self.ctx.gamma_size, entries)
+        return self._components[delta]
 
     def component_witness_orbit(self, delta: int, gamma0: int) -> ComponentWitnessOrbit:
         """Orbit of ``gamma0`` under the component at ``delta``, with witnesses."""
         if not 0 <= gamma0 < self.ctx.gamma_size:
             raise ValueError(f"point {gamma0} out of range")
-        stab = self.partition_stabilizer_gens(delta)
-        orbit = [gamma0]
-        witness = {gamma0: self.identity()}
-        i = 0
-        while i < len(orbit):
-            gamma = orbit[i]
-            i += 1
-            for s in stab:
-                image = s.base[delta][gamma]
-                if image not in witness:
-                    witness[image] = witness[gamma] * s
-                    orbit.append(image)
+        orbit, witness = orbit_with_witnesses(
+            gamma0,
+            self.partition_stabilizer_gens(delta),
+            lambda s, gamma: s.base[delta][gamma],
+            self.identity(),
+        )
         return ComponentWitnessOrbit(delta, gamma0, tuple(orbit), witness)
 
     # ----- brute-force oracles -----
@@ -183,21 +153,7 @@ class WreathSubgroup:
                     f"subgroup order {len(self._closure)} exceeds cap {cap}"
                 )
             return self._closure
-        identity = self.identity()
-        elements = {identity}
-        frontier = [identity]
-        while frontier:
-            new: list[WreathElement] = []
-            for e in frontier:
-                for s in self.generators:
-                    c = e * s
-                    if c not in elements:
-                        if len(elements) >= cap:
-                            raise EnumerationOverflow(f"closure exceeds cap {cap}")
-                        elements.add(c)
-                        new.append(c)
-            frontier = new
-        self._closure = frozenset(elements)
+        self._closure = closure(self.identity(), self.generators, cap)
         return self._closure
 
     def orbit_of_point(self, start: Point, cap: int = DEFAULT_CAP) -> list[Point]:
@@ -209,10 +165,7 @@ class WreathSubgroup:
             )
         orbit = [start]
         seen = {start}
-        i = 0
-        while i < len(orbit):
-            phi = orbit[i]
-            i += 1
+        for phi in orbit:
             for s in self.generators:
                 image = s.apply(phi)
                 if image not in seen:
@@ -379,7 +332,12 @@ def _reassemble(
     return WreathElement([base[d] for d in coordinates], Permutation(top[d] for d in coordinates))
 
 
+def _top_image(w: WreathElement, d: int) -> int:
+    return w.top[d]
+
+
 def _pruned_entries(elements: Sequence[WreathElement], delta: int) -> tuple[Permutation, ...]:
+    """Distinct non-identity base entries at ``delta``, in first-seen order."""
     entries: list[Permutation] = []
     seen: set[Permutation] = set()
     for w in elements:

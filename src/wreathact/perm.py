@@ -13,7 +13,7 @@ witness, transversal and Schreier generator list is deterministic.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Literal
+from typing import Callable, Iterable, Literal, Sequence, TypeVar
 
 from .errors import (
     DegreeMismatchError,
@@ -29,6 +29,10 @@ Transitivity = Literal["intransitive", "transitive", "2-transitive-or-more"]
 INTRANSITIVE: Transitivity = "intransitive"
 TRANSITIVE: Transitivity = "transitive"
 TWO_TRANSITIVE: Transitivity = "2-transitive-or-more"
+
+# Element type of the shared orbit, Schreier and closure routines:
+# Permutation or WreathElement (hashable, ``*``, ``inverse``, ``is_identity``).
+E = TypeVar("E")
 
 
 class Permutation:
@@ -114,9 +118,71 @@ class Permutation:
         return cls(images)
 
 
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """Apply ``p`` first, then ``q`` (the package-wide convention)."""
-    return p * q
+def orbit_with_witnesses(
+    start, generators: Sequence[E], image: Callable, identity: E
+) -> tuple[list, dict]:
+    """BFS orbit of ``start`` with witness elements.
+
+    ``image(s, point)`` is the action of generator ``s``. ``witness[beta]``
+    is a product of generators mapping ``start`` to ``beta``, and
+    ``witness[start]`` is ``identity``. The orbit list is in BFS discovery
+    order with generators applied in declaration order.
+    """
+    orbit = [start]
+    witness = {start: identity}
+    for beta in orbit:
+        for s in generators:
+            gamma = image(s, beta)
+            if gamma not in witness:
+                witness[gamma] = witness[beta] * s
+                orbit.append(gamma)
+    return orbit, witness
+
+
+def schreier_generators(
+    orbit: Sequence, witness: dict, generators: Sequence[E], image: Callable
+) -> list[E]:
+    """Generators of the stabilizer of ``orbit[0]``, via Schreier's lemma.
+
+    Takes the output of ``orbit_with_witnesses``. Identity elements and
+    duplicates are pruned; the remaining order follows the orbit order,
+    then the generator order.
+    """
+    out: list[E] = []
+    seen: set[E] = set()
+    for beta in orbit:
+        u = witness[beta]
+        for s in generators:
+            schreier = u * s * witness[image(s, beta)].inverse()
+            if schreier.is_identity() or schreier in seen:
+                continue
+            seen.add(schreier)
+            out.append(schreier)
+    return out
+
+
+def closure(
+    identity: E, generators: Sequence[E], cap: int, detail: str = ""
+) -> frozenset[E]:
+    """Every product of ``generators``, by BFS from ``identity``.
+
+    Raises ``EnumerationOverflow`` once more than ``cap`` elements would be
+    needed; ``detail`` is appended to its message.
+    """
+    elements = {identity}
+    frontier = [identity]
+    while frontier:
+        new: list[E] = []
+        for e in frontier:
+            for s in generators:
+                c = e * s
+                if c not in elements:
+                    if len(elements) >= cap:
+                        raise EnumerationOverflow(f"closure exceeds cap {cap}{detail}")
+                    elements.add(c)
+                    new.append(c)
+        frontier = new
+    return frozenset(elements)
 
 
 def random_permutation(rng: random.Random, degree: int) -> Permutation:
@@ -186,22 +252,13 @@ class StabilizerChain:
         """Recompute the basic orbit, then push every Schreier generator down."""
         lvl = self.levels[level]
         gens = self._group_gens(level)
-        lvl.orbit = [lvl.point]
-        lvl.transversal = {lvl.point: Permutation.identity(self.degree)}
-        i = 0
-        while i < len(lvl.orbit):
-            beta = lvl.orbit[i]
-            i += 1
-            for s in gens:
-                gamma = s[beta]
-                if gamma not in lvl.transversal:
-                    lvl.transversal[gamma] = lvl.transversal[beta] * s
-                    lvl.orbit.append(gamma)
-        for beta in lvl.orbit:
-            u = lvl.transversal[beta]
-            for s in gens:
-                schreier = u * s * lvl.transversal[s[beta]].inverse()
-                self._add(level + 1, schreier)
+        image = Permutation.__getitem__
+        lvl.orbit, lvl.transversal = orbit_with_witnesses(
+            lvl.point, gens, image, Permutation.identity(self.degree)
+        )
+        # identities and repeats are members already; only distinct ones sift
+        for schreier in schreier_generators(lvl.orbit, lvl.transversal, gens, image):
+            self._add(level + 1, schreier)
 
     def contains(self, p: Permutation) -> bool:
         return self._member_from(0, p)
@@ -246,26 +303,12 @@ class GenGroup:
     def orbit_with_transversal(
         self, point: int
     ) -> tuple[list[int], dict[int, Permutation]]:
-        """BFS orbit of ``point`` with witness elements.
-
-        ``witness[beta]`` is a product of generators mapping ``point`` to
-        ``beta``; ``witness[point]`` is the identity. The orbit list is in
-        BFS discovery order with generators applied in declaration order.
-        """
+        """BFS orbit of ``point`` with witnesses (see ``orbit_with_witnesses``)."""
         if not 0 <= point < self.degree:
             raise ValueError(f"point {point} out of range for degree {self.degree}")
-        orbit = [point]
-        witness = {point: Permutation.identity(self.degree)}
-        i = 0
-        while i < len(orbit):
-            beta = orbit[i]
-            i += 1
-            for s in self.generators:
-                gamma = s[beta]
-                if gamma not in witness:
-                    witness[gamma] = witness[beta] * s
-                    orbit.append(gamma)
-        return orbit, witness
+        return orbit_with_witnesses(
+            point, self.generators, Permutation.__getitem__, Permutation.identity(self.degree)
+        )
 
     def orbit(self, point: int) -> list[int]:
         return self.orbit_with_transversal(point)[0]
@@ -282,23 +325,9 @@ class GenGroup:
         return out
 
     def schreier_generators(self, point: int) -> list[Permutation]:
-        """Generators of the stabilizer of ``point``, via Schreier's lemma.
-
-        Identity elements and duplicates are pruned; the remaining order
-        follows orbit-BFS discovery order.
-        """
+        """Pruned Schreier generators of the stabilizer of ``point``."""
         orbit, witness = self.orbit_with_transversal(point)
-        out: list[Permutation] = []
-        seen: set[Permutation] = set()
-        for beta in orbit:
-            u = witness[beta]
-            for s in self.generators:
-                schreier = u * s * witness[s[beta]].inverse()
-                if schreier.is_identity() or schreier in seen:
-                    continue
-                seen.add(schreier)
-                out.append(schreier)
-        return out
+        return schreier_generators(orbit, witness, self.generators, Permutation.__getitem__)
 
     # ----- membership and enumeration -----
 
@@ -326,23 +355,12 @@ class GenGroup:
                     f"group order {len(self._closure)} exceeds cap {cap}"
                 )
             return self._closure
-        identity = Permutation.identity(self.degree)
-        elements = {identity}
-        frontier = [identity]
-        while frontier:
-            new: list[Permutation] = []
-            for e in frontier:
-                for s in self.generators:
-                    c = e * s
-                    if c not in elements:
-                        if len(elements) >= cap:
-                            raise EnumerationOverflow(
-                                f"closure exceeds cap {cap} (degree {self.degree})"
-                            )
-                        elements.add(c)
-                        new.append(c)
-            frontier = new
-        self._closure = frozenset(elements)
+        self._closure = closure(
+            Permutation.identity(self.degree),
+            self.generators,
+            cap,
+            f" (degree {self.degree})",
+        )
         return self._closure
 
     # ----- transitivity -----

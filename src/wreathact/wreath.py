@@ -20,12 +20,13 @@ import itertools
 import math
 import random
 import re
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import DegreeMismatchError, EnumerationOverflow, ParseError
 from .perm import DEFAULT_CAP, Permutation, random_permutation
 
 Point = tuple[int, ...]
+T = TypeVar("T")
 
 
 class WreathContext:
@@ -129,10 +130,6 @@ class WreathElement:
         self.base = base
         self.top = top
 
-    @classmethod
-    def identity(cls, ctx: WreathContext) -> "WreathElement":
-        return ctx.identity_element()
-
     @property
     def ctx(self) -> WreathContext:
         return WreathContext(self.base[0].degree, self.top.degree)
@@ -159,10 +156,6 @@ class WreathElement:
         tinv = self.top.inverse()
         base = tuple(self.base[tinv[d]].inverse() for d in range(len(self.base)))
         return WreathElement(base, tinv)
-
-    def conjugate(self, x: "WreathElement") -> "WreathElement":
-        """Return ``x^-1 * self * x``."""
-        return x.inverse() * self * x
 
     def apply(self, point: Point) -> Point:
         """Image of a point of Pi under the product action."""
@@ -227,6 +220,36 @@ def parse_point(text: str, ctx: WreathContext | None = None) -> Point:
         except ValueError as exc:
             raise ParseError(str(exc)) from None
     return point
+
+
+def parse_with_header(
+    text: str, read_line: Callable[[str, WreathContext], T]
+) -> tuple[WreathContext, list[T]]:
+    """Parse the file format shared by group and code files.
+
+    The first line that is neither blank nor a ``#`` comment is the header
+    ``q m``; every later such line is passed to ``read_line`` with the
+    context. A ``ValueError`` from any line becomes a ``ParseError``
+    prefixed with the line number.
+    """
+    ctx: WreathContext | None = None
+    items: list[T] = []
+    for number, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            if ctx is not None:
+                items.append(read_line(line, ctx))
+            elif len(parts := line.split()) != 2:
+                raise ParseError("expected header 'q m'")
+            else:
+                ctx = WreathContext(int(parts[0]), int(parts[1]))
+        except ValueError as exc:
+            raise ParseError(f"line {number}: {exc}") from None
+    if ctx is None:
+        raise ParseError("missing header line 'q m'")
+    return ctx, items
 
 
 def stabilizer_order_oracle(

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from wreathact import WreathElement, parse_point
+from wreathact import ParseError, WreathElement, parse_code, parse_point
 from wreathact.cli import main, parse_group_text
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -87,6 +87,14 @@ class TestSplitCommand:
         assert status == 2
         assert "not invariant" in text
 
+    def test_cap_must_be_positive(self):
+        for cap in ("0", "-3"):
+            status, text = run(
+                "split", fixture("two_orbit_q2m3.group"), "--delta0", "0,1", "--cap", cap
+            )
+            assert status == 2
+            assert text == f"error: --cap must be positive, got {cap}\n"
+
 
 class TestCodeCanonCommand:
     def test_even_weight_code(self):
@@ -141,6 +149,16 @@ class TestVerifyCommand:
         assert "cap" in text
         assert elapsed < 1.0
 
+    def test_negative_counts_are_input_errors(self):
+        cases = (
+            (("--pairs", "-4", "--samples", "-1"), "--pairs must be non-negative, got -4"),
+            (("--pairs", "1", "--samples", "-1"), "--samples must be non-negative, got -1"),
+        )
+        for flags, message in cases:
+            status, text = run("verify", "--q", "2", "--m", "2", *flags)
+            assert status == 2
+            assert text == f"error: {message}\n"
+
 
 class TestParsing:
     def test_malformed_file_reports_line(self):
@@ -183,3 +201,21 @@ class TestParsing:
         monkeypatch.setenv("WREATHACT_CAP", "many")
         status, text = run("components", fixture("diag_swap_q2m2.group"))
         assert status == 2
+
+
+# every malformed header, with the message both file parsers must give
+HEADER_ERRORS = (
+    ("", "missing header line 'q m'"),
+    ("2\n", "line 1: expected header 'q m'"),
+    ("2 x\n", "line 1: invalid literal for int() with base 10: 'x'"),
+    ("0 2\n", "line 1: gamma_size and delta_size must be at least 1"),
+    ("# c\n\n2 2 2\n", "line 3: expected header 'q m'"),
+)
+
+
+@pytest.mark.parametrize("text,message", HEADER_ERRORS)
+def test_group_and_code_parsers_agree_on_header_errors(text, message):
+    for parse in (parse_group_text, parse_code):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == message

@@ -12,7 +12,6 @@ from wreathact import (
     Permutation,
     TRANSITIVE,
     TWO_TRANSITIVE,
-    compose,
     random_permutation,
     same_group,
     symmetric_gens,
@@ -37,20 +36,20 @@ def permutation_triples(draw, max_degree=8):
 
 class TestPermutation:
     def test_identity_law(self):
-        assert compose(Permutation.identity(3), p(1, 0, 2)) == p(1, 0, 2)
-        assert compose(p(1, 0, 2), Permutation.identity(3)) == p(1, 0, 2)
+        assert Permutation.identity(3) * p(1, 0, 2) == p(1, 0, 2)
+        assert p(1, 0, 2) * Permutation.identity(3) == p(1, 0, 2)
 
     def test_compose_pointwise(self):
         # 0 -> 1 -> 2, 1 -> 0 -> 0, 2 -> 2 -> 1
-        assert compose(p(1, 0, 2), p(0, 2, 1)) == p(2, 0, 1)
+        assert p(1, 0, 2) * p(0, 2, 1) == p(2, 0, 1)
 
     def test_compose_inverse_pair(self):
-        assert compose(p(1, 2, 0), p(2, 0, 1)) == Permutation.identity(3)
+        assert p(1, 2, 0) * p(2, 0, 1) == Permutation.identity(3)
         assert p(1, 2, 0).inverse() == p(2, 0, 1)
 
     def test_degree_mismatch_rejected(self):
         with pytest.raises(DegreeMismatchError):
-            compose(p(1, 0), p(1, 0, 2))
+            p(1, 0) * p(1, 0, 2)
 
     def test_non_bijection_rejected(self):
         with pytest.raises(InvalidPermutationError):
@@ -213,6 +212,55 @@ class TestMembership:
             if candidate not in elements:
                 assert not g.contains(candidate)
                 misses += 1
+
+
+
+def _on_disjoint_points(rng: random.Random, a: int, b: int) -> list[Permutation]:
+    """Two generators on {0..a-1} and two on {a..a+b-1}: an intransitive group."""
+    gens = []
+    for size, shift in ((a, 0), (b, a)):
+        for _ in range(2):
+            images = list(range(a + b))
+            for i, j in enumerate(random_permutation(rng, size).images):
+                images[shift + i] = shift + j
+            gens.append(Permutation(images))
+    return gens
+
+
+def _block_preserving(rng: random.Random, blocks: int, size: int) -> list[Permutation]:
+    """Sym(size) wr Sym(blocks) on blocks*size points, points relabelled."""
+    n = blocks * size
+    swap = [1, 0] + list(range(2, n))
+    turn = [(i + 1) % size for i in range(size)] + list(range(size, n))
+    shift = [((i // size + 1) % blocks) * size + i % size for i in range(n)]
+    relabel = random_permutation(rng, n)
+    return [relabel.inverse() * Permutation(g) * relabel for g in (swap, turn, shift)]
+
+
+def test_chain_agrees_with_sympy():
+    """Order and membership against sympy's Schreier-Sims, beyond the
+    reach of the closure oracles: random 2-generated groups of degree
+    10-16, intransitive groups, and block-preserving groups, whose chains
+    have many non-trivial levels."""
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    SympyPerm, SympyGroup = combinatorics.Permutation, combinatorics.PermutationGroup
+    rng = random.Random(20261018)
+    cases = [[random_permutation(rng, n) for _ in range(2)] for n in (10, 12, 14, 16)]
+    cases += [_on_disjoint_points(rng, a, b) for a, b in ((5, 6), (4, 9), (7, 7))]
+    cases += [_block_preserving(rng, k, s) for k, s in ((3, 4), (4, 3), (2, 6), (5, 3))]
+    for gens in cases:
+        n = gens[0].degree
+        g = GenGroup(n, gens)
+        reference = SympyGroup([SympyPerm(list(x.images)) for x in gens])
+        assert g.order() == reference.order()
+        queries = [random_permutation(rng, n) for _ in range(10)]
+        for _ in range(10):
+            word = Permutation.identity(n)
+            for _ in range(8):
+                word = word * rng.choice(gens)
+            queries.append(word)
+        for w in queries:
+            assert g.contains(w) == reference.contains(SympyPerm(list(w.images)))
 
 
 class TestSameGroup:
