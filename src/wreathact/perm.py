@@ -191,77 +191,140 @@ def random_permutation(rng: random.Random, degree: int) -> Permutation:
     return Permutation(imgs)
 
 
+Images = tuple[int, ...]
+
+
+def _compose(a: Images, b: Images) -> Images:
+    """Raw image tuples composed left to right: ``a`` first, then ``b``."""
+    return tuple(map(b.__getitem__, a))
+
+
 class _ChainLevel:
-    """One level of a stabilizer chain: a base point with its basic orbit."""
+    """One level of a stabilizer chain, on raw image tuples.
 
-    __slots__ = ("point", "gens", "orbit", "transversal")
+    ``gens`` (with ``gen_inverses``) generate the level's group and
+    ``orbit`` is the basic orbit of ``point`` in discovery order.
+    ``transversal[beta]`` maps ``point`` to ``beta``, ``inverse[beta]`` is
+    its inverse, and both are None off the orbit. Entries never change once
+    made, so a Schreier generator, once sifted, never needs sifting again:
+    ``done[a]`` counts the generators whose Schreier generator at
+    ``orbit[a]`` has been sifted, and no pair before ``cursor`` is pending.
+    """
 
-    def __init__(self, point: int, degree: int):
+    __slots__ = ("point", "gens", "gen_inverses", "orbit", "transversal",
+                 "inverse", "done", "cursor")
+
+    def __init__(self, point: int, identity: Images):
         self.point = point
-        self.gens: list[Permutation] = []
-        self.orbit: list[int] = [point]
-        self.transversal: dict[int, Permutation] = {point: Permutation.identity(degree)}
+        self.gens: list[Images] = []
+        self.gen_inverses: list[Images] = []
+        self.orbit = [point]
+        self.transversal: list[Images | None] = [None] * len(identity)
+        self.inverse: list[Images | None] = [None] * len(identity)
+        self.transversal[point] = self.inverse[point] = identity
+        self.done = [0]
+        self.cursor = 0
+
+    def add_gen(self, g: Images, g_inverse: Images) -> None:
+        """Take ``g`` as a generator and extend the orbit in place: old
+        points under ``g`` alone, newly reached points under every
+        generator."""
+        self.gens.append(g)
+        self.gen_inverses.append(g_inverse)
+        self.cursor = 0
+        orbit, transversal, inverse = self.orbit, self.transversal, self.inverse
+        pairs = list(zip(self.gens, self.gen_inverses))
+        steps = [(beta, g, g_inverse) for beta in orbit]
+        for beta, s, s_inverse in steps:  # grows while it is read
+            gamma = s[beta]
+            if transversal[gamma] is None:
+                transversal[gamma] = _compose(transversal[beta], s)
+                inverse[gamma] = _compose(s_inverse, inverse[beta])
+                orbit.append(gamma)
+                self.done.append(0)
+                steps.extend((gamma, t, t_inverse) for t, t_inverse in pairs)
 
 
 class StabilizerChain:
-    """Deterministic Schreier-Sims stabilizer chain for membership tests.
+    """Exact stabilizer chain by deterministic, incremental Schreier-Sims.
 
-    Base points are chosen greedily as the smallest point moved by the
-    generator being inserted. The construction is exact (no randomization)
-    and is meant for the small degrees this package works at.
+    Everything inside works on raw image tuples: generators enter as
+    ``images``, and each level stores its transversal together with the
+    inverses, so sifting multiplies and never inverts. A residue that does
+    not sift to the identity becomes a strong generator of the levels from
+    the one below its Schreier generator's level down to the level where it
+    dropped out; those orbits grow in place, and only the new (orbit point,
+    generator) pairs make Schreier generators. A work list, deepest level
+    first, replaces recursion, so the build needs no stack depth per level.
+    A new level's base point is the smallest point its first generator
+    moves, so the same generators always give the same base and orbits.
     """
 
     def __init__(self, degree: int, generators: Iterable[Permutation]):
         self.degree = degree
+        self.identity: Images = tuple(range(degree))
         self.levels: list[_ChainLevel] = []
         for g in generators:
-            self._add(0, g)
+            self._insert(g.images, 0)
+        level = len(self.levels) - 1
+        while level >= 0:
+            drop = self._sift_pending(level)
+            level = level - 1 if drop is None else drop
 
-    def _group_gens(self, level: int) -> list[Permutation]:
-        # Generators of the level-th group: everything added at this level
-        # or deeper (deeper generators fix all earlier base points).
-        return [g for lvl in self.levels[level:] for g in lvl.gens]
+    def _strip(self, g: Images, start: int) -> tuple[Images, int]:
+        """Divide ``g`` by transversal elements from level ``start`` on;
+        return the residue and the level it dropped out at (the chain
+        length when it passed every level)."""
+        levels = self.levels
+        for k in range(start, len(levels)):
+            lvl = levels[k]
+            beta = g[lvl.point]
+            if beta != lvl.point:
+                inverse = lvl.inverse[beta]
+                if inverse is None:
+                    return g, k
+                g = _compose(g, inverse)
+        return g, len(levels)
 
-    def _sift(self, level: int, p: Permutation) -> Permutation | None:
-        """Divide off transversal elements; None means p fell out of an orbit."""
-        residue = p
-        for lvl in self.levels[level:]:
-            image = residue[lvl.point]
-            if image not in lvl.transversal:
-                return None
-            residue = residue * lvl.transversal[image].inverse()
-        return residue
+    def _insert(self, g: Images, start: int) -> int | None:
+        """Sift ``g`` from level ``start``; a non-identity residue joins
+        levels ``start`` to its drop level, which is returned."""
+        residue, drop = self._strip(g, start)
+        if residue == self.identity:
+            return None
+        if drop == len(self.levels):
+            base = next(i for i, j in enumerate(residue) if i != j)
+            self.levels.append(_ChainLevel(base, self.identity))
+        residue_inverse = tuple(sorted(range(self.degree), key=residue.__getitem__))
+        for lvl in self.levels[start:drop + 1]:
+            lvl.add_gen(residue, residue_inverse)
+        return drop
 
-    def _member_from(self, level: int, p: Permutation) -> bool:
-        residue = self._sift(level, p)
-        return residue is not None and residue.is_identity()
-
-    def _add(self, level: int, g: Permutation) -> None:
-        if g.is_identity() or self._member_from(level, g):
-            return
-        if level == len(self.levels):
-            base = min(i for i in range(self.degree) if g[i] != i)
-            self.levels.append(_ChainLevel(base, self.degree))
+    def _sift_pending(self, level: int) -> int | None:
+        """Sift the level's pending Schreier generators into the levels
+        below; stop at the first that adds a strong generator and return
+        its drop level, or None once nothing at this level is pending."""
         lvl = self.levels[level]
-        if any(g == existing for existing in lvl.gens):
-            return
-        lvl.gens.append(g)
-        self._close_level(level)
-
-    def _close_level(self, level: int) -> None:
-        """Recompute the basic orbit, then push every Schreier generator down."""
-        lvl = self.levels[level]
-        gens = self._group_gens(level)
-        image = Permutation.__getitem__
-        lvl.orbit, lvl.transversal = orbit_with_witnesses(
-            lvl.point, gens, image, Permutation.identity(self.degree)
-        )
-        # identities and repeats are members already; only distinct ones sift
-        for schreier in schreier_generators(lvl.orbit, lvl.transversal, gens, image):
-            self._add(level + 1, schreier)
+        orbit, done, gens = lvl.orbit, lvl.done, lvl.gens
+        transversal, inverse = lvl.transversal, lvl.inverse
+        while lvl.cursor < len(orbit):
+            a = lvl.cursor
+            beta = orbit[a]
+            while done[a] < len(gens):
+                s = gens[done[a]]
+                done[a] += 1
+                gamma = s[beta]
+                u = _compose(transversal[beta], s)
+                if u == transversal[gamma]:  # the pair that made gamma's entry
+                    continue
+                drop = self._insert(_compose(u, inverse[gamma]), level + 1)
+                if drop is not None:
+                    return drop
+            lvl.cursor += 1
+        return None
 
     def contains(self, p: Permutation) -> bool:
-        return self._member_from(0, p)
+        return self._strip(p.images, 0)[0] == self.identity
 
     def order(self) -> int:
         n = 1
@@ -273,9 +336,9 @@ class StabilizerChain:
 class GenGroup:
     """A permutation group given by a list of generators.
 
-    Membership is answered by a stabilizer-chain sift built on first use;
+    Membership and order come from a stabilizer chain built on first use;
     ``enumerate_elements`` is the brute-force closure backing the oracle
-    tests. Both caches are built lazily, so construct a group on one thread
+    tests, refused by the chain order when over its cap. Both caches are built lazily, so construct a group on one thread
     before sharing it; afterwards all reads are pure.
     """
 
@@ -348,19 +411,18 @@ class GenGroup:
         return self._get_chain().order()
 
     def enumerate_elements(self, cap: int = DEFAULT_CAP) -> frozenset[Permutation]:
-        """The full element set by BFS closure, or a loud overflow past ``cap``."""
-        if self._closure is not None:
-            if len(self._closure) > cap:
-                raise EnumerationOverflow(
-                    f"group order {len(self._closure)} exceeds cap {cap}"
-                )
-            return self._closure
-        self._closure = closure(
-            Permutation.identity(self.degree),
-            self.generators,
-            cap,
-            f" (degree {self.degree})",
-        )
+        """The full element set by BFS closure. A group whose chain order
+        is over ``cap`` is refused before any enumeration."""
+        order = self.order()
+        if order > cap:
+            raise EnumerationOverflow(f"group order {order} exceeds cap {cap}")
+        if self._closure is None:
+            self._closure = closure(
+                Permutation.identity(self.degree),
+                self.generators,
+                cap,
+                f" (degree {self.degree})",
+            )
         return self._closure
 
     # ----- transitivity -----

@@ -1,4 +1,6 @@
+import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -191,8 +193,6 @@ class TestMembership:
             assert g.order() == len(g.enumerate_elements(5000))
 
     def test_symmetric_group_orders(self):
-        import math
-
         for degree in range(1, 8):
             assert GenGroup(degree, symmetric_gens(degree)).order() == math.factorial(degree)
 
@@ -240,17 +240,21 @@ def _block_preserving(rng: random.Random, blocks: int, size: int) -> list[Permut
 def test_chain_agrees_with_sympy():
     """Order and membership against sympy's Schreier-Sims, beyond the
     reach of the closure oracles: random 2-generated groups of degree
-    10-16, intransitive groups, and block-preserving groups, whose chains
-    have many non-trivial levels."""
+    10-40, intransitive groups, and block-preserving groups, whose chains
+    have many non-trivial levels (at least 20 for Sym(4) wr Sym(8) and
+    Sym(3) wr Sym(10))."""
     combinatorics = pytest.importorskip("sympy.combinatorics")
     SympyPerm, SympyGroup = combinatorics.Permutation, combinatorics.PermutationGroup
     rng = random.Random(20261018)
-    cases = [[random_permutation(rng, n) for _ in range(2)] for n in (10, 12, 14, 16)]
+    cases = [[random_permutation(rng, n) for _ in range(2)] for n in (10, 12, 14, 16, 20, 30, 40)]
     cases += [_on_disjoint_points(rng, a, b) for a, b in ((5, 6), (4, 9), (7, 7))]
     cases += [_block_preserving(rng, k, s) for k, s in ((3, 4), (4, 3), (2, 6), (5, 3))]
-    for gens in cases:
+    deep = [_block_preserving(rng, k, s) for k, s in ((8, 4), (10, 3))]
+    for gens in cases + deep:
         n = gens[0].degree
         g = GenGroup(n, gens)
+        if gens in deep:
+            assert len(g._get_chain().levels) >= 20
         reference = SympyGroup([SympyPerm(list(x.images)) for x in gens])
         assert g.order() == reference.order()
         queries = [random_permutation(rng, n) for _ in range(10)]
@@ -261,6 +265,75 @@ def test_chain_agrees_with_sympy():
             queries.append(word)
         for w in queries:
             assert g.contains(w) == reference.contains(SympyPerm(list(w.images)))
+
+
+def _alternating_gens(n: int) -> tuple[Permutation, Permutation]:
+    """(0 1 2) with the n-cycle for odd n, or with (1 2 ... n-1) for even n:
+    generators of Alt(n), n >= 3."""
+    three = Permutation([1, 2, 0] + list(range(3, n)))
+    if n % 2:
+        return three, Permutation(list(range(1, n)) + [0])
+    return three, Permutation([0] + list(range(2, n)) + [1])
+
+
+@pytest.mark.parametrize("alternating", [False, True], ids=["sym30", "alt30"])
+def test_chain_at_degree_30(alternating):
+    """Orders and membership at degree 30, far beyond the closure oracles."""
+    n = 30
+    gens = _alternating_gens(n) if alternating else symmetric_gens(n)
+    g = GenGroup(n, gens)
+    assert g.order() == (math.factorial(n) // 2 if alternating else math.factorial(n))
+    rng = random.Random(30)
+    for _ in range(10):
+        word = Permutation.identity(n)
+        for _ in range(20):
+            word = word * rng.choice(gens)
+        assert g.contains(word)
+    odd = Permutation([1, 0] + list(range(2, n)))
+    assert g.contains(odd) is not alternating
+
+
+def _disjoint_transpositions(count: int) -> list[Permutation]:
+    gens = []
+    for k in range(count):
+        images = list(range(2 * count))
+        images[2 * k], images[2 * k + 1] = 2 * k + 1, 2 * k
+        gens.append(Permutation(images))
+    return gens
+
+
+@pytest.mark.parametrize(
+    "degree, gens, order",
+    [(41, symmetric_gens(41), math.factorial(41)), (80, _disjoint_transpositions(40), 2**40)],
+    ids=["sym41", "elementary-abelian-2^40"],
+)
+def test_chain_build_does_not_recurse(degree, gens, order):
+    """A 40-level chain builds with the stack only 30 frames deeper than here."""
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 30)
+    try:
+        g = GenGroup(degree, gens)
+        found = g.order()
+    finally:
+        sys.setrecursionlimit(limit)
+    assert found == order
+    assert len(g._get_chain().levels) == 40
+
+
+def test_chain_is_deterministic():
+    """Two builds from the same generators give the same base and orbits,
+    and each base point is the smallest point its level's first generator
+    moves."""
+    gens = _block_preserving(random.Random(41), 4, 4)
+    chains = [GenGroup(16, gens)._get_chain() for _ in range(2)]
+    assert [(lvl.point, lvl.orbit) for lvl in chains[0].levels] == [
+        (lvl.point, lvl.orbit) for lvl in chains[1].levels
+    ]
+    for lvl in chains[0].levels:
+        assert lvl.point == min(i for i, j in enumerate(lvl.gens[0]) if i != j)
 
 
 class TestSameGroup:
@@ -307,6 +380,11 @@ class TestEnumeration:
     def test_symmetric_group(self):
         g = GenGroup(3, (p(1, 0, 2), p(1, 2, 0)))
         assert g.enumerate_elements() == set(sym_perms(3))
+
+    def test_refused_by_order_before_enumerating(self):
+        g = GenGroup(10, symmetric_gens(10))
+        with pytest.raises(EnumerationOverflow, match="group order 3628800 exceeds cap 1000000"):
+            g.enumerate_elements()
 
     def test_overflow_is_loud(self):
         g = GenGroup(5, symmetric_gens(5))
