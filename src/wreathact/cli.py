@@ -15,7 +15,7 @@ Exit status: 0 on success, 1 when a hypothesis of the requested
 construction fails (reported, expected), 2 on parse or internal errors.
 The enumeration cap (``--cap`` on ``split`` and ``verify``, default from
 the environment variable ``WREATHACT_CAP``) bounds their brute-force work:
-|Pi| for ``split``, the full wreath product for ``verify``, which is
+|Pi| for ``split``, the full wreath product for ``verify``; each is
 refused before any other work when over the cap. The other subcommands
 certify without enumerating and take no cap.
 """

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -77,10 +78,12 @@ class Code:
     def min_distance(self) -> int:
         """Exact minimum Hamming distance; undefined for singletons.
 
-        Searches the Hamming spheres of radius r = 1, 2, ... around every
-        word for another codeword; the first radius with a hit is the
-        distance. Once a sphere search would cost at least as many word
-        tests as the |C|(|C|-1)/2 pairs, it scans the pairs instead.
+        Two distinct words lie within distance r exactly when they agree
+        once some r coordinates are deleted, so for r = 1, 2, ... every
+        r-subset of coordinates is deleted in turn; the first r at which two
+        words coincide is the distance. Once that would cost at least as
+        many word tests as the |C|(|C|-1)/2 pairs, or r reaches m, it scans
+        the pairs instead.
         """
         if len(self.words) < 2:
             raise ValueError("minimum distance is undefined for a singleton code")
@@ -89,27 +92,22 @@ class Code:
         return self._min_distance
 
     def _search_min_distance(self) -> int:
-        q, m = self.ctx.gamma_size, self.ctx.delta_size
+        m = self.ctx.delta_size
         words = self.words
         n = len(words)
         pairs = n * (n - 1) // 2
         for r in range(1, m + 1):
-            if n * math.comb(m, r) * (q - 1) ** r >= pairs:
+            if r == m or n * math.comb(m, r) >= pairs:
                 ws = self.sorted_words()
                 return min(
                     hamming_distance(ws[i], ws[j])
                     for i in range(n)
                     for j in range(i + 1, n)
                 )
-            for w in words:
-                for positions in itertools.combinations(range(m), r):
-                    others = [[a for a in range(q) if a != w[i]] for i in positions]
-                    for letters in itertools.product(*others):
-                        v = list(w)
-                        for i, a in zip(positions, letters):
-                            v[i] = a
-                        if tuple(v) in words:
-                            return r
+            for deleted in itertools.combinations(range(m), r):
+                kept = operator.itemgetter(*(i for i in range(m) if i not in deleted))
+                if len(set(map(kept, words))) < n:
+                    return r
         raise RuntimeError("internal invariant: distinct words at no distance")
 
     def transform(self, x: WreathElement) -> "Code":

@@ -2,8 +2,9 @@
 
 For X <= Sym(Gamma) wr Sym(Delta), the stabilizer of coordinate d (the
 subgroup whose tops fix d) projects onto a permutation group on Gamma via
-``fh -> f[d]``, the d-component of X. Components are computed from lifted
-Schreier generators, never by enumerating X.
+``fh -> f[d]``, the d-component of X. Components are computed from the
+base entries of Schreier generators, never by lifting them to wreath
+elements or enumerating X.
 
 The module also provides the permutational embedding that splits X along
 an invariant subset of the coordinates, certified on generators and
@@ -54,10 +55,11 @@ class WreathSubgroup:
     """A finitely generated subgroup of Sym(Gamma) wr Sym(Delta).
 
     The induced coordinate action and its orbit partition are built at
-    construction. The stabilizer generators and the component of each
-    coordinate, and the brute-force element closure, are lazy caches built
-    on first use; build the ones a thread will need before sharing an
-    instance across threads, after which all reads are pure.
+    construction. The component of each coordinate, with the Schreier
+    generators lifted so far for its witnesses, and the brute-force element
+    closure are lazy caches built on first use; build the ones a thread
+    will need before sharing an instance across threads, after which all
+    reads are pure.
     """
 
     def __init__(self, ctx: WreathContext, generators: Iterable[WreathElement]):
@@ -75,8 +77,7 @@ class WreathSubgroup:
         self.delta_orbits: tuple[tuple[int, ...], ...] = tuple(
             tuple(orbit) for orbit in self.induced_group.orbits()
         )
-        self._stab_gens: dict[int, tuple[WreathElement, ...]] = {}
-        self._components: dict[int, GenGroup] = {}
+        self._components: dict[int, tuple[GenGroup, list, dict]] = {}
         self._closure: frozenset[WreathElement] | None = None
 
     def __repr__(self) -> str:
@@ -110,37 +111,79 @@ class WreathSubgroup:
 
         Schreier generators of the point stabilizer in the induced action,
         lifted through the same generator words to wreath elements.
-        Identities and duplicates are pruned.
+        Identities and duplicates are pruned. This is the oracle that
+        ``component`` and ``component_witness_orbit`` are checked against;
+        the library itself never lifts a whole generating set.
         """
-        if delta in self._stab_gens:
-            return self._stab_gens[delta]
         orbit, witness = self.delta_orbit_with_witnesses(delta)
-        result = tuple(schreier_generators(orbit, witness, self.generators, _top_image))
-        self._stab_gens[delta] = result
-        return result
+        return tuple(schreier_generators(orbit, witness, self.generators, _top_image))
 
     def component(self, delta: int) -> GenGroup:
         """The group on Gamma induced by the coordinate stabilizer at ``delta``.
 
-        Generated by the base entries at ``delta`` of the lifted Schreier
-        generators; sound because homomorphic images of generating sets
-        generate the image.
+        Generated by the entries at ``delta`` of the Schreier generators,
+        built from base entries alone: a BFS over the induced action keeps
+        ``u[beta]``, the entry at ``delta`` of the witness carrying ``delta``
+        to ``beta``, and the entry for (beta, s) is
+        ``u[beta] * s.base[beta] * u[beta^s]^-1``. Identities and duplicates
+        are pruned in first-seen order, so the generators equal the pruned
+        entries of ``partition_stabilizer_gens``. Sound because homomorphic
+        images of generating sets generate the image.
         """
-        if delta not in self._components:
-            entries = _pruned_entries(self.partition_stabilizer_gens(delta), delta)
-            self._components[delta] = GenGroup(self.ctx.gamma_size, entries)
-        return self._components[delta]
+        return self._component_data(delta)[0]
+
+    def _component_data(self, delta: int) -> tuple[GenGroup, list, dict]:
+        """The component, the (beta, s) pair that first produced each of
+        its generators, and the Schreier generators lifted so far."""
+        if delta in self._components:
+            return self._components[delta]
+        if not 0 <= delta < self.ctx.delta_size:
+            raise ValueError(f"coordinate {delta} out of range")
+        orbit = [delta]
+        u = {delta: Permutation.identity(self.ctx.gamma_size)}
+        for beta in orbit:
+            for s in self.generators:
+                if s.top[beta] not in u:
+                    u[s.top[beta]] = u[beta] * s.base[beta]
+                    orbit.append(s.top[beta])
+        u_inverse = {beta: entry.inverse() for beta, entry in u.items()}
+        entries: dict[Permutation, tuple[int, WreathElement]] = {}
+        for beta in orbit:
+            for s in self.generators:
+                entry = u[beta] * s.base[beta] * u_inverse[s.top[beta]]
+                if not entry.is_identity():
+                    entries.setdefault(entry, (beta, s))
+        data = (GenGroup(self.ctx.gamma_size, entries), list(entries.values()), {})
+        self._components[delta] = data
+        return data
 
     def component_witness_orbit(self, delta: int, gamma0: int) -> ComponentWitnessOrbit:
-        """Orbit of ``gamma0`` under the component at ``delta``, with witnesses."""
+        """Orbit of ``gamma0`` under the component at ``delta``, with witnesses.
+
+        The BFS runs on the component's generators. A Schreier generator is
+        lifted to a wreath element, once, when it first discovers a point,
+        from the (beta, s) pair that first produced its entry; so the
+        witnesses are those of a BFS over ``partition_stabilizer_gens``.
+        """
         if not 0 <= gamma0 < self.ctx.gamma_size:
             raise ValueError(f"point {gamma0} out of range")
-        orbit, witness = orbit_with_witnesses(
-            gamma0,
-            self.partition_stabilizer_gens(delta),
-            lambda s, gamma: s.base[delta][gamma],
-            self.identity(),
-        )
+        group, sources, lifted = self._component_data(delta)
+        coordinate_witness = None
+        orbit = [gamma0]
+        witness = {gamma0: self.identity()}
+        for gamma in orbit:
+            for k, entry in enumerate(group.generators):
+                if entry[gamma] in witness:
+                    continue
+                if k not in lifted:
+                    if coordinate_witness is None:
+                        coordinate_witness = self.delta_orbit_with_witnesses(delta)[1]
+                    beta, s = sources[k]
+                    lifted[k] = (
+                        coordinate_witness[beta] * s * coordinate_witness[s.top[beta]].inverse()
+                    )
+                witness[entry[gamma]] = witness[gamma] * lifted[k]
+                orbit.append(entry[gamma])
         return ComponentWitnessOrbit(delta, gamma0, tuple(orbit), witness)
 
     # ----- brute-force oracles -----
@@ -230,10 +273,10 @@ class WreathSubgroup:
         (coordinates renumbered in natural order) yields two subgroups
         whose product action reproduces the original one. The result
         certifies this without enumerating X: the point map is a bijection
-        (checked over Pi, so |Pi| must stay below ``cap``); restriction to
-        an invariant subset is a homomorphism, so the element map is
-        injective once every generator reassembles from its two
-        restrictions, and equivariant once every generator is; every
+        (checked over Pi, so a |Pi| over ``cap`` is refused before any
+        work); restriction to an invariant subset is a homomorphism, so the
+        element map is injective once every generator reassembles from its
+        two restrictions, and equivariant once every generator is; every
         component is preserved (``same_group``).
         """
         part0 = sorted(set(delta0))
@@ -249,6 +292,10 @@ class WreathSubgroup:
                 raise ValueError(
                     f"coordinate subset is not invariant: orbit {orbit} is cut"
                 )
+        if self.ctx.point_count() > cap:
+            raise EnumerationOverflow(
+                f"|Pi| = {self.ctx.point_count()} exceeds cap {cap}"
+            )
         part1 = [d for d in range(m) if d not in chosen]
         halves = []
         for part in (part0, part1):
@@ -271,12 +318,8 @@ class WreathSubgroup:
         # (a) the restriction pair is a bijection Pi -> Omega0 x Omega1;
         # (d) equivariance of the point map, generator by generator
         images = set()
-        total = 0
         equivariant = True
         for phi in self.ctx.all_points():
-            total += 1
-            if total > cap:
-                raise EnumerationOverflow(f"|Pi| exceeds cap {cap}")
             phi0, phi1 = restrict_point(phi, part0), restrict_point(phi, part1)
             images.add((phi0, phi1))
             for g, g0, g1 in zip(self.generators, gens0, gens1):

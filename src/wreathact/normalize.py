@@ -118,7 +118,7 @@ class NormalizationResult:
     ``component_flags[d]`` records that the component of X^x at d equals,
     as a group, the component of X at the representative of d's orbit.
     ``common_components`` maps each representative to that common value,
-    presented by the lifted Schreier images of the conjugate at the
+    presented by the conjugate's component generators at the
     representative.
     """
 

@@ -70,24 +70,25 @@ class Permutation:
         """Compose left to right: apply ``self`` first, then ``other``."""
         if not isinstance(other, Permutation):
             return NotImplemented
-        if other.degree != self.degree:
+        images = self.images
+        if len(other.images) != len(images):
             raise DegreeMismatchError(
                 f"degree mismatch: {self.degree} vs {other.degree}"
             )
-        return Permutation(other.images[i] for i in self.images)
+        return _from_images(tuple(map(other.images.__getitem__, images)))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
         for i, j in enumerate(self.images):
             inv[j] = i
-        return Permutation(inv)
+        return _from_images(tuple(inv))
 
     def conjugate(self, g: "Permutation") -> "Permutation":
         """Return ``g^-1 * self * g``."""
         return g.inverse() * self * g
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
+        return self.images == tuple(range(len(self.images)))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
@@ -116,6 +117,17 @@ class Permutation:
         except ValueError:
             raise ParseError(f"non-integer entry in image list {text!r}") from None
         return cls(images)
+
+
+def _from_images(images: tuple[int, ...]) -> Permutation:
+    """A ``Permutation`` on an image tuple known to be valid, unchecked.
+
+    Only for images built here from valid permutations (products and
+    inverses); user-supplied lists always go through ``Permutation(...)``.
+    """
+    p = object.__new__(Permutation)
+    p.images = images
+    return p
 
 
 def orbit_with_witnesses(

@@ -146,16 +146,16 @@ class WreathElement:
         if not isinstance(other, WreathElement):
             return NotImplemented
         self._check_ctx(other)
-        top = self.top * other.top
+        other_base = other.base
         base = tuple(
-            self.base[d] * other.base[self.top[d]] for d in range(len(self.base))
+            p * other_base[d] for p, d in zip(self.base, self.top.images)
         )
-        return WreathElement(base, top)
+        return _from_parts(base, self.top * other.top)
 
     def inverse(self) -> "WreathElement":
         tinv = self.top.inverse()
-        base = tuple(self.base[tinv[d]].inverse() for d in range(len(self.base)))
-        return WreathElement(base, tinv)
+        base = tuple(self.base[d].inverse() for d in tinv.images)
+        return _from_parts(base, tinv)
 
     def apply(self, point: Point) -> Point:
         """Image of a point of Pi under the product action."""
@@ -163,10 +163,10 @@ class WreathElement:
             raise ValueError(
                 f"point has length {len(point)}, expected {len(self.base)}"
             )
-        tinv = self.top.inverse()
-        return tuple(
-            self.base[tinv[d]][point[tinv[d]]] for d in range(len(self.base))
-        )
+        image = [0] * len(point)
+        for p, d, entry in zip(self.base, self.top.images, point):
+            image[d] = p.images[entry]
+        return tuple(image)
 
     def is_identity(self) -> bool:
         return self.top.is_identity() and all(p.is_identity() for p in self.base)
@@ -200,6 +200,17 @@ class WreathElement:
         base = [Permutation.parse(part) for part in base_blob.split(";")]
         top = Permutation.parse(top_text)
         return cls(base, top)
+
+
+def _from_parts(base: tuple[Permutation, ...], top: Permutation) -> WreathElement:
+    """A ``WreathElement`` on parts known to agree in degrees, unchecked.
+
+    Only for products and inverses of elements that passed the checks.
+    """
+    w = object.__new__(WreathElement)
+    w.base = base
+    w.top = top
+    return w
 
 
 def format_point(point: Point) -> str:

@@ -20,6 +20,7 @@ from wreathact import (
     WreathSubgroup,
     conjugate_subgroup,
     random_permutation,
+    symmetric_gens,
 )
 
 
@@ -228,6 +229,25 @@ def split_oracle_agrees(X: WreathSubgroup, result) -> bool:
 def random_wreath_subgroup(rng: random.Random, q: int, m: int, n_gens: int = 2) -> WreathSubgroup:
     ctx = WreathContext(q, m)
     return WreathSubgroup(ctx, tuple(ctx.random_element(rng) for _ in range(n_gens)))
+
+
+def full_wreath_product(q: int, m: int) -> WreathSubgroup:
+    """Sym(q) wr Sym(m) from the standard generators of both factors."""
+    ctx = WreathContext(q, m)
+    id_q, id_m = Permutation.identity(q), Permutation.identity(m)
+    gens = [WreathElement((s,) + (id_q,) * (m - 1), id_m) for s in symmetric_gens(q)]
+    gens += [WreathElement((id_q,) * m, h) for h in symmetric_gens(m)]
+    return WreathSubgroup(ctx, tuple(gens))
+
+
+def conjugated_full_wreath_product(rng: random.Random, q: int, m: int) -> WreathSubgroup:
+    """Sym(q) wr Sym(m) conjugated by a random base element, so that its
+    components differ from coordinate to coordinate."""
+    X = full_wreath_product(q, m)
+    y = WreathElement(
+        tuple(random_permutation(rng, q) for _ in range(m)), Permutation.identity(m)
+    )
+    return conjugate_subgroup(X, y)
 
 
 def diagonal_instance(

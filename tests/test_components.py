@@ -1,18 +1,24 @@
 import dataclasses
 import random
+import time
 
 import pytest
 
 from wreathact import (
+    EnumerationOverflow,
     GenGroup,
     Permutation,
     WreathContext,
     WreathElement,
     WreathSubgroup,
     conjugate_subgroup,
+    embed_in_wreath,
 )
+from wreathact.components import _pruned_entries
+from wreathact.perm import orbit_with_witnesses
 from helpers import (
     block_intransitive_subgroup,
+    conjugated_full_wreath_product,
     p,
     random_wreath_subgroup,
     split_oracle_agrees,
@@ -185,6 +191,78 @@ class TestComponentWitnessOrbit:
                 assert witness.base[d][gamma0] == gamma
 
 
+def lifted_witness_orbit(X: WreathSubgroup, delta: int, gamma0: int):
+    """The component BFS on the lifted wreath Schreier generators."""
+    return orbit_with_witnesses(
+        gamma0,
+        X.partition_stabilizer_gens(delta),
+        lambda s, gamma: s.base[delta][gamma],
+        X.identity(),
+    )
+
+
+class TestComponentFromEntries:
+    """Components are built from base entries; the lifted wreath Schreier
+    generators of ``partition_stabilizer_gens`` are the oracle."""
+
+    def test_generators_equal_the_lifted_oracle_on_random_subgroups(self):
+        rng = random.Random(61)
+        for _ in range(200):
+            q = rng.randint(2, 5)
+            m = rng.randint(1, 5)
+            X = random_wreath_subgroup(rng, q, m, n_gens=rng.randint(1, 3))
+            for d in range(m):
+                oracle = _pruned_entries(X.partition_stabilizer_gens(d), d)
+                assert X.component(d).generators == oracle
+
+    @pytest.mark.parametrize("q, m", [(8, 12), (12, 24), (6, 30)])
+    def test_generators_equal_the_lifted_oracle_at_scale(self, q, m):
+        X = conjugated_full_wreath_product(random.Random(q * 100 + m), q, m)
+        for d in range(m):
+            oracle = _pruned_entries(X.partition_stabilizer_gens(d), d)
+            assert X.component(d).generators == oracle
+
+    def test_witnesses_equal_the_lifted_oracle(self):
+        rng = random.Random(67)
+        for _ in range(60):
+            q = rng.randint(2, 4)
+            m = rng.randint(1, 4)
+            X = random_wreath_subgroup(rng, q, m, n_gens=rng.randint(1, 3))
+            for d in range(m):
+                for gamma0 in range(q):
+                    data = X.component_witness_orbit(d, gamma0)
+                    orbit, witness = lifted_witness_orbit(X, d, gamma0)
+                    assert data.orbit == tuple(orbit)
+                    assert data.witness == witness
+
+    def test_witnesses_equal_the_lifted_oracle_at_scale(self):
+        X = conjugated_full_wreath_product(random.Random(71), 8, 12)
+        for d in (0, 5, 11):
+            data = X.component_witness_orbit(d, 3)
+            orbit, witness = lifted_witness_orbit(X, d, 3)
+            assert len(orbit) == 8
+            assert data.orbit == tuple(orbit)
+            assert data.witness == witness
+
+    def test_all_components_at_scale_are_fast(self):
+        # three degree-12 products per Schreier generator; lifting each one
+        # to a degree-12*24 wreath element instead takes over 0.5 s
+        X = conjugated_full_wreath_product(random.Random(73), 12, 24)
+        start = time.perf_counter()
+        components = [X.component(d) for d in range(24)]
+        elapsed = time.perf_counter() - start
+        assert all(c.order() == 479001600 for c in components)
+        assert elapsed < 0.05
+
+    def test_embed_at_scale(self):
+        X = conjugated_full_wreath_product(random.Random(79), 6, 30)
+        start = time.perf_counter()
+        result = embed_in_wreath(X, 0)
+        elapsed = time.perf_counter() - start
+        assert result.ok
+        assert elapsed < 1.0
+
+
 class TestSplit:
     def test_base_subgroup_projection(self):
         ctx = WreathContext(2, 2)
@@ -233,6 +311,24 @@ class TestSplit:
             X.split([0])  # cuts the orbit {0,1}
         with pytest.raises(ValueError):
             X.split([3])
+
+    def test_over_cap_refused_before_any_point(self, monkeypatch):
+        X = WreathSubgroup(
+            WreathContext(2, 3), (we([[1, 0], [1, 0], [0, 1]], [1, 0, 2]),)
+        )
+        calls = [0]
+        apply = WreathElement.apply
+
+        def counted(self, point):
+            calls[0] += 1
+            return apply(self, point)
+
+        monkeypatch.setattr(WreathElement, "apply", counted)
+        with pytest.raises(EnumerationOverflow, match=r"\|Pi\| = 8 exceeds cap 4"):
+            X.split([0, 1], cap=4)
+        assert calls[0] == 0
+        assert X.split([0, 1], cap=8).ok
+        assert calls[0] == 8 * 3
 
     def test_components_preserved_on_random_splits(self):
         rng = random.Random(53)

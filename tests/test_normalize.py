@@ -16,9 +16,8 @@ from wreathact import (
     embed_in_wreath,
     normalizing_element,
     sift_embedding,
-    symmetric_gens,
 )
-from helpers import diagonal_instance, p, sym_perms, we
+from helpers import diagonal_instance, full_wreath_product, p, sym_perms, we
 
 S = p(1, 0)
 ID2 = Permutation.identity(2)
@@ -199,15 +198,6 @@ class TestNormalizingElement:
                     second.conjugated.component(d).enumerate_elements()
                     == first.conjugated.component(d).enumerate_elements()
                 )
-
-
-def full_wreath_product(q: int, m: int) -> WreathSubgroup:
-    """Sym(q) wr Sym(m) from the standard generators of both factors."""
-    ctx = WreathContext(q, m)
-    id_q, id_m = Permutation.identity(q), Permutation.identity(m)
-    gens = [WreathElement((s,) + (id_q,) * (m - 1), id_m) for s in symmetric_gens(q)]
-    gens += [WreathElement((id_q,) * m, h) for h in symmetric_gens(m)]
-    return WreathSubgroup(ctx, tuple(gens))
 
 
 class TestBeyondEnumeration:

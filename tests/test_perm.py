@@ -62,6 +62,14 @@ class TestPermutation:
             Permutation([])
 
     @given(permutation_triples())
+    def test_products_and_inverses_are_valid(self, triple):
+        # the product path skips validation; its results must still pass it
+        a, b, _ = triple
+        for result in (a * b, a.inverse()):
+            assert Permutation(result.images) == result
+            assert hash(Permutation(result.images)) == hash(result)
+
+    @given(permutation_triples())
     def test_associativity(self, triple):
         a, b, c = triple
         assert (a * b) * c == a * (b * c)

@@ -43,6 +43,26 @@ class TestMultiplication:
                 assert w * w.inverse() == ctx.identity_element()
                 assert w.inverse() * w == ctx.identity_element()
 
+    def test_products_and_inverses_are_valid(self):
+        # products and inverses skip validation; rebuilding them through the
+        # public constructors must give the same elements
+        rng = random.Random(6)
+        for ctx in SMALL_CONTEXTS + [WreathContext(4, 5)]:
+            for _ in range(20):
+                a, b = ctx.random_element(rng), ctx.random_element(rng)
+                for w in (a * b, a.inverse()):
+                    rebuilt = WreathElement(
+                        [Permutation(p.images) for p in w.base], Permutation(w.top.images)
+                    )
+                    assert rebuilt == w
+                    assert w.ctx == ctx
+
+    def test_public_constructor_still_validates(self):
+        with pytest.raises(DegreeMismatchError):
+            WreathElement((S, Permutation.identity(3)), ID2)
+        with pytest.raises(DegreeMismatchError):
+            WreathElement((S, S), Permutation.identity(3))
+
     def test_context_mismatch(self):
         a = WreathElement((S, ID2), S)
         b = WreathElement((S, S, S), Permutation.identity(3))
@@ -90,6 +110,24 @@ class TestApply:
     def test_base_only(self):
         w = WreathElement((S, S), ID2)
         assert w.apply((0, 1)) == (1, 0)
+
+    def test_matches_the_defining_formula(self):
+        # (phi * fh)[d] = f[d h^-1][phi[d h^-1]]
+        rng = random.Random(10)
+        for ctx in SMALL_CONTEXTS + [WreathContext(4, 5)]:
+            for _ in range(10):
+                w = ctx.random_element(rng)
+                tinv = w.top.inverse()
+                for phi in list(ctx.all_points())[:50]:
+                    expected = tuple(
+                        w.base[tinv[d]][phi[tinv[d]]] for d in range(ctx.delta_size)
+                    )
+                    assert w.apply(phi) == expected
+
+    def test_point_length_checked(self):
+        w = WreathElement((S, ID2), S)
+        with pytest.raises(ValueError):
+            w.apply((0, 1, 0))
 
     def test_block_equivariance(self):
         # the block of points with entry gamma at coordinate d maps onto the
