@@ -13,11 +13,11 @@ header followed by one word per line as a bare comma list. Blank lines and
 
 Exit status: 0 on success, 1 when a hypothesis of the requested
 construction fails (reported, expected), 2 on parse or internal errors.
-The enumeration cap (``--cap`` on ``split`` and ``verify``, default from
-the environment variable ``WREATHACT_CAP``) bounds their brute-force work:
-|Pi| for ``split``, the full wreath product for ``verify``; each is
-refused before any other work when over the cap. The other subcommands
-certify without enumerating and take no cap.
+The enumeration cap (``--cap`` on ``verify`` only, default from the
+environment variable ``WREATHACT_CAP``) bounds its brute-force work, the
+full wreath product, which is refused before any other work when over the
+cap. The other subcommands, ``split`` included, certify from generator
+data without enumerating and take no cap.
 """
 
 from __future__ import annotations
@@ -187,7 +187,7 @@ def cmd_split(args, out) -> int:
         delta0 = [int(part) for part in args.delta0.split(",")]
     except ValueError:
         raise ParseError(f"--delta0 expects a comma list of coordinates, got {args.delta0!r}") from None
-    result = X.split(delta0, cap=args.cap)
+    result = X.split(delta0)
     _emit(out, "context", _fmt_ctx(X.ctx))
     for line in result.report_lines():
         out.write(line + "\n")
@@ -292,15 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_cap(p):
-        p.add_argument(
-            "--cap",
-            type=int,
-            default=None,
-            help="enumeration cap for brute-force checks (default from "
-            f"{ENV_CAP} or {DEFAULT_CAP})",
-        )
-
     p = sub.add_parser("components", help="coordinate components and orbits")
     p.add_argument("group", help="group file")
     p.set_defaults(func=cmd_components)
@@ -319,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="split along an invariant coordinate subset")
     p.add_argument("group", help="group file")
     p.add_argument("--delta0", required=True, help="comma list of coordinates")
-    add_cap(p)
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("code-canon", help="pin two words of an equivalent code")
@@ -335,7 +325,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", type=int, default=200, help="random pairs for the action axiom")
     p.add_argument("--samples", type=int, default=500, help="random subgroups for the scan")
     p.add_argument("--seed", type=int, default=0)
-    add_cap(p)
+    p.add_argument(
+        "--cap",
+        type=int,
+        default=None,
+        help="enumeration cap for brute-force checks (default from "
+        f"{ENV_CAP} or {DEFAULT_CAP})",
+    )
     p.set_defaults(func=cmd_verify)
 
     return parser

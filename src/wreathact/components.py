@@ -7,10 +7,10 @@ base entries of Schreier generators, never by lifting them to wreath
 elements or enumerating X.
 
 The module also provides the permutational embedding that splits X along
-an invariant subset of the coordinates, certified on generators and
-stabilizer chains, and the transitivity scan report used to confirm that
-a group transitive on Pi has transitive components. Only that scan and
-the brute-force oracles enumerate X, under a cap.
+an invariant subset of the coordinates, certified on generator data alone,
+and the transitivity scan report used to confirm that a group transitive
+on Pi has transitive components. Only that scan and the brute-force
+oracles enumerate X or Pi, under a cap.
 """
 
 from __future__ import annotations
@@ -266,18 +266,19 @@ class WreathSubgroup:
 
     # ----- splitting along an invariant coordinate set -----
 
-    def split(self, delta0: Iterable[int], cap: int = DEFAULT_CAP) -> "SplitResult":
+    def split(self, delta0: Iterable[int]) -> "SplitResult":
         """Split along an invariant, nonempty, proper coordinate subset.
 
         Restricting every generator to ``delta0`` and to its complement
         (coordinates renumbered in natural order) yields two subgroups
         whose product action reproduces the original one. The result
-        certifies this without enumerating X: the point map is a bijection
-        (checked over Pi, so a |Pi| over ``cap`` is refused before any
-        work); restriction to an invariant subset is a homomorphism, so the
-        element map is injective once every generator reassembles from its
-        two restrictions, and equivariant once every generator is; every
-        component is preserved (``same_group``).
+        certifies this from generator data alone, with no cap: the point
+        map is a bijection because the two parts partition the
+        coordinates; restriction to an invariant subset is a homomorphism,
+        so the element map is injective once every generator reassembles
+        from its two restrictions, and equivariant once every generator is
+        on the (q-1)*m + 1 probe words, which determine an element of the
+        wreath product; every component is preserved (``same_group``).
         """
         part0 = sorted(set(delta0))
         m = self.ctx.delta_size
@@ -292,10 +293,6 @@ class WreathSubgroup:
                 raise ValueError(
                     f"coordinate subset is not invariant: orbit {orbit} is cut"
                 )
-        if self.ctx.point_count() > cap:
-            raise EnumerationOverflow(
-                f"|Pi| = {self.ctx.point_count()} exceeds cap {cap}"
-            )
         part1 = [d for d in range(m) if d not in chosen]
         halves = []
         for part in (part0, part1):
@@ -315,21 +312,26 @@ class WreathSubgroup:
         def restrict_point(phi: Point, part: list[int]) -> Point:
             return tuple(phi[d] for d in part)
 
-        # (a) the restriction pair is a bijection Pi -> Omega0 x Omega1;
-        # (d) equivariance of the point map, generator by generator
-        images = set()
-        equivariant = True
-        for phi in self.ctx.all_points():
-            phi0, phi1 = restrict_point(phi, part0), restrict_point(phi, part1)
-            images.add((phi0, phi1))
-            for g, g0, g1 in zip(self.generators, gens0, gens1):
-                image = g.apply(phi)
-                if (
-                    restrict_point(image, part0) != g0.apply(phi0)
-                    or restrict_point(image, part1) != g1.apply(phi1)
-                ):
-                    equivariant = False
-        theta_bijective = len(images) == self.ctx.point_count()
+        # (a) the restriction pair is a bijection Pi -> Omega0 x Omega1
+        # exactly when the two parts partition the coordinates
+        theta_bijective = sorted(part0 + part1) == list(range(m))
+
+        # (d) equivariance of the point map, generator by generator, on the
+        # probe words 0^m and its one-coordinate changes: an element of the
+        # wreath product sends the word with a at d to its image of 0^m with
+        # base[d][a] at top[d], so for q >= 2 these determine the element;
+        # for q = 1, Pi is the one word 0^m
+        zero = self.ctx.constant_point(0)
+        probes = [zero] + [
+            zero[:d] + (a,) + zero[d + 1:] for d in range(m) for a in range(1, self.ctx.gamma_size)
+        ]
+        equivariant = all(
+            restrict_point(image, part0) == g0.apply(restrict_point(phi, part0))
+            and restrict_point(image, part1) == g1.apply(restrict_point(phi, part1))
+            for g, g0, g1 in zip(self.generators, gens0, gens1)
+            for phi in probes
+            for image in (g.apply(phi),)
+        )
 
         # (b) injectivity: every generator reassembles from its restrictions
         chi_injective = all(
@@ -418,7 +420,9 @@ class TransitivityReport:
 
 @dataclass
 class SplitResult:
-    """The two restricted subgroups plus the embedding certificate."""
+    """The two restricted subgroups plus the embedding certificate, checked
+    on generator data with no cap: bijection by the partition of the
+    coordinates, equivariance on the probe words (see ``split``)."""
 
     parent: WreathSubgroup
     delta0: tuple[int, ...]

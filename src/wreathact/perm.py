@@ -469,11 +469,14 @@ class GenGroup:
 def same_group(a: GenGroup, b: GenGroup) -> bool:
     """Exact equality of two generated groups, with no enumeration.
 
-    Every generator of ``b`` lying in ``a`` gives B <= A, and then equal
-    orders give A = B; both come from the stabilizer chains.
+    Equal generator tuples give A = B with no chain. Otherwise every
+    generator of ``b`` lying in ``a`` gives B <= A, and then equal orders
+    give A = B; both come from the stabilizer chains.
     """
     if a.degree != b.degree:
         return False
+    if a.generators == b.generators:
+        return True
     return a.order() == b.order() and all(a.contains(g) for g in b.generators)
 
 

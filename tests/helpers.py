@@ -131,7 +131,7 @@ def raw_multiply(a: tuple, b: tuple) -> tuple:
     return base, tuple_compose(ha, hb)
 
 
-def raw_closure(gens: list[tuple], q: int, m: int) -> set[tuple]:
+def raw_closure(gens: list[tuple], q: int, m: int, cap: int | None = None) -> set[tuple]:
     identity = ((tuple(range(q)),) * m, tuple(range(m)))
     elements = {identity}
     frontier = [identity]
@@ -141,6 +141,8 @@ def raw_closure(gens: list[tuple], q: int, m: int) -> set[tuple]:
             for s in gens:
                 c = raw_multiply(e, s)
                 if c not in elements:
+                    if cap is not None and len(elements) >= cap:
+                        raise RuntimeError("oracle closure exceeded cap")
                     elements.add(c)
                     new.append(c)
         frontier = new
@@ -248,6 +250,28 @@ def conjugated_full_wreath_product(rng: random.Random, q: int, m: int) -> Wreath
         tuple(random_permutation(rng, q) for _ in range(m)), Permutation.identity(m)
     )
     return conjugate_subgroup(X, y)
+
+
+def two_block_wreath_product(rng: random.Random, q: int, k: int) -> WreathSubgroup:
+    """Sym(q) wr Sym(k) on each of the blocks {0..k-1} and {k..2k-1} of
+    2k coordinates, conjugated by a random base element."""
+    m = 2 * k
+    ctx = WreathContext(q, m)
+    id_q, id_m = Permutation.identity(q), Permutation.identity(m)
+    gens = []
+    for start in (0, k):
+        for s in symmetric_gens(q):
+            base = [id_q] * m
+            base[start] = s
+            gens.append(WreathElement(base, id_m))
+        for h in symmetric_gens(k):
+            top = list(range(m))
+            top[start:start + k] = [start + i for i in h.images]
+            gens.append(WreathElement((id_q,) * m, Permutation(top)))
+    y = WreathElement(
+        tuple(random_permutation(rng, q) for _ in range(m)), id_m
+    )
+    return conjugate_subgroup(WreathSubgroup(ctx, tuple(gens)), y)
 
 
 def diagonal_instance(

@@ -87,13 +87,12 @@ class TestSplitCommand:
         assert status == 2
         assert "not invariant" in text
 
-    def test_cap_must_be_positive(self):
-        for cap in ("0", "-3"):
-            status, text = run(
-                "split", fixture("two_orbit_q2m3.group"), "--delta0", "0,1", "--cap", cap
-            )
-            assert status == 2
-            assert text == f"error: --cap must be positive, got {cap}\n"
+    def test_cap_is_not_an_option(self, capsys):
+        # split certifies from generator data, so it takes no cap
+        with pytest.raises(SystemExit) as exit_info:
+            run("split", fixture("two_orbit_q2m3.group"), "--delta0", "0,1", "--cap", "8")
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --cap 8" in capsys.readouterr().err
 
 
 class TestCodeCanonCommand:
@@ -148,6 +147,12 @@ class TestVerifyCommand:
         assert "verify: stabilizer count" in text
         assert "cap" in text
         assert elapsed < 1.0
+
+    def test_cap_must_be_positive(self):
+        for cap in ("0", "-3"):
+            status, text = run("verify", "--q", "2", "--m", "2", "--cap", cap)
+            assert status == 2
+            assert text == f"error: --cap must be positive, got {cap}\n"
 
     def test_negative_counts_are_input_errors(self):
         cases = (

@@ -1,11 +1,11 @@
 import dataclasses
+import math
 import random
 import time
 
 import pytest
 
 from wreathact import (
-    EnumerationOverflow,
     GenGroup,
     Permutation,
     WreathContext,
@@ -21,9 +21,13 @@ from helpers import (
     conjugated_full_wreath_product,
     p,
     random_wreath_subgroup,
+    raw_apply,
+    raw_closure,
+    raw_wreath,
     split_oracle_agrees,
     sym_perms,
     tuple_closure,
+    two_block_wreath_product,
     we,
     wreath_closure,
 )
@@ -312,23 +316,48 @@ class TestSplit:
         with pytest.raises(ValueError):
             X.split([3])
 
-    def test_over_cap_refused_before_any_point(self, monkeypatch):
+    def test_applies_only_probe_words(self, monkeypatch):
         X = WreathSubgroup(
             WreathContext(2, 3), (we([[1, 0], [1, 0], [0, 1]], [1, 0, 2]),)
         )
-        calls = [0]
+        points = []
         apply = WreathElement.apply
 
         def counted(self, point):
-            calls[0] += 1
+            points.append(point)
             return apply(self, point)
 
         monkeypatch.setattr(WreathElement, "apply", counted)
-        with pytest.raises(EnumerationOverflow, match=r"\|Pi\| = 8 exceeds cap 4"):
-            X.split([0, 1], cap=4)
-        assert calls[0] == 0
-        assert X.split([0, 1], cap=8).ok
-        assert calls[0] == 8 * 3
+        assert X.split([0, 1]).ok
+        # ((q-1)*m + 1) * 3 applies for the one generator, not |Pi| * 3 = 24
+        assert len(points) == 12
+        probes = {(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)}
+        assert set(points[0::3]) == probes
+        # no cap: the 2^20 points, more than the default cap of 10^6, are
+        # never listed
+        X = two_block_wreath_product(random.Random(61), 2, 10)
+        assert X.split(range(10)).ok
+
+    def test_probe_words_determine_an_element(self):
+        # distinct elements of the full Sym(q) wr Sym(m) differ on a probe
+        # word; raw tuples only, no library code
+        for q, m in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2)):
+            id_q, id_m = tuple(range(q)), tuple(range(m))
+            swap_q = (1, 0) + id_q[2:]
+            cycle_q = id_q[1:] + (0,)
+            swap_m = (1, 0) + id_m[2:]
+            cycle_m = id_m[1:] + (0,)
+            gens = [((s,) + (id_q,) * (m - 1), id_m) for s in (swap_q, cycle_q)]
+            gens += [((id_q,) * m, h) for h in (swap_m, cycle_m)]
+            elements = raw_closure(gens, q, m)
+            assert len(elements) == math.factorial(q) ** m * math.factorial(m)
+            zero = (0,) * m
+            probes = [zero] + [
+                zero[:d] + (a,) + zero[d + 1:] for d in range(m) for a in range(1, q)
+            ]
+            assert len(probes) == (q - 1) * m + 1
+            signatures = {tuple(raw_apply(w, phi) for phi in probes) for w in elements}
+            assert len(signatures) == len(elements)
 
     def test_components_preserved_on_random_splits(self):
         rng = random.Random(53)
@@ -373,6 +402,43 @@ class TestSplit:
             assert result.ok
             assert split_oracle_agrees(X, result)
             done += 1
+
+    def test_oracle_agrees_up_to_q4_m4(self):
+        # every (q, m) with q in {2, 3, 4} and m in {3, 4}, twice each; the
+        # oracle walks all of X x Pi, so instances with |X| * |Pi| over
+        # 10^5 are passed over
+        rng = random.Random(59)
+        done = {(q, m): 0 for q in (2, 3, 4) for m in (3, 4)}
+        while min(done.values()) < 2:
+            q, m = rng.choice(sorted(done))
+            X = block_intransitive_subgroup(rng, q, m)
+            orbits = X.delta_orbits
+            if done[q, m] == 2 or len(orbits) < 2:
+                continue
+            try:
+                raw_closure([raw_wreath(g) for g in X.generators], q, m, cap=10**5 // q**m)
+            except RuntimeError:
+                continue
+            take = rng.randint(1, len(orbits) - 1)
+            result = X.split(sorted(d for orbit in orbits[:take] for d in orbit))
+            assert result.ok
+            assert split_oracle_agrees(X, result)
+            done[q, m] += 1
+
+    def test_two_blocks_at_scale_are_fast(self):
+        # a walk over the 3^12 points of Pi would take about 30 s on 2 vCPUs
+        X = two_block_wreath_product(random.Random(67), 3, 6)
+        start = time.perf_counter()
+        result = X.split(range(6))
+        elapsed = time.perf_counter() - start
+        assert result.ok
+        assert elapsed < 0.5
+
+    def test_two_blocks_at_q6_m30(self):
+        X = two_block_wreath_product(random.Random(71), 6, 15)
+        result = X.split(range(15))
+        assert result.ok
+        assert result.first.component(0).order() == 720
 
 
 class TestTransitivityReport:
