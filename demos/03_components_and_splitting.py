@@ -29,11 +29,12 @@ for d in range(2):
         "-", component.transitivity_degree(),
     )
 
-# witnesses realize each reachable entry through an element of the stabilizer
-data = X.component_witness_orbit(0, 0)
-print("entry orbit at coordinate 0:", data.orbit)
-for gamma, witness in sorted(data.witness.items()):
-    print(f"  0 -> {gamma} realized by", witness)
+# each reachable entry is realized by an element of the component, the
+# entry at coordinate 0 of an element of X whose top fixes 0
+orbit, witness = X.component(0).orbit_with_transversal(0)
+print("entry orbit at coordinate 0:", tuple(orbit))
+for gamma, entry in sorted(witness.items()):
+    print(f"  0 -> {gamma} realized by", entry)
 
 # a group with two coordinate orbits splits along them
 ctx3 = WreathContext(2, 3)

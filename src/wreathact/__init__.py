@@ -36,7 +36,6 @@ from .wreath import (
     stabilizer_order_oracle,
 )
 from .components import (
-    ComponentWitnessOrbit,
     SplitResult,
     TransitivityReport,
     WreathSubgroup,
@@ -69,7 +68,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CanonicalizationResult",
     "Code",
-    "ComponentWitnessOrbit",
     "DEFAULT_CAP",
     "DegreeMismatchError",
     "EmbedCertificate",

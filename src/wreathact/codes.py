@@ -210,12 +210,12 @@ def canonicalize(
     # stage 1: move word_a to the constant word, one component entry per coordinate
     x1_base: list[Permutation] = []
     for delta in range(m):
-        orbit_data = X.component_witness_orbit(delta, word_a[delta])
-        if gamma not in orbit_data.witness:
+        _, witness = X.component(delta).orbit_with_transversal(word_a[delta])
+        if gamma not in witness:
             raise RuntimeError(
                 "internal invariant: transitive component misses the pinned letter"
             )
-        x1_base.append(orbit_data.witness[gamma].base[delta])
+        x1_base.append(witness[gamma])
     x1 = WreathElement(x1_base, Permutation.identity(m))
     constant = ctx.constant_point(gamma)
     if x1.apply(word_a) != constant:

@@ -2,9 +2,9 @@
 
 For X <= Sym(Gamma) wr Sym(Delta), the stabilizer of coordinate d (the
 subgroup whose tops fix d) projects onto a permutation group on Gamma via
-``fh -> f[d]``, the d-component of X. Components are computed from the
-base entries of Schreier generators, never by lifting them to wreath
-elements or enumerating X.
+``fh -> f[d]``, the d-component of X. Components and their entry
+transversals are computed from base entries alone, never from wreath
+Schreier generators or by enumerating X.
 
 The module also provides the permutational embedding that splits X along
 an invariant subset of the coordinates, certified on generator data alone,
@@ -16,7 +16,8 @@ oracles enumerate X or Pi, under a cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DegreeMismatchError, EnumerationOverflow
 from .perm import (
@@ -36,30 +37,14 @@ def element_sort_key(w: WreathElement) -> tuple:
     return (tuple(p.images for p in w.base), w.top.images)
 
 
-@dataclass
-class ComponentWitnessOrbit:
-    """Orbit of a Gamma-point under a component, with realizing witnesses.
-
-    ``witness[gamma]`` lies in the coordinate stabilizer of ``delta`` and
-    its base entry at ``delta`` maps ``base_point`` to ``gamma``; witnesses
-    are products of lifted Schreier generators in BFS discovery order.
-    """
-
-    delta: int
-    base_point: int
-    orbit: tuple[int, ...]
-    witness: dict[int, WreathElement]
-
-
 class WreathSubgroup:
     """A finitely generated subgroup of Sym(Gamma) wr Sym(Delta).
 
     The induced coordinate action and its orbit partition are built at
-    construction. The component of each coordinate, with the Schreier
-    generators lifted so far for its witnesses, and the brute-force element
-    closure are lazy caches built on first use; build the ones a thread
-    will need before sharing an instance across threads, after which all
-    reads are pure.
+    construction. The component of each coordinate, with its entry
+    transversal, and the brute-force element closure are lazy caches built
+    on first use; build the ones a thread will need before sharing an
+    instance across threads, after which all reads are pure.
     """
 
     def __init__(self, ctx: WreathContext, generators: Iterable[WreathElement]):
@@ -77,7 +62,7 @@ class WreathSubgroup:
         self.delta_orbits: tuple[tuple[int, ...], ...] = tuple(
             tuple(orbit) for orbit in self.induced_group.orbits()
         )
-        self._components: dict[int, tuple[GenGroup, list, dict]] = {}
+        self._components: dict[int, tuple[GenGroup, Mapping[int, Permutation]]] = {}
         self._closure: frozenset[WreathElement] | None = None
 
     def __repr__(self) -> str:
@@ -95,7 +80,7 @@ class WreathSubgroup:
     def delta_orbit_with_witnesses(
         self, start: int
     ) -> tuple[list[int], dict[int, WreathElement]]:
-        """BFS orbit of a coordinate under the induced action, witnesses lifted.
+        """BFS orbit of a coordinate under the induced action, with witnesses in X.
 
         ``witness[d]`` is a product of the subgroup's generators whose top
         maps ``start`` to ``d``; ``witness[start]`` is the identity.
@@ -110,10 +95,10 @@ class WreathSubgroup:
         """Generators of the stabilizer {fh in X : d h = d} of coordinate ``delta``.
 
         Schreier generators of the point stabilizer in the induced action,
-        lifted through the same generator words to wreath elements.
-        Identities and duplicates are pruned. This is the oracle that
-        ``component`` and ``component_witness_orbit`` are checked against;
-        the library itself never lifts a whole generating set.
+        as wreath elements over the same generator words. Identities and
+        duplicates are pruned. This is the oracle that ``component`` and
+        ``entry_transversal`` are checked against; the library itself never
+        builds a wreath Schreier generator.
         """
         orbit, witness = self.delta_orbit_with_witnesses(delta)
         return tuple(schreier_generators(orbit, witness, self.generators, _top_image))
@@ -132,9 +117,19 @@ class WreathSubgroup:
         """
         return self._component_data(delta)[0]
 
-    def _component_data(self, delta: int) -> tuple[GenGroup, list, dict]:
-        """The component, the (beta, s) pair that first produced each of
-        its generators, and the Schreier generators lifted so far."""
+    def entry_transversal(self, delta: int) -> Mapping[int, Permutation]:
+        """Entries at ``delta`` of a transversal of its coordinate orbit.
+
+        ``u[beta]`` is the entry at ``delta`` of an element of X whose top
+        carries ``delta`` to ``beta``, keyed in BFS order; ``u[delta]`` is
+        the identity. These are the entries at ``delta`` of the witnesses
+        of ``delta_orbit_with_witnesses``, computed without them. A
+        read-only view of the cache built with the component.
+        """
+        return self._component_data(delta)[1]
+
+    def _component_data(self, delta: int) -> tuple[GenGroup, Mapping[int, Permutation]]:
+        """The component and the entry transversal at ``delta``."""
         if delta in self._components:
             return self._components[delta]
         if not 0 <= delta < self.ctx.delta_size:
@@ -147,44 +142,15 @@ class WreathSubgroup:
                     u[s.top[beta]] = u[beta] * s.base[beta]
                     orbit.append(s.top[beta])
         u_inverse = {beta: entry.inverse() for beta, entry in u.items()}
-        entries: dict[Permutation, tuple[int, WreathElement]] = {}
-        for beta in orbit:
-            for s in self.generators:
-                entry = u[beta] * s.base[beta] * u_inverse[s.top[beta]]
-                if not entry.is_identity():
-                    entries.setdefault(entry, (beta, s))
-        data = (GenGroup(self.ctx.gamma_size, entries), list(entries.values()), {})
+        entries = dict.fromkeys(
+            u[beta] * s.base[beta] * u_inverse[s.top[beta]]
+            for beta in orbit
+            for s in self.generators
+        )
+        generators = (entry for entry in entries if not entry.is_identity())
+        data = (GenGroup(self.ctx.gamma_size, generators), MappingProxyType(u))
         self._components[delta] = data
         return data
-
-    def component_witness_orbit(self, delta: int, gamma0: int) -> ComponentWitnessOrbit:
-        """Orbit of ``gamma0`` under the component at ``delta``, with witnesses.
-
-        The BFS runs on the component's generators. A Schreier generator is
-        lifted to a wreath element, once, when it first discovers a point,
-        from the (beta, s) pair that first produced its entry; so the
-        witnesses are those of a BFS over ``partition_stabilizer_gens``.
-        """
-        if not 0 <= gamma0 < self.ctx.gamma_size:
-            raise ValueError(f"point {gamma0} out of range")
-        group, sources, lifted = self._component_data(delta)
-        coordinate_witness = None
-        orbit = [gamma0]
-        witness = {gamma0: self.identity()}
-        for gamma in orbit:
-            for k, entry in enumerate(group.generators):
-                if entry[gamma] in witness:
-                    continue
-                if k not in lifted:
-                    if coordinate_witness is None:
-                        coordinate_witness = self.delta_orbit_with_witnesses(delta)[1]
-                    beta, s = sources[k]
-                    lifted[k] = (
-                        coordinate_witness[beta] * s * coordinate_witness[s.top[beta]].inverse()
-                    )
-                witness[entry[gamma]] = witness[gamma] * lifted[k]
-                orbit.append(entry[gamma])
-        return ComponentWitnessOrbit(delta, gamma0, tuple(orbit), witness)
 
     # ----- brute-force oracles -----
 

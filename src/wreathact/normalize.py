@@ -3,11 +3,12 @@
 Given X <= Sym(Gamma) wr Sym(Delta), there is a base-group element x such
 that every component of x^-1 X x depends only on the orbit of its
 coordinate under the induced action of X. The construction picks, for each
-coordinate d, a transversal element t_d of X carrying the orbit
-representative to d, and sets the entry of x at d to the inverse of the
-base entry of t_d at the representative. When every component is
-transitive the transversal can be corrected so that x additionally fixes a
-prescribed point of Pi.
+coordinate d, an element t_d of X carrying the orbit representative r to d,
+and sets the entry of x at d to the inverse of the base entry of t_d at r.
+Only that entry is needed, so the transversal holds it alone, never t_d.
+When every component is transitive each entry can be corrected by an
+element of the component at r so that x additionally fixes a prescribed
+point of Pi.
 
 When the induced coordinate action is transitive this conjugation lands X
 inside G wr H, where G is the component at a chosen coordinate and H is
@@ -27,23 +28,25 @@ from .wreath import Point, WreathElement
 
 @dataclass
 class Transversal:
-    """Per-orbit representatives with elements carrying them to each coordinate.
+    """Per-orbit representatives with a base entry for each coordinate.
 
-    ``elements[d]`` is an element of X whose top maps the representative of
-    d's orbit to d; the representative itself gets the identity.
+    ``entries[d]`` is the entry, at the representative r of d's orbit, of
+    an element of X whose top maps r to d; the representative itself gets
+    the identity.
     """
 
     orbits: tuple[tuple[int, ...], ...]
     reps: tuple[int, ...]
-    elements: dict[int, WreathElement]
+    entries: dict[int, Permutation]
     rep_of: dict[int, int]
 
 
 def build_transversal(
     X: WreathSubgroup, preferred_reps: tuple[int, ...] = ()
 ) -> Transversal:
-    """BFS transversal of the coordinate orbits, lifted to wreath elements.
+    """BFS transversal of the coordinate orbits, as entries at the representatives.
 
+    The entries are the representative's ``entry_transversal``.
     Representatives default to the minimum index of each orbit; a preferred
     representative may be supplied instead (at most one per orbit).
     """
@@ -52,7 +55,7 @@ def build_transversal(
         if not 0 <= rep < m:
             raise ValueError(f"representative {rep} out of range")
     reps: list[int] = []
-    elements: dict[int, WreathElement] = {}
+    entries: dict[int, Permutation] = {}
     rep_of: dict[int, int] = {}
     for orbit in X.delta_orbits:
         chosen = [r for r in preferred_reps if r in orbit]
@@ -60,30 +63,32 @@ def build_transversal(
             raise ValueError(f"two preferred representatives in orbit {orbit}")
         rep = chosen[0] if chosen else orbit[0]
         reps.append(rep)
-        _, witness = X.delta_orbit_with_witnesses(rep)
+        u = X.entry_transversal(rep)
         for d in orbit:
-            elements[d] = witness[d]
+            entries[d] = u[d]
             rep_of[d] = rep
-    return Transversal(X.delta_orbits, tuple(reps), elements, rep_of)
+    return Transversal(X.delta_orbits, tuple(reps), entries, rep_of)
 
 
 def adjust_transversal(
     X: WreathSubgroup, transversal: Transversal, phi: Point
 ) -> Transversal:
-    """Premultiply transversal elements so their entry at the representative
-    fixes the prescribed point.
+    """Premultiply transversal entries by component elements so that they
+    fix the prescribed point.
 
-    For each coordinate d with representative r, the base entry at r of the
-    returned t_d fixes phi[d]. Requires the component at every
-    representative to be transitive (all components along an orbit are
-    conjugate, so this is equivalent to all components being transitive);
-    the correcting element is the BFS-first witness, which keeps the result
-    deterministic. Representatives keep the identity.
+    For each coordinate d with representative r, the returned entry is
+    ``w * entries[d]`` with w in the component at r, so it is again the
+    entry at r of an element of X carrying r to d, and it fixes phi[d].
+    Requires the component at every representative to be transitive (all
+    components along an orbit are conjugate, so this is equivalent to all
+    components being transitive); w is the BFS-first witness, which keeps
+    the result deterministic. Representatives keep the identity.
     """
     phi = X.ctx.check_point(phi)
-    new_elements = dict(transversal.elements)
+    new_entries = dict(transversal.entries)
     for orbit, rep in zip(transversal.orbits, transversal.reps):
-        if not X.component(rep).is_transitive():
+        component = X.component(rep)
+        if not component.is_transitive():
             raise HypothesisViolation(
                 f"component at coordinate {rep} is not transitive on its alphabet",
                 delta=rep,
@@ -91,23 +96,22 @@ def adjust_transversal(
         for d in orbit:
             if d == rep:
                 continue
-            t = transversal.elements[d]
-            entry = t.base[rep]
+            entry = transversal.entries[d]
             p = phi[d]
             if entry[p] == p:
                 continue
             target = entry.inverse()[p]
-            orbit_data = X.component_witness_orbit(rep, p)
-            if target not in orbit_data.witness:
+            _, witness = component.orbit_with_transversal(p)
+            if target not in witness:
                 raise RuntimeError(
                     "internal invariant: transitive component misses a point"
                 )
-            corrected = orbit_data.witness[target] * t
-            if corrected.base[rep][p] != p:
+            corrected = witness[target] * entry
+            if corrected[p] != p:
                 raise RuntimeError("internal invariant: corrected entry moves point")
-            new_elements[d] = corrected
+            new_entries[d] = corrected
     return Transversal(
-        transversal.orbits, transversal.reps, new_elements, transversal.rep_of
+        transversal.orbits, transversal.reps, new_entries, transversal.rep_of
     )
 
 
@@ -151,20 +155,17 @@ def normalizing_element(
 ) -> NormalizationResult:
     """Base element x making the components of X^x constant on each orbit.
 
-    The entry of x at coordinate d is the inverse of the base entry, at the
-    orbit representative, of the transversal element for d. When ``phi`` is
-    given, every component must be transitive and the returned x fixes
-    ``phi``. The certificate compares groups exactly through their
-    stabilizer chains (``same_group``), so it needs no enumeration cap.
+    The entry of x at coordinate d is the inverse of the transversal entry
+    for d. When ``phi`` is given, every component must be transitive and
+    the returned x fixes ``phi``. The certificate compares groups exactly
+    through their stabilizer chains (``same_group``), so it needs no
+    enumeration cap.
     """
     transversal = build_transversal(X, preferred_reps)
     if phi is not None:
         transversal = adjust_transversal(X, transversal, phi)
     m = X.ctx.delta_size
-    base = [
-        transversal.elements[d].base[transversal.rep_of[d]].inverse()
-        for d in range(m)
-    ]
+    base = [transversal.entries[d].inverse() for d in range(m)]
     x = WreathElement(base, Permutation.identity(m))
     conjugated = conjugate_subgroup(X, x)
 

@@ -350,8 +350,9 @@ class GenGroup:
 
     Membership and order come from a stabilizer chain built on first use;
     ``enumerate_elements`` is the brute-force closure backing the oracle
-    tests, refused by the chain order when over its cap. Both caches are built lazily, so construct a group on one thread
-    before sharing it; afterwards all reads are pure.
+    tests, refused by the chain order when over its cap. Both caches are
+    built lazily, so construct a group on one thread before sharing it;
+    afterwards all reads are pure.
     """
 
     __slots__ = ("degree", "generators", "_chain", "_closure")

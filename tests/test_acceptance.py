@@ -188,7 +188,7 @@ def test_criterion_5_components_conjugate_along_orbits(normal_form_instances):
         for orbit, rep in zip(transversal.orbits, transversal.reps):
             reference = X.component(rep).enumerate_elements(5000)
             for d in orbit:
-                entry = transversal.elements[d].base[rep]
+                entry = transversal.entries[d]
                 conjugated = {perm.conjugate(entry) for perm in reference}
                 if X.component(d).enumerate_elements(5000) != conjugated:
                     ok = False

@@ -154,12 +154,14 @@ class TestComponent:
 
 
 class TestComponentWitnessOrbit:
+    """Orbits of a component on Gamma with their entry witnesses."""
+
     def test_trivial_component(self):
         ctx = WreathContext(2, 2)
         X = WreathSubgroup(ctx, (WreathElement((ID2, ID2), S),))
-        data = X.component_witness_orbit(0, 1)
-        assert data.orbit == (1,)
-        assert data.witness[1] == X.identity()
+        orbit, witness = X.component(0).orbit_with_transversal(1)
+        assert orbit == [1]
+        assert witness[1] == ID2
 
     def test_full_wreath_product_q3(self):
         ctx = WreathContext(3, 2)
@@ -172,12 +174,14 @@ class TestComponentWitnessOrbit:
                 WreathElement((id3, id3), S),
             ),
         )
-        data = X.component_witness_orbit(0, 0)
-        assert set(data.orbit) == {0, 1, 2}
-        for gamma, witness in data.witness.items():
-            assert witness.base[0][0] == gamma
+        orbit, witness = X.component(0).orbit_with_transversal(0)
+        assert set(orbit) == {0, 1, 2}
+        for gamma, entry in witness.items():
+            assert entry[0] == gamma
 
     def test_witness_soundness(self):
+        # every witness is the entry at d of an element of the coordinate
+        # stabilizer, and the orbit is that of the enumerated stabilizer
         rng = random.Random(47)
         for _ in range(20):
             q = rng.choice([2, 3])
@@ -185,29 +189,38 @@ class TestComponentWitnessOrbit:
             X = random_wreath_subgroup(rng, q, m)
             d = rng.randrange(m)
             gamma0 = rng.randrange(q)
-            data = X.component_witness_orbit(d, gamma0)
+            orbit, witness = X.component(d).orbit_with_transversal(gamma0)
             stab = X.partition_stabilizer_gens(d)
             stab_closure = wreath_closure(list(stab) + [X.identity()])
-            assert set(data.orbit) == set(X.component(d).orbit(gamma0))
-            for gamma, witness in data.witness.items():
-                assert witness in stab_closure
-                assert witness.top[d] == d
-                assert witness.base[d][gamma0] == gamma
+            stab_entries = {w.base[d] for w in stab_closure}
+            assert set(orbit) == {entry[gamma0] for entry in stab_entries}
+            for gamma, entry in witness.items():
+                assert entry in stab_entries
+                assert entry[gamma0] == gamma
 
 
 def lifted_witness_orbit(X: WreathSubgroup, delta: int, gamma0: int):
-    """The component BFS on the lifted wreath Schreier generators."""
-    return orbit_with_witnesses(
+    """The component BFS on the wreath Schreier generators; returns the
+    orbit and the witnesses' entries at ``delta``."""
+    orbit, witness = orbit_with_witnesses(
         gamma0,
         X.partition_stabilizer_gens(delta),
         lambda s, gamma: s.base[delta][gamma],
         X.identity(),
     )
+    return orbit, {gamma: w.base[delta] for gamma, w in witness.items()}
+
+
+def lifted_entry_transversal(X: WreathSubgroup, delta: int) -> list:
+    """The entries at ``delta`` of the wreath coordinate witnesses, in BFS order."""
+    _, witness = X.delta_orbit_with_witnesses(delta)
+    return [(beta, w.base[delta]) for beta, w in witness.items()]
 
 
 class TestComponentFromEntries:
-    """Components are built from base entries; the lifted wreath Schreier
-    generators of ``partition_stabilizer_gens`` are the oracle."""
+    """Components and entry transversals are built from base entries; the
+    wreath Schreier generators of ``partition_stabilizer_gens`` and the
+    witnesses of ``delta_orbit_with_witnesses`` are the oracles."""
 
     def test_generators_equal_the_lifted_oracle_on_random_subgroups(self):
         rng = random.Random(61)
@@ -218,6 +231,7 @@ class TestComponentFromEntries:
             for d in range(m):
                 oracle = _pruned_entries(X.partition_stabilizer_gens(d), d)
                 assert X.component(d).generators == oracle
+                assert list(X.entry_transversal(d).items()) == lifted_entry_transversal(X, d)
 
     @pytest.mark.parametrize("q, m", [(8, 12), (12, 24), (6, 30)])
     def test_generators_equal_the_lifted_oracle_at_scale(self, q, m):
@@ -225,6 +239,7 @@ class TestComponentFromEntries:
         for d in range(m):
             oracle = _pruned_entries(X.partition_stabilizer_gens(d), d)
             assert X.component(d).generators == oracle
+            assert list(X.entry_transversal(d).items()) == lifted_entry_transversal(X, d)
 
     def test_witnesses_equal_the_lifted_oracle(self):
         rng = random.Random(67)
@@ -234,19 +249,15 @@ class TestComponentFromEntries:
             X = random_wreath_subgroup(rng, q, m, n_gens=rng.randint(1, 3))
             for d in range(m):
                 for gamma0 in range(q):
-                    data = X.component_witness_orbit(d, gamma0)
-                    orbit, witness = lifted_witness_orbit(X, d, gamma0)
-                    assert data.orbit == tuple(orbit)
-                    assert data.witness == witness
+                    orbit, witness = X.component(d).orbit_with_transversal(gamma0)
+                    assert (orbit, witness) == lifted_witness_orbit(X, d, gamma0)
 
     def test_witnesses_equal_the_lifted_oracle_at_scale(self):
         X = conjugated_full_wreath_product(random.Random(71), 8, 12)
         for d in (0, 5, 11):
-            data = X.component_witness_orbit(d, 3)
-            orbit, witness = lifted_witness_orbit(X, d, 3)
+            orbit, witness = X.component(d).orbit_with_transversal(3)
             assert len(orbit) == 8
-            assert data.orbit == tuple(orbit)
-            assert data.witness == witness
+            assert (orbit, witness) == lifted_witness_orbit(X, d, 3)
 
     def test_all_components_at_scale_are_fast(self):
         # three degree-12 products per Schreier generator; lifting each one

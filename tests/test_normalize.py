@@ -17,7 +17,14 @@ from wreathact import (
     normalizing_element,
     sift_embedding,
 )
-from helpers import diagonal_instance, full_wreath_product, p, sym_perms, we
+from helpers import (
+    conjugated_full_wreath_product,
+    diagonal_instance,
+    full_wreath_product,
+    p,
+    sym_perms,
+    we,
+)
 
 S = p(1, 0)
 ID2 = Permutation.identity(2)
@@ -39,19 +46,21 @@ class TestBuildTransversal:
         t = build_transversal(X)
         assert t.reps == (0, 1, 2)
         for d in range(3):
-            assert t.elements[d] == X.identity()
+            assert t.entries[d] == ID2
 
     def test_swap_generator_is_its_own_witness(self):
         ctx = WreathContext(2, 2)
-        g = WreathElement((ID2, ID2), S)
+        g = WreathElement((S, ID2), S)
         X = WreathSubgroup(ctx, (g,))
         t = build_transversal(X)
         assert t.orbits == ((0, 1),)
         assert t.reps == (0,)
-        assert t.elements[0] == X.identity()
-        assert t.elements[1] == g
+        assert t.entries[0] == ID2
+        assert t.entries[1] == g.base[0] == S
 
     def test_tops_carry_rep_to_coordinate(self):
+        # entries[d] is the entry at the representative of an element of X
+        # whose top carries the representative to d
         rng = random.Random(61)
         for _ in range(25):
             q = rng.choice([2, 3])
@@ -62,16 +71,20 @@ class TestBuildTransversal:
             t = build_transversal(X)
             for d in range(m):
                 rep = t.rep_of[d]
-                assert t.elements[d].top[rep] == d
-                assert t.elements[rep] == X.identity()
+                w = X.delta_orbit_with_witnesses(rep)[1][d]
+                assert w.top[rep] == d
+                assert t.entries[d] == w.base[rep]
+                assert t.entries[rep] == Permutation.identity(q)
 
     def test_preferred_representative(self):
         ctx = WreathContext(2, 2)
-        X = WreathSubgroup(ctx, (WreathElement((ID2, ID2), S),))
+        g = WreathElement((S, ID2), S)
+        X = WreathSubgroup(ctx, (g,))
         t = build_transversal(X, preferred_reps=(1,))
         assert t.reps == (1,)
-        assert t.elements[1] == X.identity()
-        assert t.elements[0].top[1] == 0
+        assert t.rep_of == {0: 1, 1: 1}
+        assert t.entries[1] == ID2
+        assert t.entries[0] == g.base[1] == ID2
 
     def test_conflicting_representatives_rejected(self):
         ctx = WreathContext(2, 2)
@@ -89,7 +102,7 @@ class TestAdjustTransversal:
         adjusted = adjust_transversal(X, t, (0, 0))
         # the swap generator's entry at the representative is the identity,
         # which already fixes 0
-        assert adjusted.elements == t.elements
+        assert adjusted.entries == t.entries
 
     def test_moving_entry_gets_corrected(self):
         # t_1 = ((s,id); (0 1)) has entry s at the representative, moving 0
@@ -98,24 +111,50 @@ class TestAdjustTransversal:
         g2 = WreathElement((S, S), ID2)
         X = WreathSubgroup(ctx, (g1, g2))
         t = build_transversal(X)
-        assert t.elements[1] == g1
-        assert t.elements[1].base[0][0] != 0
+        assert t.entries[1] == g1.base[0]
+        assert t.entries[1][0] != 0
         adjusted = adjust_transversal(X, t, (0, 0))
-        assert adjusted.elements[1].base[0][0] == 0
-        assert adjusted.elements[1].top[0] == 1
+        assert adjusted.entries[1][0] == 0
+        assert X.component(0).contains(adjusted.entries[1] * t.entries[1].inverse())
 
     def test_adjusted_entries_fix_the_point(self):
+        # each corrected entry fixes phi[d] and stays in the coset of the
+        # component at the representative, so it is still the entry of an
+        # element of X carrying the representative to d
         rng = random.Random(67)
         for _ in range(20):
             q = rng.choice([2, 3])
             m = rng.choice([2, 3])
             _, X, _, _ = diagonal_instance(rng, q, m, transitive_component=True)
             phi = tuple(rng.randrange(q) for _ in range(m))
-            t = adjust_transversal(X, build_transversal(X), phi)
+            t = build_transversal(X)
+            adjusted = adjust_transversal(X, t, phi)
             for d in range(m):
                 rep = t.rep_of[d]
-                assert t.elements[d].base[rep][phi[d]] == phi[d]
-                assert t.elements[d].top[rep] == d
+                assert adjusted.entries[d][phi[d]] == phi[d]
+                coset = adjusted.entries[d] * t.entries[d].inverse()
+                assert X.component(rep).contains(coset)
+                assert adjusted.entries[rep] == Permutation.identity(q)
+
+    def test_no_wreath_products_at_scale(self, monkeypatch):
+        # the transversal and its corrections are computed on Gamma alone
+        X = conjugated_full_wreath_product(random.Random(89), 8, 12)
+        phi = tuple(random.Random(97).randrange(8) for _ in range(12))
+        calls = []
+        multiply = WreathElement.__mul__
+
+        def counting(a, b):
+            calls.append(None)
+            return multiply(a, b)
+
+        monkeypatch.setattr(WreathElement, "__mul__", counting)
+        t = build_transversal(X)
+        adjusted = adjust_transversal(X, t, phi)
+        assert len(calls) == 0
+        corrected = [d for d in range(12) if adjusted.entries[d] != t.entries[d]]
+        assert corrected
+        for d in range(12):
+            assert adjusted.entries[d][phi[d]] == phi[d]
 
     def test_intransitive_component_is_rejected_by_name(self):
         ctx = WreathContext(2, 2)
@@ -181,7 +220,7 @@ class TestNormalizingElement:
             t = build_transversal(X)
             for d in range(m):
                 rep = t.rep_of[d]
-                entry = t.elements[d].base[rep]
+                entry = t.entries[d]
                 reference = X.component(rep).enumerate_elements()
                 conjugated = {perm.conjugate(entry) for perm in reference}
                 assert X.component(d).enumerate_elements() == conjugated
