@@ -23,7 +23,9 @@ data without enumerating and take no cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
+import operator
 import os
 import random
 import sys
@@ -242,16 +244,17 @@ def cmd_verify(args, out) -> int:
     _emit(out, "context", _fmt_ctx(ctx))
     _emit(out, "seed", args.seed)
 
-    # right-action axiom: applying a product equals applying the factors in turn
+    # right-action axiom: applying a product equals applying the factors in
+    # turn, on all of Pi as columns; a failure is a point whose images differ
     failures = 0
-    points = list(ctx.all_points())
+    columns = list(zip(*ctx.all_points()))
     for _ in range(args.pairs):
         a = ctx.random_element(rng)
         b = ctx.random_element(rng)
         ab = a * b
-        for phi in points:
-            if ab.apply(phi) != b.apply(a.apply(phi)):
-                failures += 1
+        direct = ab.apply_columns(columns)
+        in_turn = b.apply_columns(a.apply_columns(columns))
+        failures += sum(map(operator.ne, zip(*direct), zip(*in_turn)))
     _emit(out, "action-pairs", args.pairs)
     _emit(out, "action-failures", failures)
 
@@ -286,6 +289,7 @@ def cmd_verify(args, out) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser; each subcommand names its handler, looked up at call time."""
     parser = argparse.ArgumentParser(
         prog="wreathact",
         description="Exact computations with subgroups of wreath products in product action.",
@@ -294,30 +298,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("components", help="coordinate components and orbits")
     p.add_argument("group", help="group file")
-    p.set_defaults(func=cmd_components)
+    p.set_defaults(handler="cmd_components")
 
     p = sub.add_parser("normalize", help="conjugate so components are constant per orbit")
     p.add_argument("group", help="group file")
     p.add_argument("--fix", help="point of Pi the conjugating element must fix")
-    p.set_defaults(func=cmd_normalize)
+    p.set_defaults(handler="cmd_normalize")
 
     p = sub.add_parser("embed", help="certified embedding into G wr H")
     p.add_argument("group", help="group file")
     p.add_argument("--delta1", type=int, default=0, help="coordinate whose component is G")
     p.add_argument("--fix", help="point of Pi the conjugating element must fix")
-    p.set_defaults(func=cmd_embed)
+    p.set_defaults(handler="cmd_embed")
 
     p = sub.add_parser("split", help="split along an invariant coordinate subset")
     p.add_argument("group", help="group file")
     p.add_argument("--delta0", required=True, help="comma list of coordinates")
-    p.set_defaults(func=cmd_split)
+    p.set_defaults(handler="cmd_split")
 
     p = sub.add_parser("code-canon", help="pin two words of an equivalent code")
     p.add_argument("code", help="code file")
     p.add_argument("group", help="group file of code automorphisms")
     p.add_argument("--gamma", type=int, required=True, help="letter of the constant word")
     p.add_argument("--nu", type=int, required=True, help="letter of the first d entries")
-    p.set_defaults(func=cmd_code_canon)
+    p.set_defaults(handler="cmd_code_canon")
 
     p = sub.add_parser("verify", help="oracle suite at a given context size")
     p.add_argument("--q", type=int, required=True)
@@ -332,21 +336,25 @@ def build_parser() -> argparse.ArgumentParser:
         help="enumeration cap for brute-force checks (default from "
         f"{ENV_CAP} or {DEFAULT_CAP})",
     )
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(handler="cmd_verify")
 
     return parser
 
 
+# built on the first ``main`` call, not at import, and reused for the rest of
+# the process (a one-shot ``python -m wreathact`` builds it once either way)
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if getattr(args, "cap", None) is None:
             args.cap = default_cap()
         else:
             args.cap = checked_cap(args.cap, "--cap")
-        return args.func(args, out)
+        return globals()[args.handler](args, out)
     except HypothesisViolation as exc:
         out.write(f"error: {exc}\n")
         return 1

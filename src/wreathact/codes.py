@@ -111,17 +111,24 @@ class Code:
         raise RuntimeError("internal invariant: distinct words at no distance")
 
     def transform(self, x: WreathElement) -> "Code":
-        """The equivalent code obtained by applying ``x`` to every word."""
+        """The equivalent code: the images of all words under ``x``, computed
+        as columns and validated again by ``Code``."""
         if x.ctx != self.ctx:
             raise DegreeMismatchError("element lives in a different context")
-        return Code(self.ctx, (x.apply(w) for w in self.words))
+        return Code(self.ctx, zip(*x.apply_columns(list(zip(*self.words)))))
 
 
 def is_automorphism(w: WreathElement, code: Code) -> bool:
-    """Whether ``w`` maps the word set onto itself."""
+    """Whether ``w`` maps the word set onto itself.
+
+    Every image, computed column-wise by ``w.apply_columns``, must be a
+    codeword. The action is a bijection of Pi, so the |C| images are
+    distinct, and this is set equality.
+    """
     if w.ctx != code.ctx:
         raise DegreeMismatchError("element lives in a different context")
-    return {w.apply(c) for c in code.words} == code.words
+    images = w.apply_columns(list(zip(*code.words)))
+    return all(map(code.words.__contains__, zip(*images)))
 
 
 def parse_code(text: str) -> Code:

@@ -244,7 +244,9 @@ class WreathSubgroup:
         so the element map is injective once every generator reassembles
         from its two restrictions, and equivariant once every generator is
         on the (q-1)*m + 1 probe words, which determine an element of the
-        wreath product; every component is preserved (``same_group``).
+        wreath product; every component is preserved (``same_group``). The
+        probe words are applied as columns (``apply_columns``), so their
+        restriction to a part is a selection of columns.
         """
         part0 = sorted(set(delta0))
         m = self.ctx.delta_size
@@ -275,9 +277,6 @@ class WreathSubgroup:
         (x0, pos0), (x1, pos1) = halves
         gens0, gens1 = x0.generators, x1.generators
 
-        def restrict_point(phi: Point, part: list[int]) -> Point:
-            return tuple(phi[d] for d in part)
-
         # (a) the restriction pair is a bijection Pi -> Omega0 x Omega1
         # exactly when the two parts partition the coordinates
         theta_bijective = sorted(part0 + part1) == list(range(m))
@@ -286,17 +285,19 @@ class WreathSubgroup:
         # probe words 0^m and its one-coordinate changes: an element of the
         # wreath product sends the word with a at d to its image of 0^m with
         # base[d][a] at top[d], so for q >= 2 these determine the element;
-        # for q = 1, Pi is the one word 0^m
-        zero = self.ctx.constant_point(0)
-        probes = [zero] + [
-            zero[:d] + (a,) + zero[d + 1:] for d in range(m) for a in range(1, self.ctx.gamma_size)
+        # for q = 1, Pi is the one word 0^m. As columns: column d is 0 except
+        # on the q-1 probes that change coordinate d, where it runs 1..q-1
+        letters = list(range(1, self.ctx.gamma_size))
+        step = len(letters)
+        probes = [
+            [0] * (1 + step * d) + letters + [0] * (step * (m - 1 - d)) for d in range(m)
         ]
+        probes0, probes1 = ([probes[d] for d in part] for part in (part0, part1))
         equivariant = all(
-            restrict_point(image, part0) == g0.apply(restrict_point(phi, part0))
-            and restrict_point(image, part1) == g1.apply(restrict_point(phi, part1))
+            [image[d] for d in part0] == g0.apply_columns(probes0)
+            and [image[d] for d in part1] == g1.apply_columns(probes1)
             for g, g0, g1 in zip(self.generators, gens0, gens1)
-            for phi in probes
-            for image in (g.apply(phi),)
+            for image in (g.apply_columns(probes),)
         )
 
         # (b) injectivity: every generator reassembles from its restrictions

@@ -20,7 +20,7 @@ import itertools
 import math
 import random
 import re
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import DegreeMismatchError, EnumerationOverflow, ParseError
 from .perm import DEFAULT_CAP, Permutation, random_permutation
@@ -168,6 +168,21 @@ class WreathElement:
             image[d] = p.images[entry]
         return tuple(image)
 
+    def apply_columns(self, columns: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+        """Images of many points at once, given and returned as columns.
+
+        ``columns[d]`` holds entry d of every point, in one fixed order;
+        mapped by ``base[d]`` it becomes column ``top[d]`` of the images,
+        the rule of ``apply`` with one ``map`` per coordinate. Point k of
+        the result is the image of point k of the input.
+        """
+        if len(columns) != len(self.base):
+            raise ValueError(f"got {len(columns)} columns, expected {len(self.base)}")
+        image: list[tuple[int, ...]] = [()] * len(columns)
+        for p, d, column in zip(self.base, self.top.images, columns):
+            image[d] = tuple(map(p.images.__getitem__, column))
+        return image
+
     def is_identity(self) -> bool:
         return self.top.is_identity() and all(p.is_identity() for p in self.base)
 
@@ -215,12 +230,12 @@ def _from_parts(base: tuple[Permutation, ...], top: Permutation) -> WreathElemen
 
 def format_point(point: Point) -> str:
     """Serialize a point of Pi as a bare comma list, e.g. ``0,1,1``."""
-    return ",".join(str(v) for v in point)
+    return ",".join(map(str, point))
 
 
 def parse_point(text: str, ctx: WreathContext | None = None) -> Point:
     try:
-        point = tuple(int(part) for part in text.strip().split(","))
+        point = tuple(map(int, text.strip().split(",")))
     except ValueError:
         raise ParseError(f"non-integer entry in point {text!r}") from None
     if not point:

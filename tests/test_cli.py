@@ -1,11 +1,17 @@
 import io
 import os
+import random
+import subprocess
+import sys
 import time
 
 import pytest
 
-from wreathact import ParseError, WreathElement, parse_code, parse_point
+import wreathact
+from wreathact import ParseError, WreathContext, WreathElement, parse_code, parse_point
+from wreathact import cli
 from wreathact.cli import main, parse_group_text
+from test_acceptance import GOLDEN, GOLDEN_COMMANDS
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -163,6 +169,85 @@ class TestVerifyCommand:
             status, text = run("verify", "--q", "2", "--m", "2", *flags)
             assert status == 2
             assert text == f"error: {message}\n"
+
+
+class TestVerifyActionCount:
+    def test_counts_points_whose_images_differ(self, monkeypatch):
+        # with a product that is just its first factor, the action check
+        # must count exactly the points where a and a*b disagree
+        args = ("verify", "--q", "2", "--m", "3", "--pairs", "4", "--samples", "0", "--seed", "7")
+        ctx = WreathContext(2, 3)
+        rng = random.Random(7)
+        expected = 0
+        for _ in range(4):
+            a, b = ctx.random_element(rng), ctx.random_element(rng)
+            expected += sum(a.apply(phi) != b.apply(a.apply(phi)) for phi in ctx.all_points())
+        assert expected > 0
+        monkeypatch.setattr(WreathElement, "__mul__", lambda self, other: self)
+        status, text = run(*args)
+        assert status == 2
+        assert f"action-failures: {expected}\n" in text
+
+
+class TestCachedParser:
+    def test_golden_commands_repeat_in_one_process(self):
+        names = list(GOLDEN_COMMANDS)
+        mixed = names[:]
+        random.Random(3).shuffle(mixed)
+        for name in names + names + mixed + names[::-1]:
+            argv = [fixture(arg) if arg.endswith((".group", ".code")) else arg
+                    for arg in GOLDEN_COMMANDS[name]]
+            status, text = run(*argv)
+            with open(os.path.join(GOLDEN, name), "rb") as handle:
+                assert (status, text.encode("ascii")) == (0, handle.read()), name
+
+    def test_cap_environment_read_on_every_call(self, monkeypatch):
+        args = ("verify", "--q", "2", "--m", "2", "--pairs", "1", "--samples", "0")
+        monkeypatch.delenv("WREATHACT_CAP", raising=False)
+        assert run(*args)[0] == 0
+        monkeypatch.setenv("WREATHACT_CAP", "3")
+        status, text = run(*args)
+        assert status == 2
+        assert "cap is 3" in text
+        monkeypatch.delenv("WREATHACT_CAP")
+        assert run(*args)[0] == 0
+
+    def test_handler_looked_up_at_call_time(self, monkeypatch):
+        assert run("components", fixture("diag_swap_q2m2.group"))[0] == 0
+
+        def stub(args, out):
+            out.write(f"stub {os.path.basename(args.group)}\n")
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_components", stub)
+        assert run("components", fixture("diag_swap_q2m2.group")) == (0, "stub diag_swap_q2m2.group\n")
+
+    def test_import_builds_no_parser_and_main_builds_one(self):
+        script = (
+            "import argparse, io\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counted(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "import wreathact.cli\n"
+            "counts = [len(built)]\n"
+            "for _ in range(2):\n"
+            "    wreathact.cli.main(['verify', '--q', '2', '--m', '2', '--pairs', '1',"
+            " '--samples', '0'], out=io.StringIO())\n"
+            "    counts.append(len(built))\n"
+            "print(*counts)\n"
+        )
+        src = os.path.dirname(os.path.dirname(wreathact.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        at_import, first, second = map(int, proc.stdout.split())
+        assert at_import == 0
+        assert first > 0
+        assert second == first
 
 
 class TestParsing:

@@ -162,6 +162,28 @@ class TestIsAutomorphism:
         code = Code(WreathContext(2, 3), [(0, 0, 0), (1, 1, 1)])
         assert not is_automorphism(WreathElement((S, ID2, ID2), ID3), code)
 
+    def test_agrees_with_set_oracle(self):
+        # random codes and random elements, plus codes closed under the
+        # element (unions of its orbits), so that both answers occur;
+        # Code.transform gives the same images as single-point apply
+        rng = random.Random(71)
+        answers = set()
+        for _ in range(150):
+            ctx = WreathContext(rng.randint(2, 4), rng.randint(1, 4))
+            points = list(ctx.all_points())
+            w = ctx.random_element(rng)
+            words = set(rng.sample(points, rng.randint(1, len(points))))
+            closed = set(words)
+            for word in words:
+                while (word := w.apply(word)) not in closed:
+                    closed.add(word)
+            for code in (Code(ctx, words), Code(ctx, closed)):
+                images = {w.apply(c) for c in code.words}
+                assert code.transform(w).words == images
+                assert is_automorphism(w, code) == (images == code.words)
+                answers.add(images == code.words)
+        assert answers == {True, False}
+
 
 class TestCanonicalize:
     def test_repetition_code_is_already_pinned(self):

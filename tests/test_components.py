@@ -331,19 +331,21 @@ class TestSplit:
         X = WreathSubgroup(
             WreathContext(2, 3), (we([[1, 0], [1, 0], [0, 1]], [1, 0, 2]),)
         )
-        points = []
-        apply = WreathElement.apply
+        calls = []
+        apply_columns = WreathElement.apply_columns
 
-        def counted(self, point):
-            points.append(point)
-            return apply(self, point)
+        def counted(self, columns):
+            calls.append((self, list(zip(*columns))))
+            return apply_columns(self, columns)
 
-        monkeypatch.setattr(WreathElement, "apply", counted)
+        monkeypatch.setattr(WreathElement, "apply_columns", counted)
         assert X.split([0, 1]).ok
-        # ((q-1)*m + 1) * 3 applies for the one generator, not |Pi| * 3 = 24
-        assert len(points) == 12
+        # (q-1)*m + 1 = 4 probes through the generator and each of its two
+        # restrictions: 12 point images, not |Pi| * 3 = 24
+        assert sum(len(points) for _, points in calls) == 12
         probes = {(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)}
-        assert set(points[0::3]) == probes
+        parent = [points for w, points in calls if w in X.generators]
+        assert len(parent) == 1 and len(parent[0]) == 4 and set(parent[0]) == probes
         # no cap: the 2^20 points, more than the default cap of 10^6, are
         # never listed
         X = two_block_wreath_product(random.Random(61), 2, 10)

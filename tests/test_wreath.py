@@ -1,19 +1,24 @@
+import io
 import math
 import random
 
 import pytest
 
 from wreathact import (
+    Code,
     DegreeMismatchError,
     EnumerationOverflow,
     ParseError,
     Permutation,
     WreathContext,
     WreathElement,
+    WreathSubgroup,
     format_point,
+    is_automorphism,
     parse_point,
     stabilizer_order_oracle,
 )
+from wreathact import cli
 from helpers import p, we
 
 S = p(1, 0)
@@ -159,6 +164,51 @@ class TestApply:
             a = ctx.random_element(rng)
             b = ctx.random_element(rng)
             assert (a * b).top == a.top * b.top
+
+
+class TestApplyColumns:
+    def test_equals_apply_on_all_of_pi(self):
+        rng = random.Random(14)
+        for q in range(1, 5):
+            for m in range(1, 6):
+                ctx = WreathContext(q, m)
+                points = list(ctx.all_points())
+                columns = list(zip(*points))
+                for _ in range(3):
+                    w = ctx.random_element(rng)
+                    images = w.apply_columns(columns)
+                    assert len(images) == m
+                    assert list(zip(*images)) == [w.apply(phi) for phi in points]
+
+    def test_column_count_checked(self):
+        w = WreathElement((S, ID2), S)
+        assert w.apply_columns([(0, 1), (1, 1)]) == [(1, 1), (1, 0)]
+        with pytest.raises(ValueError):
+            w.apply_columns([(0, 1), (1, 1), (0, 0)])
+        with pytest.raises(ValueError):
+            w.apply_columns([(0, 1)])
+
+    def test_point_loops_never_apply_one_point(self, monkeypatch):
+        # is_automorphism, Code.transform, split and verify's action check
+        # run on columns; the constant-point oracle of verify is stubbed
+        # with its true count because it applies single points by design
+        ctx = WreathContext(3, 2)
+        code = Code(ctx, [(0, 0), (1, 1), (2, 2)])
+        flip = WreathElement((p(1, 2, 0), p(1, 2, 0)), Permutation.identity(2))
+        X = WreathSubgroup(WreathContext(2, 3), (we([[1, 0], [1, 0], [0, 1]], [1, 0, 2]),))
+        count = stabilizer_order_oracle(ctx, (0, 0))
+
+        def refuse(self, point):
+            raise AssertionError("apply called on a single point")
+
+        monkeypatch.setattr(WreathElement, "apply", refuse)
+        monkeypatch.setattr(cli, "stabilizer_order_oracle", lambda ctx, point, cap: count)
+        assert is_automorphism(flip, code)
+        assert code.transform(flip) == code
+        assert X.split([0, 1]).ok
+        out = io.StringIO()
+        assert cli.main(["verify", "--q", "3", "--m", "2", "--pairs", "5", "--samples", "0"], out=out) == 0
+        assert "action-failures: 0\n" in out.getvalue()
 
 
 class TestConstantPoint:
