@@ -100,6 +100,14 @@ def _fmt_perm_list(perms) -> str:
     return "[" + ";".join(str(p) for p in perms) + "]"
 
 
+def _emit_certificate(out, certificate, ok: bool) -> None:
+    """One line per sifting failure (none when it passed), then the verdict."""
+    for k, (generator, kind, coordinate) in enumerate(certificate.failures):
+        where = "" if coordinate is None else f" coordinate={coordinate}"
+        _emit(out, f"certificate-failure {k}", f"generator={generator} kind={kind}{where}")
+    _emit(out, "certificate", "PASS" if ok else "FAIL")
+
+
 def _parse_fix(arg: str | None, ctx: WreathContext):
     if arg is None:
         return None
@@ -179,7 +187,7 @@ def cmd_embed(args, out) -> int:
     if phi is not None:
         _emit(out, "fixed-point", format_point(phi))
         _emit(out, "fixed-point-preserved", _yn(bool(result.normalization.fixes_point)))
-    _emit(out, "certificate", "PASS" if result.ok else "FAIL")
+    _emit_certificate(out, result.certificate, result.ok)
     return 0 if result.ok else 2
 
 
@@ -224,7 +232,7 @@ def cmd_code_canon(args, out) -> int:
         _emit(out, f"transformed-word {k}", format_point(word))
     _emit(out, "G-generators", _fmt_perm_list(result.component_group.generators))
     _emit(out, "K-generators", _fmt_perm_list(result.induced_group.generators))
-    _emit(out, "certificate", "PASS" if result.certificate.passed else "FAIL")
+    _emit_certificate(out, result.certificate, result.certificate.passed)
     return 0 if result.certificate.passed else 2
 
 

@@ -6,6 +6,12 @@ coordinate under the induced action of X. The construction picks, for each
 coordinate d, an element t_d of X carrying the orbit representative r to d,
 and sets the entry of x at d to the inverse of the base entry of t_d at r.
 Only that entry is needed, so the transversal holds it alone, never t_d.
+The certificate is the theorem's one-line proof: if t in X carries r to
+d, then Stab(d) = t^-1 Stab(r) t, so the component at d is the component
+at r conjugated by t's entry at r. In X^x that entry is the identity
+(an element of the component at r when x also fixes a point), so every
+component along the orbit equals the one at r, with no stabilizer chain
+built per coordinate.
 When every component is transitive each entry can be corrected by an
 element of the component at r so that x additionally fixes a prescribed
 point of Pi.
@@ -120,7 +126,10 @@ class NormalizationResult:
     """Base element x with the conjugate X^x and its per-orbit certificate.
 
     ``component_flags[d]`` records that the component of X^x at d equals,
-    as a group, the component of X at the representative of d's orbit.
+    as a group, the component of X at the representative r of d's orbit.
+    It is exact both ways: the component at d is the one at r conjugated
+    by the conjugate's entry transversal at r, so an entry inside the
+    equal components at r proves it; otherwise ``same_group`` decides at d.
     ``common_components`` maps each representative to that common value,
     presented by the conjugate's component generators at the
     representative.
@@ -157,9 +166,15 @@ def normalizing_element(
 
     The entry of x at coordinate d is the inverse of the transversal entry
     for d. When ``phi`` is given, every component must be transitive and
-    the returned x fixes ``phi``. The certificate compares groups exactly
-    through their stabilizer chains (``same_group``), so it needs no
-    enumeration cap.
+    the returned x fixes ``phi``. The certificate needs no enumeration cap
+    and no chain per coordinate: with R the component of X at the
+    representative r and u' the conjugate's ``entry_transversal(r)``, the
+    component of X^x at d is the one at r conjugated by u'[d]. x's entry
+    at r is the identity, so the conjugate's component generators at r
+    equal R's and ``same_group`` takes its fast path; u'[d] is the
+    identity, or with ``phi`` the inverse of a correcting element of R,
+    sifted into R's chain. A u'[d] outside R, which the construction never
+    makes, falls back to ``same_group`` at d.
     """
     transversal = build_transversal(X, preferred_reps)
     if phi is not None:
@@ -173,9 +188,13 @@ def normalizing_element(
     common_components: dict[int, GenGroup] = {}
     for orbit, rep in zip(transversal.orbits, transversal.reps):
         reference = X.component(rep)
-        common_components[rep] = conjugated.component(rep)
+        common = common_components[rep] = conjugated.component(rep)
+        rep_equal = same_group(common, reference)
+        u = conjugated.entry_transversal(rep)
         for d in orbit:
-            component_flags[d] = same_group(conjugated.component(d), reference)
+            # the component at d is the one at rep conjugated by u[d]
+            carried = rep_equal and (u[d].is_identity() or reference.contains(u[d]))
+            component_flags[d] = carried or same_group(conjugated.component(d), reference)
     fixes_point = None if phi is None else (x.apply(phi) == phi)
     return NormalizationResult(
         x=x,

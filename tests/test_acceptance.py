@@ -316,6 +316,7 @@ def test_criterion_8_code_canonicalization_end_to_end():
 
 GOLDEN_COMMANDS = {
     "components.txt": ["components", "diag_swap_q2m2.group"],
+    "normalize.txt": ["normalize", "two_orbit_q3m3.group"],
     "normalize_fix.txt": ["normalize", "scattered_q4m2.group", "--fix", "0,0"],
     "embed.txt": ["embed", "diag_swap_q2m2.group"],
     "split.txt": ["split", "two_orbit_q2m3.group", "--delta0", "0,1"],

@@ -8,7 +8,14 @@ import time
 import pytest
 
 import wreathact
-from wreathact import ParseError, WreathContext, WreathElement, parse_code, parse_point
+from wreathact import (
+    GenGroup,
+    ParseError,
+    WreathContext,
+    WreathElement,
+    parse_code,
+    parse_point,
+)
 from wreathact import cli
 from wreathact.cli import main, parse_group_text
 from test_acceptance import GOLDEN, GOLDEN_COMMANDS
@@ -67,12 +74,40 @@ class TestNormalizeCommand:
         assert "fixed-point-preserved: yes" in text
 
 
+def tamper_certificates(monkeypatch, module) -> None:
+    """Make ``module`` sift into trivial groups, so that every non-identity
+    base entry and top is reported as a failure."""
+    sift = wreathact.normalize.sift_embedding
+
+    def into_trivial_groups(generators, G, H):
+        return sift(generators, GenGroup(G.degree), GenGroup(H.degree))
+
+    monkeypatch.setattr(module, "sift_embedding", into_trivial_groups)
+
+
 class TestEmbedCommand:
     def test_diagonal_plus_swap_certificate(self):
         status, text = run("embed", fixture("diag_swap_q2m2.group"))
         assert status == 0
         assert "certificate: PASS" in text
         assert "G-generators: [[1,0]]" in text
+
+    def test_failed_certificate_prints_each_failure(self, monkeypatch):
+        tamper_certificates(monkeypatch, wreathact.normalize)
+        status, text = run("embed", fixture("diag_swap_q2m2.group"))
+        assert status == 2
+        assert text.endswith(
+            "components-constant: yes\n"
+            "certificate-failure 0: generator=0 kind=base coordinate=0\n"
+            "certificate-failure 1: generator=0 kind=base coordinate=1\n"
+            "certificate-failure 2: generator=1 kind=top\n"
+            "certificate: FAIL\n"
+        )
+
+    def test_passed_certificate_prints_no_failure(self):
+        status, text = run("embed", fixture("diag_swap_q2m2.group"))
+        assert status == 0
+        assert "certificate-failure" not in text
 
     def test_intransitive_coordinates_exit_one(self):
         status, text = run("embed", fixture("two_orbit_q2m3.group"))
@@ -115,6 +150,24 @@ class TestCodeCanonCommand:
         assert "pinned-mixed: 1,1,0" in text
         assert "transformed-min-distance: 2" in text
         assert "certificate: PASS" in text
+
+    def test_failed_certificate_prints_each_failure(self, monkeypatch):
+        argv = (
+            "code-canon", fixture("even_weight.code"), fixture("even_weight_aut.group"),
+            "--gamma", "0", "--nu", "1",
+        )
+        status, passed = run(*argv)
+        assert status == 0 and "certificate-failure" not in passed
+        tamper_certificates(monkeypatch, wreathact.codes)
+        status, text = run(*argv)
+        assert status == 2
+        failures = [line for line in text.splitlines() if line.startswith("certificate-failure")]
+        assert failures
+        for k, line in enumerate(failures):
+            assert line.startswith(f"certificate-failure {k}: generator=")
+        # the failure lines sit between the unchanged report and the verdict
+        report = passed.splitlines()[:-1]
+        assert text.splitlines() == report + failures + ["certificate: FAIL"]
 
     def test_equal_letters_exit_one(self):
         status, text = run(

@@ -1,12 +1,15 @@
+import io
 import math
 import random
 import time
 
 import pytest
 
+import wreathact.normalize as normalize_module
 from wreathact import (
     HypothesisViolation,
     Permutation,
+    Transversal,
     WreathContext,
     WreathElement,
     WreathSubgroup,
@@ -15,13 +18,20 @@ from wreathact import (
     conjugate_subgroup,
     embed_in_wreath,
     normalizing_element,
+    same_group,
     sift_embedding,
 )
+from wreathact.cli import main
+from wreathact.perm import StabilizerChain
 from helpers import (
+    block_intransitive_subgroup,
     conjugated_full_wreath_product,
     diagonal_instance,
     full_wreath_product,
     p,
+    raw_closure,
+    raw_component,
+    raw_wreath,
     sym_perms,
     we,
 )
@@ -237,6 +247,193 @@ class TestNormalizingElement:
                     second.conjugated.component(d).enumerate_elements()
                     == first.conjugated.component(d).enumerate_elements()
                 )
+
+
+def raw_components(X: WreathSubgroup) -> list[set[tuple[int, ...]]]:
+    """Every component of X by raw-tuple closure, sharing no library path."""
+    q, m = X.ctx.gamma_size, X.ctx.delta_size
+    elements = raw_closure([raw_wreath(g) for g in X.generators], q, m)
+    return [raw_component(elements, d) for d in range(m)]
+
+
+def spoiled_transversal(monkeypatch, coordinate: int, spoiler: Permutation) -> None:
+    """Make ``build_transversal`` premultiply the entry at ``coordinate`` by
+    ``spoiler``."""
+    build = normalize_module.build_transversal
+
+    def spoiled(X, preferred_reps=()):
+        t = build(X, preferred_reps)
+        entries = dict(t.entries)
+        entries[coordinate] = spoiler * entries[coordinate]
+        return Transversal(t.orbits, t.reps, entries, t.rep_of)
+
+    monkeypatch.setattr(normalize_module, "build_transversal", spoiled)
+
+
+def transposition_w32() -> WreathSubgroup:
+    """Component <(0 1)> at both coordinates of Sym(3) wr Sym(2)."""
+    return WreathSubgroup(
+        WreathContext(3, 2),
+        (we([[1, 0, 2], [1, 0, 2]], [0, 1]), we([[0, 1, 2], [0, 1, 2]], [1, 0])),
+    )
+
+
+class TestOrbitCertificate:
+    """``component_flags`` from the conjugate's entry transversal at each
+    representative, against the per-coordinate ``same_group`` it replaces
+    and the raw-tuple component oracle."""
+
+    @staticmethod
+    def instances():
+        rng = random.Random(107)
+        for _ in range(6):
+            q, m = rng.choice([2, 3]), rng.choice([2, 3])
+            yield diagonal_instance(rng, q, m, transitive_component=True)[1]
+            yield diagonal_instance(rng, q, m)[1]
+            yield block_intransitive_subgroup(rng, q, m)
+        for q, m in ((2, 3), (3, 2)):
+            yield conjugated_full_wreath_product(rng, q, m)
+
+    def test_flags_agree_with_per_coordinate_comparison_and_oracle(self):
+        rng = random.Random(109)
+        with_phi = sifted = 0
+        for X in self.instances():
+            q, m = X.ctx.gamma_size, X.ctx.delta_size
+            oracle = raw_components(X)
+            phis = [None]
+            if all(X.component(d).is_transitive() for d in range(m)):
+                phis.append(tuple(rng.randrange(q) for _ in range(m)))
+            for phi in phis:
+                result = normalizing_element(X, phi)
+                conjugated_oracle = raw_components(result.conjugated)
+                for d in range(m):
+                    rep = result.transversal.rep_of[d]
+                    flag = result.component_flags[d]
+                    assert flag is same_group(
+                        result.conjugated.component(d), X.component(rep)
+                    )
+                    assert flag is (conjugated_oracle[d] == oracle[rep])
+                    assert flag
+                    entry = result.conjugated.entry_transversal(rep)[d]
+                    sifted += not entry.is_identity()
+                with_phi += phi is not None
+        assert with_phi >= 6
+        assert sifted > 0  # some entries went through the component's chain
+
+    def test_fallback_keeps_a_component_that_the_entry_normalizes(self, monkeypatch):
+        # component A3 at both coordinates; a transposition normalizes A3
+        # but lies outside it, so only the fallback can say yes
+        id3 = Permutation.identity(3)
+        c = p(1, 2, 0)
+        X = WreathSubgroup(
+            WreathContext(3, 2),
+            (WreathElement((c, c), ID2), WreathElement((id3, id3), S)),
+        )
+        outside = p(1, 0, 2)
+        assert not X.component(0).contains(outside)
+        spoiled_transversal(monkeypatch, 1, outside)
+        calls = []
+        compare = normalize_module.same_group
+
+        def counting(a, b):
+            calls.append(None)
+            return compare(a, b)
+
+        monkeypatch.setattr(normalize_module, "same_group", counting)
+        result = normalizing_element(X)
+        assert len(calls) == 2  # the representative, then the fallback at 1
+        assert not result.x.base[1].is_identity()
+        assert result.component_flags == {0: True, 1: True}
+        assert raw_components(result.conjugated)[1] == raw_components(X)[0]
+        assert result.ok
+
+    def test_fallback_says_no_outside_the_normalizer(self, monkeypatch, tmp_path):
+        # the 3-cycle carries <(0 1)> to another transposition group, so
+        # the flag must be no
+        X = transposition_w32()
+        group = tmp_path / "transposition.group"
+        group.write_text("3 2\n" + "".join(f"{g}\n" for g in X.generators), encoding="ascii")
+        spoiled_transversal(monkeypatch, 1, p(1, 2, 0))
+        result = normalizing_element(X)
+        oracle = raw_components(result.conjugated)
+        assert result.component_flags == {0: True, 1: False}
+        assert (oracle[1] == raw_components(X)[0]) is False
+        assert not result.ok
+        out = io.StringIO()
+        assert main(["normalize", str(group)], out=out) == 2
+        text = out.getvalue()
+        assert "components-constant: no\n" in text
+        assert text.endswith("certificate: FAIL\n")
+
+
+    def test_spoiled_representative_is_compared_coordinate_by_coordinate(
+        self, monkeypatch
+    ):
+        # x moves the component at the representative itself, so the
+        # entry transversal proves nothing and every flag is the exact one
+        X = transposition_w32()
+        spoiled_transversal(monkeypatch, 0, p(1, 2, 0))
+        result = normalizing_element(X)
+        oracle = raw_components(result.conjugated)
+        reference = raw_components(X)[0]
+        assert result.component_flags == {0: False, 1: True}
+        assert [oracle[d] == reference for d in range(2)] == [False, True]
+
+
+class TestCertificateCost:
+    """The certificate builds no stabilizer chain per coordinate, and the
+    conjugate's components only at the representatives."""
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        chains = []
+        components = []
+        init = StabilizerChain.__init__
+        build = WreathSubgroup._component_data
+
+        def counting_init(self, *args):
+            chains.append(None)
+            init(self, *args)
+
+        def counting_build(self, delta):
+            if delta not in self._components:
+                components.append((self, delta))
+            return build(self, delta)
+
+        monkeypatch.setattr(StabilizerChain, "__init__", counting_init)
+        monkeypatch.setattr(WreathSubgroup, "_component_data", counting_build)
+        return chains, components
+
+    def test_normalizing_builds_no_chain_without_phi(self, monkeypatch):
+        X = conjugated_full_wreath_product(random.Random(113), 12, 24)
+        chains, components = self.count_builds(monkeypatch)
+        result = normalizing_element(X)
+        assert result.ok
+        assert chains == []
+        built = [d for owner, d in components if owner is result.conjugated]
+        assert built == list(result.transversal.reps) == [0]
+
+    def test_embedding_builds_the_chains_of_G_and_H_alone(self, monkeypatch):
+        X = conjugated_full_wreath_product(random.Random(127), 12, 24)
+        phi = tuple(random.Random(131).randrange(12) for _ in range(24))
+        chains, components = self.count_builds(monkeypatch)
+        result = embed_in_wreath(X, 0, phi)
+        assert result.ok and result.normalization.fixes_point
+        assert len(chains) == 2
+        assert result.G._chain is not None and result.H._chain is not None
+        built = [d for owner, d in components if owner is result.conjugated]
+        assert built == [0]
+
+    def test_several_orbits_build_the_conjugate_at_each_representative(
+        self, monkeypatch
+    ):
+        X = block_intransitive_subgroup(random.Random(137), 3, 6)
+        assert len(X.delta_orbits) == 3
+        chains, components = self.count_builds(monkeypatch)
+        result = normalizing_element(X)
+        assert result.ok
+        built = [d for owner, d in components if owner is result.conjugated]
+        assert built == list(result.transversal.reps)
 
 
 class TestBeyondEnumeration:
