@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -39,18 +38,34 @@ def hamming_distance(a: Point, b: Point) -> int:
 
 
 class Code:
-    """A nonempty set of words of length m over {0..q-1}."""
+    """A nonempty set of words of length m over {0..q-1}.
 
-    __slots__ = ("ctx", "words", "_min_distance")
+    ``columns`` is the word set transposed once: ``columns[d]`` holds entry
+    d of every word, in the iteration order of ``words``. The set is
+    validated on the columns: every word has length m (checked first,
+    since ``zip`` truncates) and the distinct entries of the columns are
+    ints in ``range(q)``. Only a set failing that is checked word by word
+    with ``check_point``, which raises its usual error or accepts what it
+    accepts.
+    """
+
+    __slots__ = ("ctx", "words", "columns", "_min_distance")
 
     def __init__(self, ctx: WreathContext, words: Iterable[Point]):
         ws = frozenset(tuple(w) for w in words)
         if not ws:
             raise ValueError("a code must contain at least one word")
-        for w in ws:
-            ctx.check_point(w)
+        q, m = ctx.gamma_size, ctx.delta_size
+        columns = tuple(zip(*ws))
+        if not (
+            all(len(w) == m for w in ws)
+            and all(type(e) is int and 0 <= e < q for e in set().union(*columns))
+        ):
+            for w in ws:
+                ctx.check_point(w)
         self.ctx = ctx
         self.words = ws
+        self.columns = columns
         self._min_distance: int | None = None
 
     def __len__(self) -> int:
@@ -80,7 +95,8 @@ class Code:
 
         Two distinct words lie within distance r exactly when they agree
         once some r coordinates are deleted, so for r = 1, 2, ... every
-        r-subset of coordinates is deleted in turn; the first r at which two
+        r-subset of coordinates is deleted in turn, zipping the kept
+        ``columns`` back into shortened words; the first r at which two
         words coincide is the distance. Once that would cost at least as
         many word tests as the |C|(|C|-1)/2 pairs, or r reaches m, it scans
         the pairs instead.
@@ -93,8 +109,8 @@ class Code:
 
     def _search_min_distance(self) -> int:
         m = self.ctx.delta_size
-        words = self.words
-        n = len(words)
+        columns = self.columns
+        n = len(self.words)
         pairs = n * (n - 1) // 2
         for r in range(1, m + 1):
             if r == m or n * math.comb(m, r) >= pairs:
@@ -105,29 +121,30 @@ class Code:
                     for j in range(i + 1, n)
                 )
             for deleted in itertools.combinations(range(m), r):
-                kept = operator.itemgetter(*(i for i in range(m) if i not in deleted))
-                if len(set(map(kept, words))) < n:
+                kept = [column for i, column in enumerate(columns) if i not in deleted]
+                if len(set(zip(*kept))) < n:
                     return r
         raise RuntimeError("internal invariant: distinct words at no distance")
 
     def transform(self, x: WreathElement) -> "Code":
         """The equivalent code: the images of all words under ``x``, computed
-        as columns and validated again by ``Code``."""
+        from ``columns``; the image columns lie in ``range(q)``, so ``Code``
+        accepts them on its column check."""
         if x.ctx != self.ctx:
             raise DegreeMismatchError("element lives in a different context")
-        return Code(self.ctx, zip(*x.apply_columns(list(zip(*self.words)))))
+        return Code(self.ctx, zip(*x.apply_columns(self.columns)))
 
 
 def is_automorphism(w: WreathElement, code: Code) -> bool:
     """Whether ``w`` maps the word set onto itself.
 
-    Every image, computed column-wise by ``w.apply_columns``, must be a
-    codeword. The action is a bijection of Pi, so the |C| images are
-    distinct, and this is set equality.
+    Every image, computed by ``w.apply_columns`` on the code's ``columns``,
+    must be a codeword. The action is a bijection of Pi, so the |C| images
+    are distinct, and this is set equality.
     """
     if w.ctx != code.ctx:
         raise DegreeMismatchError("element lives in a different context")
-    images = w.apply_columns(list(zip(*code.words)))
+    images = w.apply_columns(code.columns)
     return all(map(code.words.__contains__, zip(*images)))
 
 
@@ -189,7 +206,10 @@ def canonicalize(
     The supplied generators must be automorphisms of the code, the induced
     coordinate action must be transitive, and the component at coordinate 0
     must be 2-transitive. The containment of the conjugated group in
-    G wr K is re-certified after the full product.
+    G wr K is re-certified after the full product: every base entry is
+    sifted into G, whose chain the embedding built, and every top is a
+    generator of K by construction, sifted only as a fallback, so no chain
+    of degree m is built.
     """
     ctx = code.ctx
     if X.ctx != ctx:

@@ -222,13 +222,22 @@ class EmbedCertificate:
 def sift_embedding(
     generators: tuple[WreathElement, ...], G: GenGroup, H: GenGroup
 ) -> EmbedCertificate:
-    """Check every base entry into G and every top into H by sifting."""
+    """Check every base entry into G and every top into H.
+
+    Base entries are sifted into G's chain. A top that is the identity or
+    one of H's generators is in H by construction, which is how
+    ``embed_in_wreath`` and ``canonicalize`` build H; any other top is
+    sifted into H's chain, so a tampered top still fails exactly, and an
+    untampered one builds no chain for H.
+    """
+    tops = frozenset(H.generators)
     failures: list[tuple[int, str, int | None]] = []
     for k, w in enumerate(generators):
         for d, p in enumerate(w.base):
             if not G.contains(p):
                 failures.append((k, "base", d))
-        if not H.contains(w.top):
+        top = w.top
+        if not (top in tops or top.is_identity() or H.contains(top)):
             failures.append((k, "top", None))
     return EmbedCertificate(passed=not failures, failures=tuple(failures))
 
@@ -260,7 +269,10 @@ def embed_in_wreath(
     Requires the induced coordinate action to be transitive. With ``phi``
     supplied, G must additionally be transitive and the conjugating element
     fixes ``phi``. The certificate sifts every base entry of every
-    conjugated generator into G and every top into H.
+    conjugated generator into G. x is a base element, so conjugation keeps
+    each generator's top, and that top is a generator of H: tops are
+    members by construction and are sifted into H only as a fallback, so
+    the only chain built is G's.
     """
     if not 0 <= delta1 < X.ctx.delta_size:
         raise ValueError(f"coordinate {delta1} out of range")

@@ -252,6 +252,23 @@ def conjugated_full_wreath_product(rng: random.Random, q: int, m: int) -> Wreath
     return conjugate_subgroup(X, y)
 
 
+def conjugated_repetition_code(
+    rng: random.Random, q: int, m: int
+) -> tuple[Code, WreathSubgroup]:
+    """The q-word repetition code of length m with its automorphisms, the
+    diagonal Sym(q) times the coordinate Sym(m), both conjugated by one
+    random base element, so that no word is constant."""
+    ctx = WreathContext(q, m)
+    id_q, id_m = Permutation.identity(q), Permutation.identity(m)
+    gens = [WreathElement((s,) * m, id_m) for s in symmetric_gens(q)]
+    gens += [WreathElement((id_q,) * m, h) for h in symmetric_gens(m)]
+    y = WreathElement(
+        tuple(random_permutation(rng, q) for _ in range(m)), id_m
+    )
+    code = Code(ctx, [(a,) * m for a in range(q)]).transform(y)
+    return code, conjugate_subgroup(WreathSubgroup(ctx, tuple(gens)), y)
+
+
 def two_block_wreath_product(rng: random.Random, q: int, k: int) -> WreathSubgroup:
     """Sym(q) wr Sym(k) on each of the blocks {0..k-1} and {k..2k-1} of
     2k coordinates, conjugated by a random base element."""

@@ -6,6 +6,7 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wreathact
 from wreathact import (
@@ -362,3 +363,44 @@ def test_group_and_code_parsers_agree_on_header_errors(text, message):
         with pytest.raises(ParseError) as info:
             parse(text)
         assert str(info.value) == message
+
+
+# code-file text: arbitrary text, or a header, binary words of length 3
+# (random ones, or the even-weight code the group preserves) and at most
+# one stray line, so that many inputs parse and reach code-canon
+WORD = st.lists(st.integers(0, 1), min_size=3, max_size=3).map(
+    lambda word: ",".join(map(str, word))
+)
+STRAY_LINE = st.one_of(
+    st.lists(st.integers(-1, 2), min_size=1, max_size=4).map(
+        lambda word: ",".join(map(str, word))
+    ),
+    st.text(alphabet="0123,- #x\t", max_size=12),
+)
+CODE_TEXT = st.one_of(
+    st.text(max_size=60),
+    st.builds(
+        lambda header, words, stray, at: "\n".join(
+            [header, *words[:at], *stray, *words[at:]]
+        ) + "\n",
+        st.sampled_from(["2 3", "2 3", "2 3", "3 3", "2 2", "2 x", ""]),
+        st.one_of(
+            st.lists(WORD, max_size=6),
+            st.permutations(["0,0,0", "0,1,1", "1,0,1", "1,1,0"]),
+        ),
+        st.lists(STRAY_LINE, max_size=1),
+        st.integers(0, 6),
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=CODE_TEXT)
+def test_code_canon_exit_codes_on_arbitrary_code_files(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.code"
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    status, report = run(
+        "code-canon", str(path), fixture("even_weight_aut.group"), "--gamma", "0", "--nu", "1"
+    )
+    assert status in (0, 1, 2)
+    assert "internal error:" not in report

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -17,7 +18,8 @@ from wreathact import (
     parse_code,
 )
 import wreathact.codes as codes_module
-from helpers import hamming_code_with_automorphisms, p, we
+from wreathact.perm import StabilizerChain
+from helpers import conjugated_repetition_code, hamming_code_with_automorphisms, p, we
 
 S = p(1, 0)
 ID2 = Permutation.identity(2)
@@ -268,6 +270,73 @@ class TestCanonicalize:
         assert err.value.delta == 0
 
 
+class TestCanonicalizeAtScale:
+    def test_conjugated_repetition_code_builds_no_chain_of_degree_m(self, monkeypatch):
+        q, m = 5, 60
+        code, X = conjugated_repetition_code(random.Random(157), q, m)
+        assert not any(len(set(w)) == 1 for w in code.words)
+        degrees = []
+        init = StabilizerChain.__init__
+
+        def counting_init(self, degree, *args):
+            degrees.append(degree)
+            init(self, degree, *args)
+
+        monkeypatch.setattr(StabilizerChain, "__init__", counting_init)
+        start = time.perf_counter()
+        result = canonicalize(code, X, 0, 1)
+        elapsed = time.perf_counter() - start
+        assert result.certificate.passed and result.certificate.failures == ()
+        assert result.pinned_constant in result.code
+        assert result.pinned_mixed == (1,) * m
+        assert m not in degrees and degrees
+        assert result.induced_group._chain is None
+        assert elapsed < 1.0
+
+
+class TestCodeValidation:
+    """``Code`` validates on its columns and falls back to ``check_point``
+    word by word, so every rejected set gives the same message as before."""
+
+    CTX = WreathContext(3, 4)
+
+    def check_point_message(self, word) -> str:
+        with pytest.raises(ValueError) as info:
+            self.CTX.check_point(word)
+        return str(info.value)
+
+    @pytest.mark.parametrize(
+        "words, bad",
+        [
+            # zip would truncate the long word to the short one's length
+            ([(0, 1, 2), (0, 1, 2, 0)], (0, 1, 2)),
+            ([(0, 1, 2, 0), (1, 1, 1, 1, 1)], (1, 1, 1, 1, 1)),
+            ([(0, 1, 2, 0), (1, 3, 1, 1)], (1, 3, 1, 1)),
+            ([(0, 1, 2, 0), (1, -1, 1, 1)], (1, -1, 1, 1)),
+        ],
+    )
+    def test_rejects_with_the_check_point_message(self, words, bad):
+        with pytest.raises(ValueError) as info:
+            Code(self.CTX, words)
+        assert str(info.value) == self.check_point_message(bad)
+
+    def test_accepts_what_check_point_accepts(self):
+        words = [(True, 0, 2, 1), (0, 1, 2, 0)]
+        for w in words:
+            self.CTX.check_point(w)
+        assert Code(self.CTX, words).words == frozenset(map(tuple, words))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_columns_are_the_transpose_of_the_words(self, seed):
+        rng = random.Random(seed)
+        words = {tuple(rng.randrange(3) for _ in range(4)) for _ in range(rng.randint(1, 30))}
+        code = Code(self.CTX, words)
+        assert len(code.columns) == 4
+        assert list(zip(*code.columns)) == list(code.words)
+        transformed = code.transform(self.CTX.random_element(rng))
+        assert list(zip(*transformed.columns)) == list(transformed.words)
+
+
 class TestCodeFiles:
     def test_round_trip(self):
         code, _ = even_weight_code()
@@ -277,6 +346,19 @@ class TestCodeFiles:
         with pytest.raises(ValueError) as err:
             parse_code("2 3\n0,0,0\n0,7,0\n")
         assert "line 3" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2 3\n0,0,0\n0,1\n", "line 3: point has length 2, expected 3"),
+            ("2 3\n0,0,0\n\n0,1,0,1\n", "line 4: point has length 4, expected 3"),
+            ("2 3\n0,0,0\n0,2,0\n", "line 3: point entry 2 out of range 0..1"),
+        ],
+    )
+    def test_parse_errors_name_the_line(self, text, message):
+        with pytest.raises(ValueError) as err:
+            parse_code(text)
+        assert str(err.value) == message
 
     def test_header_required(self):
         with pytest.raises(ValueError):

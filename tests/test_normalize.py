@@ -7,6 +7,7 @@ import pytest
 
 import wreathact.normalize as normalize_module
 from wreathact import (
+    GenGroup,
     HypothesisViolation,
     Permutation,
     Transversal,
@@ -413,16 +414,26 @@ class TestCertificateCost:
         built = [d for owner, d in components if owner is result.conjugated]
         assert built == list(result.transversal.reps) == [0]
 
-    def test_embedding_builds_the_chains_of_G_and_H_alone(self, monkeypatch):
+    def test_embedding_builds_the_chain_of_G_alone(self, monkeypatch):
         X = conjugated_full_wreath_product(random.Random(127), 12, 24)
         phi = tuple(random.Random(131).randrange(12) for _ in range(24))
         chains, components = self.count_builds(monkeypatch)
         result = embed_in_wreath(X, 0, phi)
         assert result.ok and result.normalization.fixes_point
-        assert len(chains) == 2
-        assert result.G._chain is not None and result.H._chain is not None
+        assert len(chains) == 1
+        assert result.G._chain is not None and result.H._chain is None
         built = [d for owner, d in components if owner is result.conjugated]
         assert built == [0]
+
+    def test_embedding_at_scale_builds_no_chain_of_degree_m(self):
+        X = conjugated_full_wreath_product(random.Random(139), 6, 60)
+        phi = tuple(random.Random(149).randrange(6) for _ in range(60))
+        start = time.perf_counter()
+        result = embed_in_wreath(X, 0, phi)
+        elapsed = time.perf_counter() - start
+        assert result.ok and result.normalization.fixes_point
+        assert result.H._chain is None
+        assert elapsed < 0.05
 
     def test_several_orbits_build_the_conjugate_at_each_representative(
         self, monkeypatch
@@ -434,6 +445,70 @@ class TestCertificateCost:
         assert result.ok
         built = [d for owner, d in components if owner is result.conjugated]
         assert built == list(result.transversal.reps)
+
+
+class TestTopsByConstruction:
+    """``sift_embedding`` takes a top that is a generator of H, or the
+    identity, as a member; any other top is sifted into H, so it passes
+    exactly when it lies in H."""
+
+    G = GenGroup(3, (p(1, 0, 2), p(1, 2, 0)))
+    ROTATION = p(1, 2, 3, 4, 0)
+    SWAP = p(1, 0, 2, 3, 4)
+
+    def cyclic_top_group(self) -> GenGroup:
+        return GenGroup(5, (self.ROTATION,))
+
+    def element(self, top: Permutation, k: int = 0) -> WreathElement:
+        base = [Permutation.identity(3)] * 5
+        base[k % 5] = self.G.generators[k % 2]
+        return WreathElement(base, top)
+
+    def test_generator_and_identity_tops_build_no_chain_of_H(self):
+        H = self.cyclic_top_group()
+        gens = (self.element(self.ROTATION, 0), self.element(Permutation.identity(5), 1))
+        assert sift_embedding(gens, self.G, H).passed
+        assert H._chain is None
+
+    def test_a_top_in_H_but_not_a_generator_is_sifted(self):
+        H = self.cyclic_top_group()
+        square = self.ROTATION * self.ROTATION
+        assert square not in H.generators and not square.is_identity()
+        certificate = sift_embedding(
+            (self.element(self.ROTATION, 0), self.element(square, 1)), self.G, H
+        )
+        assert certificate.passed and certificate.failures == ()
+        assert H._chain is not None
+
+    def test_each_tampered_top_gives_one_top_failure(self):
+        H = self.cyclic_top_group()
+        assert not H.contains(self.SWAP)
+        tampered = {1, 3}
+        tops = [self.ROTATION, self.ROTATION * self.ROTATION]
+        gens = tuple(
+            self.element(self.SWAP if k in tampered else tops[k % 2], k) for k in range(5)
+        )
+        certificate = sift_embedding(gens, self.G, H)
+        assert not certificate.passed
+        assert certificate.failures == ((1, "top", None), (3, "top", None))
+
+    def test_tampered_top_of_an_embedding_fails_exactly(self):
+        ctx = WreathContext(3, 5)
+        id3, id5 = Permutation.identity(3), Permutation.identity(5)
+        X = conjugate_subgroup(
+            WreathSubgroup(
+                ctx,
+                tuple(WreathElement((g,) + (id3,) * 4, id5) for g in self.G.generators)
+                + (WreathElement((id3,) * 5, self.ROTATION),),
+            ),
+            WreathElement((p(2, 0, 1), id3, p(0, 2, 1), p(1, 0, 2), id3), id5),
+        )
+        result = embed_in_wreath(X)
+        assert result.ok and result.H._chain is None
+        gens = list(result.conjugated.generators)
+        gens[2] = WreathElement(gens[2].base, self.SWAP)
+        certificate = sift_embedding(tuple(gens), result.G, result.H)
+        assert certificate.failures == ((2, "top", None),)
 
 
 class TestBeyondEnumeration:
