@@ -35,12 +35,7 @@ from .wreath import (
     parse_point,
     stabilizer_order_oracle,
 )
-from .components import (
-    SplitResult,
-    TransitivityReport,
-    WreathSubgroup,
-    element_sort_key,
-)
+from .components import SplitResult, TransitivityReport, WreathSubgroup
 from .normalize import (
     EmbedCertificate,
     EmbedResult,
@@ -92,7 +87,6 @@ __all__ = [
     "build_transversal",
     "canonicalize",
     "conjugate_subgroup",
-    "element_sort_key",
     "embed_in_wreath",
     "format_code",
     "format_point",

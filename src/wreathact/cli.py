@@ -15,9 +15,10 @@ Exit status: 0 on success, 1 when a hypothesis of the requested
 construction fails (reported, expected), 2 on parse or internal errors.
 The enumeration cap (``--cap`` on ``verify`` only, default from the
 environment variable ``WREATHACT_CAP``) bounds its brute-force work, the
-full wreath product, which is refused before any other work when over the
-cap. The other subcommands, ``split`` included, certify from generator
-data without enumerating and take no cap.
+stabilizer count over the full wreath product, which is refused before any
+other work when over the cap, and the scan's orbits on Pi; the scan
+enumerates no subgroup. The other subcommands, ``split`` included, certify
+from generator data without enumerating and take no cap.
 """
 
 from __future__ import annotations

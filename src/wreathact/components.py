@@ -9,21 +9,23 @@ Schreier generators or by enumerating X.
 The module also provides the permutational embedding that splits X along
 an invariant subset of the coordinates, certified on generator data alone,
 and the transitivity scan report used to confirm that a group transitive
-on Pi has transitive components. Only that scan and the brute-force
-oracles enumerate X or Pi, under a cap.
+on Pi has transitive components. The order of X and its intersection with
+the base group come from a stabilizer chain. Only the scan's orbit on Pi
+and the brute-force oracles list points or elements, under a cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import DegreeMismatchError, EnumerationOverflow
 from .perm import (
     DEFAULT_CAP,
     GenGroup,
     Permutation,
+    StabilizerChain,
     closure,
     orbit_with_witnesses,
     same_group,
@@ -32,19 +34,15 @@ from .perm import (
 from .wreath import Point, WreathContext, WreathElement
 
 
-def element_sort_key(w: WreathElement) -> tuple:
-    """Deterministic ordering key for wreath elements (used in reports)."""
-    return (tuple(p.images for p in w.base), w.top.images)
-
-
 class WreathSubgroup:
     """A finitely generated subgroup of Sym(Gamma) wr Sym(Delta).
 
     The induced coordinate action and its orbit partition are built at
     construction. The component of each coordinate, with its entry
-    transversal, and the brute-force element closure are lazy caches built
-    on first use; build the ones a thread will need before sharing an
-    instance across threads, after which all reads are pure.
+    transversal, the stabilizer chain and the brute-force element closure
+    are lazy caches built on first use; build the ones a thread will need
+    before sharing an instance across threads, after which all reads are
+    pure.
     """
 
     def __init__(self, ctx: WreathContext, generators: Iterable[WreathElement]):
@@ -63,6 +61,7 @@ class WreathSubgroup:
             tuple(orbit) for orbit in self.induced_group.orbits()
         )
         self._components: dict[int, tuple[GenGroup, Mapping[int, Permutation]]] = {}
+        self._chain: StabilizerChain | None = None
         self._closure: frozenset[WreathElement] | None = None
 
     def __repr__(self) -> str:
@@ -152,17 +151,33 @@ class WreathSubgroup:
         self._components[delta] = data
         return data
 
+    def _get_chain(self) -> StabilizerChain:
+        """X on m + q*m points: block point d goes to ``top[d]``, point
+        ``m + d*q + a`` to ``m + top[d]*q + base[d][a]``. The block points
+        lead the base, so the strong generators at the levels after them
+        generate X meet B, the elements with identity top."""
+        if self._chain is None:
+            q, m = self.ctx.gamma_size, self.ctx.delta_size
+            images = (
+                g.top.images
+                + tuple(m + g.top[d] * q + g.base[d][a] for d in range(m) for a in range(q))
+                for g in self.generators
+            )
+            self._chain = StabilizerChain(m + q * m, map(Permutation, images), base=range(m))
+        return self._chain
+
+    def order(self) -> int:
+        return self._get_chain().order()
+
     # ----- brute-force oracles -----
 
     def enumerate_elements(self, cap: int = DEFAULT_CAP) -> frozenset[WreathElement]:
-        """The full element set by BFS closure, or a loud overflow past ``cap``."""
-        if self._closure is not None:
-            if len(self._closure) > cap:
-                raise EnumerationOverflow(
-                    f"subgroup order {len(self._closure)} exceeds cap {cap}"
-                )
-            return self._closure
-        self._closure = closure(self.identity(), self.generators, cap)
+        """The full element set by BFS closure, refused by order over ``cap``."""
+        order = self.order()
+        if order > cap:
+            raise EnumerationOverflow(f"subgroup order {order} exceeds cap {cap}")
+        if self._closure is None:
+            self._closure = closure(self.identity(), self.generators, cap)
         return self._closure
 
     def orbit_of_point(self, start: Point, cap: int = DEFAULT_CAP) -> list[Point]:
@@ -186,12 +201,6 @@ class WreathSubgroup:
         start = self.ctx.constant_point(0)
         return len(self.orbit_of_point(start, cap)) == self.ctx.point_count()
 
-    def intersection_with_base(self, cap: int = DEFAULT_CAP) -> tuple[WreathElement, ...]:
-        """Elements with identity top, by enumeration under the cap, sorted."""
-        kernel = [w for w in self.enumerate_elements(cap) if w.top.is_identity()]
-        kernel.sort(key=element_sort_key)
-        return tuple(kernel)
-
     # ----- transitivity scan -----
 
     def transitivity_report(self, cap: int = DEFAULT_CAP) -> "TransitivityReport":
@@ -200,7 +209,8 @@ class WreathSubgroup:
         Also checks, when the subgroup is additionally transitive on the
         coordinates, that every component of the intersection with the base
         group is transitive. ``violation`` must never be True; it flags a
-        counterexample to either implication.
+        counterexample to either implication. ``cap`` bounds only |Pi|: X
+        meet B, which fixes every block point, comes from ``_get_chain``.
         """
         transitive_on_points = self.is_transitive_on_points(cap)
         component_transitive = tuple(
@@ -209,12 +219,10 @@ class WreathSubgroup:
         delta_transitive = self.is_delta_transitive
         base_component_transitive: tuple[bool, ...] | None = None
         if transitive_on_points and delta_transitive:
-            kernel = self.intersection_with_base(cap)
-            flags = []
-            for d in range(self.ctx.delta_size):
-                entries = _pruned_entries(kernel, d)
-                flags.append(GenGroup(self.ctx.gamma_size, entries).is_transitive())
-            base_component_transitive = tuple(flags)
+            q, m = self.ctx.gamma_size, self.ctx.delta_size
+            levels = self._get_chain().levels
+            kernel = GenGroup(m + q * m, map(Permutation, levels[m].gens if len(levels) > m else ()))
+            base_component_transitive = tuple(len(kernel.orbit(m + d * q)) == q for d in range(m))
         violation = transitive_on_points and (
             not all(component_transitive)
             or (
@@ -346,19 +354,6 @@ def _reassemble(
 
 def _top_image(w: WreathElement, d: int) -> int:
     return w.top[d]
-
-
-def _pruned_entries(elements: Sequence[WreathElement], delta: int) -> tuple[Permutation, ...]:
-    """Distinct non-identity base entries at ``delta``, in first-seen order."""
-    entries: list[Permutation] = []
-    seen: set[Permutation] = set()
-    for w in elements:
-        p = w.base[delta]
-        if p.is_identity() or p in seen:
-            continue
-        seen.add(p)
-        entries.append(p)
-    return tuple(entries)
 
 
 @dataclass

@@ -268,14 +268,15 @@ class StabilizerChain:
     dropped out; those orbits grow in place, and only the new (orbit point,
     generator) pairs make Schreier generators. A work list, deepest level
     first, replaces recursion, so the build needs no stack depth per level.
-    A new level's base point is the smallest point its first generator
-    moves, so the same generators always give the same base and orbits.
+    The base starts with the distinct points ``base``; after them, a new
+    level's base point is the smallest point its first generator moves, so
+    the same generators always give the same base and orbits.
     """
 
-    def __init__(self, degree: int, generators: Iterable[Permutation]):
+    def __init__(self, degree: int, generators: Iterable[Permutation], base: Iterable[int] = ()):
         self.degree = degree
         self.identity: Images = tuple(range(degree))
-        self.levels: list[_ChainLevel] = []
+        self.levels = [_ChainLevel(point, self.identity) for point in base]
         for g in generators:
             self._insert(g.images, 0)
         level = len(self.levels) - 1

@@ -149,6 +149,20 @@ def raw_closure(gens: list[tuple], q: int, m: int, cap: int | None = None) -> se
     return elements
 
 
+def pruned_entries(elements, delta: int) -> tuple[Permutation, ...]:
+    """Distinct non-identity base entries at ``delta`` of wreath elements,
+    in first-seen order."""
+    entries: list[Permutation] = []
+    seen: set[Permutation] = set()
+    for w in elements:
+        entry = w.base[delta]
+        if entry.is_identity() or entry in seen:
+            continue
+        seen.add(entry)
+        entries.append(entry)
+    return tuple(entries)
+
+
 def raw_restrict(w: tuple, part: list[int]) -> tuple:
     base, top = w
     return tuple(base[d] for d in part), tuple(part.index(top[d]) for d in part)

@@ -325,6 +325,7 @@ GOLDEN_COMMANDS = {
         "--gamma", "0", "--nu", "1",
     ],
     "verify.txt": ["verify", "--q", "3", "--m", "2", "--pairs", "60", "--samples", "120"],
+    "verify_q3m4.txt": ["verify", "--q", "3", "--m", "4", "--pairs", "0", "--samples", "50"],
 }
 
 

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from wreathact import (
+    EnumerationOverflow,
     GenGroup,
     Permutation,
     WreathContext,
@@ -13,13 +14,15 @@ from wreathact import (
     WreathSubgroup,
     conjugate_subgroup,
     embed_in_wreath,
+    random_permutation,
 )
-from wreathact.components import _pruned_entries
-from wreathact.perm import orbit_with_witnesses
+from wreathact.perm import StabilizerChain, orbit_with_witnesses
 from helpers import (
     block_intransitive_subgroup,
     conjugated_full_wreath_product,
+    full_wreath_product,
     p,
+    pruned_entries,
     random_wreath_subgroup,
     raw_apply,
     raw_closure,
@@ -229,7 +232,7 @@ class TestComponentFromEntries:
             m = rng.randint(1, 5)
             X = random_wreath_subgroup(rng, q, m, n_gens=rng.randint(1, 3))
             for d in range(m):
-                oracle = _pruned_entries(X.partition_stabilizer_gens(d), d)
+                oracle = pruned_entries(X.partition_stabilizer_gens(d), d)
                 assert X.component(d).generators == oracle
                 assert list(X.entry_transversal(d).items()) == lifted_entry_transversal(X, d)
 
@@ -237,7 +240,7 @@ class TestComponentFromEntries:
     def test_generators_equal_the_lifted_oracle_at_scale(self, q, m):
         X = conjugated_full_wreath_product(random.Random(q * 100 + m), q, m)
         for d in range(m):
-            oracle = _pruned_entries(X.partition_stabilizer_gens(d), d)
+            oracle = pruned_entries(X.partition_stabilizer_gens(d), d)
             assert X.component(d).generators == oracle
             assert list(X.entry_transversal(d).items()) == lifted_entry_transversal(X, d)
 
@@ -488,3 +491,146 @@ class TestTransitivityReport:
             transitive += report.transitive_on_points
             assert not report.violation
         assert transitive > 0
+
+    def test_full_sym4_wr_sym4_without_a_closure(self):
+        # enumerating X would need 7962624 elements, over the default cap
+        X = full_wreath_product(4, 4)
+        start = time.perf_counter()
+        report = X.transitivity_report()
+        elapsed = time.perf_counter() - start
+        assert report.transitive_on_points and report.delta_transitive
+        assert report.component_transitive == (True,) * 4
+        assert report.base_component_transitive == (True,) * 4
+        assert not report.violation
+        assert X._closure is None
+        assert elapsed < 1.0
+
+
+# ----- X as a permutation group on m + q*m points -----
+
+
+def faithful_images(w: WreathElement) -> list[int]:
+    """Block point d to top[d], point m + d*q + a to m + top[d]*q + base[d][a]."""
+    base, top = raw_wreath(w)
+    q, m = len(base[0]), len(top)
+    return list(top) + [m + top[d] * q + base[d][a] for d in range(m) for a in range(q)]
+
+
+def sym3_wr_sym3_instances(rng: random.Random) -> list[WreathSubgroup]:
+    """Subgroups of Sym(3) wr Sym(3) from five families, eight of each:
+    random generators; a base-only first generator; even base entries
+    (kernel inside Alt(3)^3); diagonal base entries (kernel inside the
+    diagonal Sym(3)); and Alt(3)^3 with a diagonal transposition on a
+    3-cycle top and a random diagonal element, transitive on Pi with a
+    kernel of order 54."""
+    ctx = WreathContext(3, 3)
+    id3 = Permutation.identity(3)
+    even = [Permutation(images) for images in ((0, 1, 2), (1, 2, 0), (2, 0, 1))]
+    c3, t = p(1, 2, 0), p(1, 0, 2)
+    families = [
+        lambda: [ctx.random_element(rng) for _ in range(rng.randint(1, 3))],
+        lambda: [WreathElement([random_permutation(rng, 3) for _ in range(3)], id3)]
+        + [ctx.random_element(rng) for _ in range(rng.randint(1, 2))],
+        lambda: [WreathElement([rng.choice(even) for _ in range(3)], random_permutation(rng, 3))
+                 for _ in range(rng.randint(1, 3))],
+        lambda: [WreathElement([g] * 3, random_permutation(rng, 3))
+                 for g in (random_permutation(rng, 3) for _ in range(rng.randint(1, 3)))],
+        lambda: [WreathElement([c3, id3, id3], id3), WreathElement([t] * 3, c3),
+                 WreathElement([random_permutation(rng, 3)] * 3, random_permutation(rng, 3))],
+    ]
+    return [WreathSubgroup(ctx, family()) for family in families for _ in range(8)]
+
+
+class TestChainOfX:
+    """Order, X meet B and its components from the stabilizer chain of X on
+    m + q*m points, against raw-tuple closures and sympy."""
+
+    def test_order_kernel_and_flags_match_raw_closure(self, monkeypatch):
+        q = m = 3
+        identity_top = tuple(range(m))
+        non_full_kernels = transitive_non_full = intransitive_flags = 0
+        instances = sym3_wr_sym3_instances(random.Random(73))
+        assert len(instances) >= 40
+        for X in instances:
+            elements = raw_closure([raw_wreath(g) for g in X.generators], q, m)
+            kernel = [base for base, top in elements if top == identity_top]
+            assert X.order() == len(elements)
+            levels = X._get_chain().levels
+            assert [lvl.point for lvl in levels[:m]] == list(range(m))
+            assert math.prod(len(lvl.orbit) for lvl in levels[m:]) == len(kernel)
+            kernel_gens = levels[m].gens if len(levels) > m else []
+            kernel_components = [{base[d] for base in kernel} for d in range(m)]
+            for d in range(m):
+                entries = [tuple(g[m + d * q + a] - m - d * q for a in range(q)) for g in kernel_gens]
+                assert tuple_closure(entries, q) == kernel_components[d]
+            flags = tuple({k[0] for k in kernel_components[d]} == set(range(q)) for d in range(m))
+            report = X.transitivity_report()
+            if report.transitive_on_points and report.delta_transitive:
+                assert report.base_component_transitive == flags
+                transitive_non_full += 1 < len(kernel) < 6**m
+            else:
+                assert report.base_component_transitive is None
+            if report.delta_transitive and not report.transitive_on_points:
+                # the theorem makes every flag True on transitive groups;
+                # forcing the branch shows the flags follow X meet B
+                monkeypatch.setattr(X, "is_transitive_on_points", lambda cap: True)
+                assert X.transitivity_report().base_component_transitive == flags
+                intransitive_flags += not all(flags)
+            non_full_kernels += 1 < len(kernel) < 6**m
+            assert X._closure is None
+        assert non_full_kernels >= 10 and transitive_non_full >= 5 and intransitive_flags >= 3
+
+    def test_order_agrees_with_sympy_on_the_faithful_images(self):
+        combinatorics = pytest.importorskip("sympy.combinatorics")
+        SympyPerm, SympyGroup = combinatorics.Permutation, combinatorics.PermutationGroup
+        rng = random.Random(79)
+        cases = [conjugated_full_wreath_product(rng, 3, 4), full_wreath_product(4, 4)]
+        cases += [random_wreath_subgroup(rng, q, m, n_gens=2) for q, m in ((2, 5), (3, 4), (4, 3), (5, 2))]
+        cases += [block_intransitive_subgroup(rng, 3, 4), two_block_wreath_product(rng, 2, 3)]
+        for X in cases:
+            q, m = X.ctx.gamma_size, X.ctx.delta_size
+            group = SympyGroup([SympyPerm(faithful_images(g)) for g in X.generators])
+            assert X.order() == group.order()
+            kernel_order = math.prod(len(lvl.orbit) for lvl in X._get_chain().levels[m:])
+            assert kernel_order == group.pointwise_stabilizer(list(range(m))).order()
+        assert cases[0].order() == 6**4 * 24
+
+    def test_prefix_on_relabelled_points_agrees_with_sympy(self):
+        """The prefix need not be the smallest points: on the faithful
+        images of Sym(3) wr Sym(4) with every point relabelled, the
+        relabelled block points lead the base and the levels after them
+        have the order of their pointwise stabilizer."""
+        combinatorics = pytest.importorskip("sympy.combinatorics")
+        SympyPerm, SympyGroup = combinatorics.Permutation, combinatorics.PermutationGroup
+        rng = random.Random(83)
+        q, m = 3, 4
+        n = m + q * m
+        relabel = random_permutation(rng, n)
+        gens = [
+            relabel.inverse() * Permutation(faithful_images(g)) * relabel
+            for g in conjugated_full_wreath_product(rng, q, m).generators
+        ]
+        prefix = tuple(relabel[d] for d in range(m))
+        chain = StabilizerChain(n, gens, base=prefix)
+        assert tuple(lvl.point for lvl in chain.levels[:m]) == prefix
+        group = SympyGroup([SympyPerm(list(g.images)) for g in gens])
+        assert chain.order() == group.order() == 6**4 * 24
+        kernel_order = math.prod(len(lvl.orbit) for lvl in chain.levels[m:])
+        assert kernel_order == group.pointwise_stabilizer(list(prefix)).order() == 6**4
+
+
+class TestOrderRefusal:
+    def test_full_sym4_wr_sym4_is_refused_by_order(self):
+        X = full_wreath_product(4, 4)
+        start = time.perf_counter()
+        with pytest.raises(EnumerationOverflow, match="subgroup order 7962624 exceeds cap 1000000"):
+            X.enumerate_elements()
+        assert time.perf_counter() - start < 1.0
+        assert X._closure is None
+        assert X.order() == 7962624
+
+    def test_cap_is_checked_against_the_order_after_a_closure(self):
+        X = full_w22()
+        assert len(X.enumerate_elements()) == X.order() == 8
+        with pytest.raises(EnumerationOverflow, match="subgroup order 8 exceeds cap 7"):
+            X.enumerate_elements(cap=7)

@@ -18,6 +18,7 @@ from wreathact import (
     same_group,
     symmetric_gens,
 )
+from wreathact.perm import StabilizerChain
 from helpers import p, perm_closure, sym_perms, tuple_closure
 
 
@@ -332,16 +333,37 @@ def test_chain_build_does_not_recurse(degree, gens, order):
 
 
 def test_chain_is_deterministic():
-    """Two builds from the same generators give the same base and orbits,
-    and each base point is the smallest point its level's first generator
-    moves."""
+    """Two builds from the same generators give the same base and orbits;
+    a base prefix leads the base, and every later base point is the
+    smallest point its level's first generator moves."""
     gens = _block_preserving(random.Random(41), 4, 4)
-    chains = [GenGroup(16, gens)._get_chain() for _ in range(2)]
-    assert [(lvl.point, lvl.orbit) for lvl in chains[0].levels] == [
-        (lvl.point, lvl.orbit) for lvl in chains[1].levels
+    for prefix in ((), (5, 0, 12), (15, 14, 13, 12)):
+        chains = [StabilizerChain(16, gens, base=prefix) for _ in range(2)]
+        assert [(lvl.point, lvl.orbit) for lvl in chains[0].levels] == [
+            (lvl.point, lvl.orbit) for lvl in chains[1].levels
+        ]
+        levels = chains[0].levels
+        assert tuple(lvl.point for lvl in levels[: len(prefix)]) == prefix
+        for lvl in levels[len(prefix):]:
+            assert lvl.point == min(i for i, j in enumerate(lvl.gens[0]) if i != j)
+        assert chains[0].order() == GenGroup(16, gens).order() == 24**4 * 4
+    assert [lvl.point for lvl in GenGroup(16, gens)._get_chain().levels] == [
+        lvl.point for lvl in StabilizerChain(16, gens).levels
     ]
-    for lvl in chains[0].levels:
-        assert lvl.point == min(i for i, j in enumerate(lvl.gens[0]) if i != j)
+
+
+def test_base_prefix_with_a_generator_fixing_it():
+    """A first generator that fixes the prefix point cannot put another
+    point at level 0: the prefix level stays trivial until a generator
+    moves its point."""
+    fixes_0 = p(0, 2, 1, 3)
+    chain = StabilizerChain(4, [fixes_0, p(1, 0, 2, 3)], base=(0,))
+    assert chain.levels[0].point == 0
+    assert chain.order() == 6
+    assert [lvl.point for lvl in StabilizerChain(4, [fixes_0]).levels] == [1]
+    trivial = StabilizerChain(4, [fixes_0], base=(0, 3))
+    assert [(lvl.point, lvl.orbit) for lvl in trivial.levels] == [(0, [0]), (3, [3]), (1, [1, 2])]
+    assert trivial.order() == 2
 
 
 class TestSameGroup:
