@@ -229,8 +229,10 @@ def cmd_code_canon(args, out) -> int:
     _emit(out, "pinned-mixed", format_point(result.pinned_mixed))
     _emit(out, "transformed-size", len(result.code))
     _emit(out, "transformed-min-distance", result.code.min_distance())
-    for k, word in enumerate(result.code.sorted_words()):
-        _emit(out, f"transformed-word {k}", format_point(word))
+    out.write("".join(
+        f"transformed-word {k}: {format_point(word)}\n"
+        for k, word in enumerate(result.code.sorted_words())
+    ))
     _emit(out, "G-generators", _fmt_perm_list(result.component_group.generators))
     _emit(out, "K-generators", _fmt_perm_list(result.induced_group.generators))
     _emit_certificate(out, result.certificate, result.certificate.passed)

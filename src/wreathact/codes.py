@@ -52,13 +52,13 @@ class Code:
     __slots__ = ("ctx", "words", "columns", "_min_distance")
 
     def __init__(self, ctx: WreathContext, words: Iterable[Point]):
-        ws = frozenset(tuple(w) for w in words)
+        ws = frozenset(map(tuple, words))
         if not ws:
             raise ValueError("a code must contain at least one word")
         q, m = ctx.gamma_size, ctx.delta_size
         columns = tuple(zip(*ws))
         if not (
-            all(len(w) == m for w in ws)
+            set(map(len, ws)) == {m}
             and all(type(e) is int and 0 <= e < q for e in set().union(*columns))
         ):
             for w in ws:
@@ -152,11 +152,25 @@ def parse_code(text: str) -> Code:
     """Parse the code file format: header ``q m``, then one word per line.
 
     Words are bare comma lists; blank lines and ``#`` comments are skipped.
+    Each word line is only split and converted to ints, and ``Code``
+    validates the word set once, on its columns. Only text that fails is
+    parsed again line by line with ``parse_point``, so the error names the
+    first bad line.
     """
+    try:
+        ctx, words = parse_with_header(text, _split_word)
+        if words:
+            return Code(ctx, words)
+    except ValueError:
+        pass
     ctx, words = parse_with_header(text, parse_point)
     if not words:
         raise ParseError("code file contains no words")
     return Code(ctx, words)
+
+
+def _split_word(line: str, ctx: WreathContext) -> Point:
+    return tuple(map(int, line.split(",")))
 
 
 def format_code(code: Code) -> str:
@@ -194,8 +208,14 @@ def canonicalize(
 
     The four stages:
 
-    1. a base element ``x1`` with entries drawn from the components, moving
-       a codeword of a minimum-distance pair to the constant word;
+    1. a base element ``x1`` moving a codeword ``a`` of a minimum-distance
+       pair to the constant word, with its entry at each coordinate in the
+       component there. The components along the (single) coordinate
+       orbit are conjugate: with ``t = X.entry_transversal(0)[delta]``, the
+       component at delta is ``t^-1 * C0 * t`` for C0 the component at 0.
+       So the entry at delta is ``t^-1 * w * t``, w the BFS witness in C0
+       from ``t^-1[a[delta]]`` to ``t^-1[gamma]``, and only the component
+       at 0 is built;
     2. the embedding element ``x2`` fixing the constant word, after which
        the group lies in G wr H;
     3. a coordinate permutation ``x3`` moving the d mismatched positions of
@@ -234,15 +254,23 @@ def canonicalize(
     d = code.min_distance()
     word_a, word_b = _first_pair_at_distance(code, d)
 
-    # stage 1: move word_a to the constant word, one component entry per coordinate
+    # stage 1: move word_a to the constant word, one entry per coordinate,
+    # each conjugated from a witness in the component at coordinate 0
+    component = X.component(0)
+    transversal = X.entry_transversal(0)
+    witnesses: dict[int, dict[int, Permutation]] = {}
     x1_base: list[Permutation] = []
     for delta in range(m):
-        _, witness = X.component(delta).orbit_with_transversal(word_a[delta])
-        if gamma not in witness:
+        t = transversal[delta]
+        t_inverse = t.inverse()
+        start, target = t_inverse[word_a[delta]], t_inverse[gamma]
+        if start not in witnesses:
+            witnesses[start] = component.orbit_with_transversal(start)[1]
+        if target not in witnesses[start]:
             raise RuntimeError(
                 "internal invariant: transitive component misses the pinned letter"
             )
-        x1_base.append(witness[gamma])
+        x1_base.append(t_inverse * witnesses[start][target] * t)
     x1 = WreathElement(x1_base, Permutation.identity(m))
     constant = ctx.constant_point(gamma)
     if x1.apply(word_a) != constant:

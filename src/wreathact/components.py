@@ -24,8 +24,10 @@ from .errors import DegreeMismatchError, EnumerationOverflow
 from .perm import (
     DEFAULT_CAP,
     GenGroup,
+    Images,
     Permutation,
     StabilizerChain,
+    _from_images,
     closure,
     orbit_with_witnesses,
     same_group,
@@ -128,26 +130,41 @@ class WreathSubgroup:
         return self._component_data(delta)[1]
 
     def _component_data(self, delta: int) -> tuple[GenGroup, Mapping[int, Permutation]]:
-        """The component and the entry transversal at ``delta``."""
+        """The component and the entry transversal at ``delta``.
+
+        One BFS on raw image tuples does both: the pair (beta, s) that
+        first reaches ``beta^s`` makes its transversal entry, and every
+        other pair gives the Schreier entry ``u[beta] * s.base[beta] *
+        u[beta^s]^-1``, which is the identity exactly when the product
+        before the inverse equals ``u[beta^s]``. Entries are deduplicated
+        as tuples, in the order of the two nested loops, and only the
+        survivors become ``Permutation`` objects.
+        """
         if delta in self._components:
             return self._components[delta]
         if not 0 <= delta < self.ctx.delta_size:
             raise ValueError(f"coordinate {delta} out of range")
+        q = self.ctx.gamma_size
+        pairs = [(s.top.images, s.base) for s in self.generators]
         orbit = [delta]
-        u = {delta: Permutation.identity(self.ctx.gamma_size)}
+        u = {delta: tuple(range(q))}
+        u_inverse = {delta: u[delta]}
+        entries: dict[Images, None] = {}
         for beta in orbit:
-            for s in self.generators:
-                if s.top[beta] not in u:
-                    u[s.top[beta]] = u[beta] * s.base[beta]
-                    orbit.append(s.top[beta])
-        u_inverse = {beta: entry.inverse() for beta, entry in u.items()}
-        entries = dict.fromkeys(
-            u[beta] * s.base[beta] * u_inverse[s.top[beta]]
-            for beta in orbit
-            for s in self.generators
+            u_beta = u[beta]
+            for top, base in pairs:
+                gamma = top[beta]
+                v = tuple(map(base[beta].images.__getitem__, u_beta))
+                if gamma not in u:
+                    u[gamma] = v
+                    u_inverse[gamma] = tuple(sorted(range(q), key=v.__getitem__))
+                    orbit.append(gamma)
+                elif v != u[gamma]:
+                    entries[tuple(map(u_inverse[gamma].__getitem__, v))] = None
+        data = (
+            GenGroup(q, map(_from_images, entries)),
+            MappingProxyType({beta: _from_images(entry) for beta, entry in u.items()}),
         )
-        generators = (entry for entry in entries if not entry.is_identity())
-        data = (GenGroup(self.ctx.gamma_size, generators), MappingProxyType(u))
         self._components[delta] = data
         return data
 
@@ -211,11 +228,17 @@ class WreathSubgroup:
         group is transitive. ``violation`` must never be True; it flags a
         counterexample to either implication. ``cap`` bounds only |Pi|: X
         meet B, which fixes every block point, comes from ``_get_chain``.
+        Components along a coordinate orbit are conjugate (by the entry
+        transversal), so one component per orbit decides the flag for all
+        of its coordinates.
         """
         transitive_on_points = self.is_transitive_on_points(cap)
-        component_transitive = tuple(
-            self.component(d).is_transitive() for d in range(self.ctx.delta_size)
-        )
+        flags = [False] * self.ctx.delta_size
+        for orbit in self.delta_orbits:
+            transitive = self.component(orbit[0]).is_transitive()
+            for d in orbit:
+                flags[d] = transitive
+        component_transitive = tuple(flags)
         delta_transitive = self.is_delta_transitive
         base_component_transitive: tuple[bool, ...] | None = None
         if transitive_on_points and delta_transitive:

@@ -14,14 +14,17 @@ from types import SimpleNamespace
 from wreathact import (
     Code,
     GenGroup,
+    ParseError,
     Permutation,
     WreathContext,
     WreathElement,
     WreathSubgroup,
     conjugate_subgroup,
+    parse_point,
     random_permutation,
     symmetric_gens,
 )
+from wreathact.wreath import parse_with_header
 
 
 def p(*images: int) -> Permutation:
@@ -237,6 +240,33 @@ def split_oracle_agrees(X: WreathSubgroup, result) -> bool:
         result.equivariant,
         result.component_preserved,
     )
+
+
+# ----- reference parse and build counts -----
+
+
+def reference_parse_code(text: str) -> Code:
+    """The per-line code parse: ``parse_point`` checks every word as it is
+    read, so the first bad line raises, and ``Code`` gets a valid set."""
+    ctx, words = parse_with_header(text, parse_point)
+    if not words:
+        raise ParseError("code file contains no words")
+    return Code(ctx, words)
+
+
+def record_component_builds(monkeypatch) -> list[tuple[WreathSubgroup, int]]:
+    """Patch ``WreathSubgroup._component_data`` to log (subgroup,
+    coordinate) for every build; cached reads are not logged."""
+    builds: list[tuple[WreathSubgroup, int]] = []
+    component_data = WreathSubgroup._component_data
+
+    def recording(self, delta):
+        if delta not in self._components:
+            builds.append((self, delta))
+        return component_data(self, delta)
+
+    monkeypatch.setattr(WreathSubgroup, "_component_data", recording)
+    return builds
 
 
 # ----- random instance families -----

@@ -324,6 +324,12 @@ GOLDEN_COMMANDS = {
         "code-canon", "even_weight.code", "even_weight_aut.group",
         "--gamma", "0", "--nu", "1",
     ],
+    # q = 3: the stage-1 witnesses in Sym(3) are not unique, so this pins
+    # the choice that conjugates witnesses from the component at 0
+    "code_canon_z3.txt": [
+        "code-canon", "parity_z3_m4.code", "parity_z3_m4_aut.group",
+        "--gamma", "0", "--nu", "1",
+    ],
     "verify.txt": ["verify", "--q", "3", "--m", "2", "--pairs", "60", "--samples", "120"],
     "verify_q3m4.txt": ["verify", "--q", "3", "--m", "4", "--pairs", "0", "--samples", "50"],
 }

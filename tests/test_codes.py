@@ -1,4 +1,5 @@
 import itertools
+import os
 import random
 import time
 
@@ -7,6 +8,7 @@ import pytest
 from wreathact import (
     Code,
     HypothesisViolation,
+    ParseError,
     Permutation,
     WreathContext,
     WreathElement,
@@ -19,7 +21,21 @@ from wreathact import (
 )
 import wreathact.codes as codes_module
 from wreathact.perm import StabilizerChain
-from helpers import conjugated_repetition_code, hamming_code_with_automorphisms, p, we
+from wreathact.cli import load_group
+from helpers import (
+    conjugated_repetition_code,
+    hamming_code_with_automorphisms,
+    p,
+    raw_apply,
+    raw_closure,
+    raw_component,
+    raw_wreath,
+    record_component_builds,
+    reference_parse_code,
+    we,
+)
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 S = p(1, 0)
 ID2 = Permutation.identity(2)
@@ -270,6 +286,52 @@ class TestCanonicalize:
         assert err.value.delta == 0
 
 
+def parity_z3_fixture() -> tuple[Code, WreathSubgroup]:
+    """The conjugated parity code over Z_3 behind the ``code_canon_z3.txt`` golden."""
+    with open(os.path.join(DATA, "parity_z3_m4.code"), encoding="ascii") as handle:
+        code = parse_code(handle.read())
+    return code, load_group(os.path.join(DATA, "parity_z3_m4_aut.group"))
+
+
+class TestStageOne:
+    """Stage 1 conjugates witnesses in the component at coordinate 0 along
+    the entry transversal. Checked on raw tuples against the closure of X:
+    every entry of x1 lies in the component at its coordinate, and x1 maps
+    the first word of the first minimum-distance pair to the constant word."""
+
+    @pytest.mark.parametrize("gamma, nu", [(0, 1), (2, 0), (1, 2)])
+    @pytest.mark.parametrize("build", [
+        parity_z3_fixture,
+        lambda: conjugated_repetition_code(random.Random(5), 3, 3),
+        lambda: conjugated_repetition_code(random.Random(6), 3, 4),
+    ])
+    def test_x1_entries_lie_in_the_components(self, build, gamma, nu):
+        code, X = build()
+        q, m = X.ctx.gamma_size, X.ctx.delta_size
+        elements = raw_closure([raw_wreath(g) for g in X.generators], q, m)
+        words = sorted(code.words)
+        d = min(hamming_distance(a, b) for a, b in itertools.combinations(words, 2))
+        word_a = next(a for a, b in itertools.combinations(words, 2) if hamming_distance(a, b) == d)
+        result = canonicalize(code, X, gamma, nu)
+        x1 = raw_wreath(result.x1)
+        assert x1[1] == tuple(range(m))
+        assert all(x1[0][delta] in raw_component(elements, delta) for delta in range(m))
+        assert raw_apply(x1, word_a) == (gamma,) * m
+
+    def test_fixture_has_more_than_one_witness(self):
+        # the golden pins a choice: some coordinate's component holds two
+        # entries sending the letter of word_a there to gamma = 0
+        code, X = parity_z3_fixture()
+        elements = raw_closure([raw_wreath(g) for g in X.generators], 3, 4)
+        word_a = (0, 0, 0, 1)  # first pair at distance 2: 0,0,0,1 and 0,0,1,0
+        assert sorted(code.words)[:2] == [word_a, (0, 0, 1, 0)]
+        choices = [
+            sum(entry[word_a[delta]] == 0 for entry in raw_component(elements, delta))
+            for delta in range(4)
+        ]
+        assert choices == [2, 2, 2, 2]
+
+
 class TestCanonicalizeAtScale:
     def test_conjugated_repetition_code_builds_no_chain_of_degree_m(self, monkeypatch):
         q, m = 5, 60
@@ -292,6 +354,13 @@ class TestCanonicalizeAtScale:
         assert m not in degrees and degrees
         assert result.induced_group._chain is None
         assert elapsed < 1.0
+
+    def test_conjugated_repetition_code_builds_one_component_of_x(self, monkeypatch):
+        code, X = conjugated_repetition_code(random.Random(157), 5, 60)
+        builds = record_component_builds(monkeypatch)
+        result = canonicalize(code, X, 0, 1)
+        assert result.certificate.passed
+        assert [delta for Y, delta in builds if Y is X] == [0]
 
 
 class TestCodeValidation:
@@ -363,3 +432,74 @@ class TestCodeFiles:
     def test_header_required(self):
         with pytest.raises(ValueError):
             parse_code("0,0,0\n")
+
+
+class TestParseParity:
+    """``parse_code`` converts each line to ints and validates once, in
+    ``Code``; on failure it parses again line by line. It must return the
+    same ``Code`` as the per-line reference parse, or the same error."""
+
+    @staticmethod
+    def outcome(parse, text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    def assert_parity(self, text):
+        expected = self.outcome(reference_parse_code, text)
+        assert self.outcome(parse_code, text) == expected
+        return expected
+
+    BAD_WORDS = {
+        "short": lambda rng, q, m, word: word[:-1],
+        "long": lambda rng, q, m, word: word + [str(rng.randrange(q))],
+        "out-of-range": lambda rng, q, m, word: _replace(rng, word, str(rng.choice([q, q + 7, -1]))),
+        "non-integer": lambda rng, q, m, word: _replace(rng, word, rng.choice(["x", "1.5", "0x1", "1e0"])),
+        "empty-entry": lambda rng, q, m, word: _replace(rng, word, rng.choice(["", " "])),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BAD_WORDS))
+    def test_bad_word_after_600_good_lines(self, kind):
+        rng = random.Random(kind)
+        q, m = 5, 5
+        lines = [f"{q} {m}"] + [",".join(str(rng.randrange(q)) for _ in range(m)) for _ in range(600)]
+        bad = self.BAD_WORDS[kind](rng, q, m, lines[1].split(","))
+        lines.append(",".join(bad))
+        lines += lines[1:20]
+        expected = self.assert_parity("\n".join(lines) + "\n")
+        assert expected[0] is ParseError and expected[1].startswith("line 602: ")
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_fuzzed_code_files(self, seed):
+        rng = random.Random(seed)
+        q, m = rng.randint(1, 5), rng.randint(1, 5)
+        lines = [f"{q} {m}"]
+        if rng.random() < 0.2:
+            lines.insert(0, rng.choice(["# a comment", "", "   "]))
+        for _ in range(rng.randint(0, 40)):
+            roll = rng.random()
+            if roll < 0.1:
+                lines.append(rng.choice(["", "  ", "# comment", "  # indented comment"]))
+            elif roll < 0.25 and len(lines) > 1:
+                lines.append(rng.choice(lines[1:]))  # duplicate of an earlier line
+            else:
+                word = [str(rng.randrange(q)) for _ in range(m)]
+                if rng.random() < 0.08:
+                    word = self.BAD_WORDS[rng.choice(sorted(self.BAD_WORDS))](rng, q, m, word)
+                spaced = rng.random() < 0.1
+                lines.append((", " if spaced else ",").join(word))
+        self.assert_parity("\n".join(lines) + rng.choice(["", "\n"]))
+
+    @pytest.mark.parametrize("text", [
+        "", "# only a comment\n", "2 3\n", "2 3\n\n# none\n", "2\n0,0\n", "2 x\n0,0\n",
+        "0 3\n0,0,0\n", "2 3\n0,0,0\n0,0,0\n", "1 1\n0\n", "2 3\n0,0,\n", "2 3\n,0,0\n",
+    ])
+    def test_edge_files(self, text):
+        self.assert_parity(text)
+
+
+def _replace(rng: random.Random, word: list[str], entry: str) -> list[str]:
+    word = list(word)
+    word[rng.randrange(len(word))] = entry
+    return word

@@ -27,6 +27,7 @@ from helpers import (
     raw_apply,
     raw_closure,
     raw_wreath,
+    record_component_builds,
     split_oracle_agrees,
     sym_perms,
     tuple_closure,
@@ -504,6 +505,27 @@ class TestTransitivityReport:
         assert not report.violation
         assert X._closure is None
         assert elapsed < 1.0
+
+    def test_one_component_build_per_coordinate_orbit(self, monkeypatch):
+        rng = random.Random(61)
+        cases = sym3_wr_sym3_instances(rng) + [
+            block_intransitive_subgroup(rng, 3, 4),
+            two_block_wreath_product(rng, 2, 3),
+            conjugated_full_wreath_product(rng, 3, 4),
+        ]
+        builds = record_component_builds(monkeypatch)
+        several_orbits = intransitive_components = 0
+        for X in cases:
+            m = X.ctx.delta_size
+            builds.clear()
+            report = X.transitivity_report()
+            assert [delta for Y, delta in builds if Y is X] == [orbit[0] for orbit in X.delta_orbits]
+            fresh = WreathSubgroup(X.ctx, X.generators)
+            flags = tuple(fresh.component(d).is_transitive() for d in range(m))
+            assert report.component_transitive == flags
+            several_orbits += len(X.delta_orbits) > 1
+            intransitive_components += not all(flags)
+        assert several_orbits >= 5 and intransitive_components >= 5
 
 
 # ----- X as a permutation group on m + q*m points -----
