@@ -23,9 +23,8 @@ from .perm import GenGroup, Permutation, TWO_TRANSITIVE
 from .components import WreathSubgroup
 from .normalize import (
     EmbedCertificate,
-    EmbedResult,
     conjugate_subgroup,
-    embed_in_wreath,
+    normalizing_element,
     sift_embedding,
 )
 from .wreath import Point, WreathContext, WreathElement, format_point, parse_point, parse_with_header
@@ -195,7 +194,6 @@ class CanonicalizationResult:
     pinned_constant: Point
     pinned_mixed: Point
     certificate: EmbedCertificate
-    embedding: EmbedResult
 
 
 def canonicalize(
@@ -216,8 +214,10 @@ def canonicalize(
        So the entry at delta is ``t^-1 * w * t``, w the BFS witness in C0
        from ``t^-1[a[delta]]`` to ``t^-1[gamma]``, and only the component
        at 0 is built;
-    2. the embedding element ``x2`` fixing the constant word, after which
-       the group lies in G wr H;
+    2. the normal form of X1 = X^x1 fixing the constant word: ``x2`` makes
+       every component equal G, the one at 0, so X1^x2 <= G wr H. The final
+       certificate implies this, as X1^x2 = (X^x)^((x3*x4)^-1) with x4 in
+       G^m and x3 only permuting coordinates;
     3. a coordinate permutation ``x3`` moving the d mismatched positions of
        the second codeword to the front, preserving relative order;
     4. a base element ``x4`` with entries in the stabilizer of gamma inside
@@ -226,10 +226,10 @@ def canonicalize(
     The supplied generators must be automorphisms of the code, the induced
     coordinate action must be transitive, and the component at coordinate 0
     must be 2-transitive. The containment of the conjugated group in
-    G wr K is re-certified after the full product: every base entry is
-    sifted into G, whose chain the embedding built, and every top is a
-    generator of K by construction, sifted only as a fallback, so no chain
-    of degree m is built.
+    G wr K is certified once, after the full product: every base entry is
+    sifted into G's chain, and every top is a generator of K by
+    construction, sifted only as a fallback, so no chain of degree m is
+    built.
     """
     ctx = code.ctx
     if X.ctx != ctx:
@@ -258,29 +258,21 @@ def canonicalize(
     # each conjugated from a witness in the component at coordinate 0
     component = X.component(0)
     transversal = X.entry_transversal(0)
-    witnesses: dict[int, dict[int, Permutation]] = {}
     x1_base: list[Permutation] = []
     for delta in range(m):
         t = transversal[delta]
         t_inverse = t.inverse()
-        start, target = t_inverse[word_a[delta]], t_inverse[gamma]
-        if start not in witnesses:
-            witnesses[start] = component.orbit_with_transversal(start)[1]
-        if target not in witnesses[start]:
-            raise RuntimeError(
-                "internal invariant: transitive component misses the pinned letter"
-            )
-        x1_base.append(t_inverse * witnesses[start][target] * t)
+        w = component.witness(t_inverse[word_a[delta]], t_inverse[gamma])
+        x1_base.append(t_inverse * w * t)
     x1 = WreathElement(x1_base, Permutation.identity(m))
     constant = ctx.constant_point(gamma)
     if x1.apply(word_a) != constant:
         raise RuntimeError("internal invariant: stage 1 missed the constant word")
 
-    # stage 2: embed, fixing the constant word
+    # stage 2: the normal form fixing the constant word
     X1 = conjugate_subgroup(X, x1)
-    embedding = embed_in_wreath(X1, delta1=0, phi=constant)
-    x2 = embedding.x
-    G = embedding.G
+    x2 = normalizing_element(X1, constant, preferred_reps=(0,)).x
+    G = X1.component(0)
 
     # stage 3: move the mismatched coordinates to the front
     x12 = x1 * x2
@@ -303,12 +295,7 @@ def canonicalize(
     stabilizer = GenGroup(q, tuple(G.schreier_generators(gamma)))
     x4_base = [Permutation.identity(q)] * m
     for i in range(d):
-        _, witness = stabilizer.orbit_with_transversal(b3[i])
-        if nu not in witness:
-            raise RuntimeError(
-                "internal invariant: point stabilizer misses the second letter"
-            )
-        x4_base[i] = witness[nu]
+        x4_base[i] = stabilizer.witness(b3[i], nu)
     x4 = WreathElement(x4_base, Permutation.identity(m))
 
     x = x12 * x3 * x4
@@ -335,7 +322,6 @@ def canonicalize(
         pinned_constant=constant,
         pinned_mixed=mixed,
         certificate=certificate,
-        embedding=embedding,
     )
 
 

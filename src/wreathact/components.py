@@ -389,19 +389,6 @@ class TransitivityReport:
     base_component_transitive: tuple[bool, ...] | None
     violation: bool
 
-    def report_lines(self) -> list[str]:
-        lines = [
-            f"transitive-on-points: {_yn(self.transitive_on_points)}",
-            f"delta-transitive: {_yn(self.delta_transitive)}",
-        ]
-        for d, flag in enumerate(self.component_transitive):
-            lines.append(f"component {d} transitive: {_yn(flag)}")
-        if self.base_component_transitive is not None:
-            for d, flag in enumerate(self.base_component_transitive):
-                lines.append(f"base-intersection component {d} transitive: {_yn(flag)}")
-        lines.append(f"violation: {_yn(self.violation)}")
-        return lines
-
 
 @dataclass
 class SplitResult:

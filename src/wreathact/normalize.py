@@ -106,13 +106,7 @@ def adjust_transversal(
             p = phi[d]
             if entry[p] == p:
                 continue
-            target = entry.inverse()[p]
-            _, witness = component.orbit_with_transversal(p)
-            if target not in witness:
-                raise RuntimeError(
-                    "internal invariant: transitive component misses a point"
-                )
-            corrected = witness[target] * entry
+            corrected = component.witness(p, entry.inverse()[p]) * entry
             if corrected[p] != p:
                 raise RuntimeError("internal invariant: corrected entry moves point")
             new_entries[d] = corrected

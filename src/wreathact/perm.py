@@ -48,6 +48,9 @@ class Permutation:
         imgs = tuple(images)
         if not imgs:
             raise InvalidPermutationError("degree must be at least 1")
+        for i in imgs:
+            if not isinstance(i, int):
+                raise InvalidPermutationError(f"image {i!r} is not an integer: {list(imgs)}")
         if sorted(imgs) != list(range(len(imgs))):
             raise InvalidPermutationError(
                 f"not a permutation of 0..{len(imgs) - 1}: {list(imgs)}"
@@ -386,6 +389,14 @@ class GenGroup:
         return orbit_with_witnesses(
             point, self.generators, Permutation.__getitem__, Permutation.identity(self.degree)
         )
+
+    def witness(self, start: int, target: int) -> Permutation:
+        """The BFS witness mapping ``start`` to ``target`` (see
+        ``orbit_with_transversal``); ``RuntimeError`` off the orbit."""
+        found = self.orbit_with_transversal(start)[1].get(target)
+        if found is None:
+            raise RuntimeError(f"internal invariant: {target} is not in the orbit of {start}")
+        return found
 
     def orbit(self, point: int) -> list[int]:
         return self.orbit_with_transversal(point)[0]

@@ -101,6 +101,8 @@ class WreathContext:
                 f"point has length {len(point)}, expected {self.delta_size}"
             )
         for entry in point:
+            if not isinstance(entry, int):
+                raise ValueError(f"point entry {entry!r} is not an integer")
             if not 0 <= entry < self.gamma_size:
                 raise ValueError(f"point entry {entry} out of range 0..{self.gamma_size - 1}")
         return point

@@ -2,6 +2,7 @@ import itertools
 import os
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -14,12 +15,15 @@ from wreathact import (
     WreathElement,
     WreathSubgroup,
     canonicalize,
+    conjugate_subgroup,
+    embed_in_wreath,
     format_code,
     hamming_distance,
     is_automorphism,
     parse_code,
 )
 import wreathact.codes as codes_module
+import wreathact.normalize as normalize_module
 from wreathact.perm import StabilizerChain
 from wreathact.cli import load_group
 from helpers import (
@@ -332,6 +336,58 @@ class TestStageOne:
         assert choices == [2, 2, 2, 2]
 
 
+def code_fixture(code_file: str, group_file: str) -> tuple[Code, WreathSubgroup]:
+    with open(os.path.join(DATA, code_file), encoding="ascii") as handle:
+        code = parse_code(handle.read())
+    return code, load_group(os.path.join(DATA, group_file))
+
+
+STAGE_TWO_INSTANCES = {
+    "even-weight": lambda: code_fixture("even_weight.code", "even_weight_aut.group"),
+    "parity-z3": parity_z3_fixture,
+    "repetition-q3-m3": lambda: conjugated_repetition_code(random.Random(5), 3, 3),
+    "repetition-q3-m4": lambda: conjugated_repetition_code(random.Random(6), 3, 4),
+    "repetition-q5-m7": lambda: conjugated_repetition_code(random.Random(7), 5, 7),
+}
+
+
+class TestStageTwo:
+    """Stage 2 is the normal form of X^x1 fixing the constant word, with
+    G its component at 0: what ``embed_in_wreath`` computes, without its
+    certificate, which the final one implies."""
+
+    @pytest.mark.parametrize("name", STAGE_TWO_INSTANCES)
+    def test_equals_the_embedding(self, name):
+        code, X = STAGE_TWO_INSTANCES[name]()
+        result = canonicalize(code, X, 0, 1)
+        embedding = embed_in_wreath(
+            conjugate_subgroup(X, result.x1), 0, code.ctx.constant_point(0)
+        )
+        assert embedding.ok
+        assert result.x2 == embedding.x
+        assert result.component_group.generators == embedding.G.generators
+
+    @pytest.mark.parametrize("name", STAGE_TWO_INSTANCES)
+    def test_one_sift_and_one_chain(self, name, monkeypatch):
+        code, X = STAGE_TWO_INSTANCES[name]()
+        calls: Counter = Counter()
+
+        def counted(key, f):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return f(*args, **kwargs)
+            return wrapper
+
+        for module in (normalize_module, codes_module):
+            for key in ("embed_in_wreath", "sift_embedding"):
+                if hasattr(module, key):
+                    monkeypatch.setattr(module, key, counted(key, getattr(module, key)))
+        monkeypatch.setattr(StabilizerChain, "__init__", counted("chain", StabilizerChain.__init__))
+        result = canonicalize(code, X, 0, 1)
+        assert result.certificate.passed
+        assert calls == {"sift_embedding": 1, "chain": 1}
+
+
 class TestCanonicalizeAtScale:
     def test_conjugated_repetition_code_builds_no_chain_of_degree_m(self, monkeypatch):
         q, m = 5, 60
@@ -382,6 +438,9 @@ class TestCodeValidation:
             ([(0, 1, 2, 0), (1, 1, 1, 1, 1)], (1, 1, 1, 1, 1)),
             ([(0, 1, 2, 0), (1, 3, 1, 1)], (1, 3, 1, 1)),
             ([(0, 1, 2, 0), (1, -1, 1, 1)], (1, -1, 1, 1)),
+            # a float passes the range check; the type check names it
+            ([(0, 1, 2, 0), (0.5, 1, 2, 0)], (0.5, 1, 2, 0)),
+            ([(0, 1, 2, 0), (1.0, 1, 2, 0)], (1.0, 1, 2, 0)),
         ],
     )
     def test_rejects_with_the_check_point_message(self, words, bad):

@@ -62,6 +62,21 @@ class TestPermutation:
         with pytest.raises(InvalidPermutationError):
             Permutation([])
 
+    @pytest.mark.parametrize("images, bad", [
+        ([1.0, 0.0], "1.0"),
+        ([0, 2, 1.0], "1.0"),
+        ([1, "0"], "'0'"),
+        (["b", "a"], "'b'"),
+    ])
+    def test_non_integer_image_rejected_naming_it(self, images, bad):
+        # a float equal to an index passes the bijection check, so the type
+        # is checked first, before a product can index with it
+        with pytest.raises(InvalidPermutationError, match=f"image {bad} is not an integer"):
+            Permutation(images)
+
+    def test_bool_images_accepted(self):
+        assert Permutation([True, False]) == p(1, 0)
+
     @given(permutation_triples())
     def test_products_and_inverses_are_valid(self, triple):
         # the product path skips validation; its results must still pass it
@@ -116,6 +131,23 @@ class TestOrbits:
             orbit, witness = g.orbit_with_transversal(point)
             for beta in orbit:
                 assert witness[beta][point] == beta
+
+    def test_witness_is_the_transversal_entry(self):
+        rng = random.Random(13)
+        groups = [GenGroup(1, ()), GenGroup(1, (p(0),)), GenGroup(4, ())]
+        for _ in range(20):
+            degree = rng.randint(1, 7)
+            gens = (random_permutation(rng, degree) for _ in range(rng.randint(0, 3)))
+            groups.append(GenGroup(degree, gens))
+        for g in groups:
+            for start in range(g.degree):
+                witness = g.orbit_with_transversal(start)[1]
+                for target in range(g.degree):
+                    if target in witness:
+                        assert g.witness(start, target) == witness[target]
+                    else:
+                        with pytest.raises(RuntimeError, match=f"{target} is not in the orbit of {start}"):
+                            g.witness(start, target)
 
     def test_orbits_partition_the_points(self):
         rng = random.Random(11)

@@ -221,6 +221,13 @@ class TestConstantPoint:
             WreathContext(2, 2).constant_point(2)
 
 
+class TestCheckPoint:
+    @pytest.mark.parametrize("point, bad", [((0.5, 1), "0.5"), ((0, 1.0), "1.0"), (("0", 1), "'0'")])
+    def test_non_integer_entry_rejected_naming_it(self, point, bad):
+        with pytest.raises(ValueError, match=f"point entry {bad} is not an integer"):
+            WreathContext(2, 2).check_point(point)
+
+
 class TestStabilizerOracle:
     def test_known_counts(self):
         assert stabilizer_order_oracle(WreathContext(3, 2), (0, 0)) == 8
