@@ -23,8 +23,9 @@ from .perm import GenGroup, Permutation, TWO_TRANSITIVE
 from .components import WreathSubgroup
 from .normalize import (
     EmbedCertificate,
+    adjust_transversal,
+    build_transversal,
     conjugate_subgroup,
-    normalizing_element,
     sift_embedding,
 )
 from .wreath import Point, WreathContext, WreathElement, format_point, parse_point, parse_with_header
@@ -214,10 +215,11 @@ def canonicalize(
        So the entry at delta is ``t^-1 * w * t``, w the BFS witness in C0
        from ``t^-1[a[delta]]`` to ``t^-1[gamma]``, and only the component
        at 0 is built;
-    2. the normal form of X1 = X^x1 fixing the constant word: ``x2`` makes
-       every component equal G, the one at 0, so X1^x2 <= G wr H. The final
-       certificate implies this, as X1^x2 = (X^x)^((x3*x4)^-1) with x4 in
-       G^m and x3 only permuting coordinates;
+    2. the normal form of X1 = X^x1 fixing the constant word: ``x2``, the
+       ``Transversal.x`` of X1 at representative 0 adjusted to fix it, makes
+       every component equal G, the one at 0, so X1^x2 <= G wr H. X1^x2 is
+       not built: the final certificate implies this, as X1^x2 =
+       (X^x)^((x3*x4)^-1) with x4 in G^m and x3 only permuting coordinates;
     3. a coordinate permutation ``x3`` moving the d mismatched positions of
        the second codeword to the front, preserving relative order;
     4. a base element ``x4`` with entries in the stabilizer of gamma inside
@@ -271,7 +273,7 @@ def canonicalize(
 
     # stage 2: the normal form fixing the constant word
     X1 = conjugate_subgroup(X, x1)
-    x2 = normalizing_element(X1, constant, preferred_reps=(0,)).x
+    x2 = adjust_transversal(X1, build_transversal(X1, (0,)), constant).x
     G = X1.component(0)
 
     # stage 3: move the mismatched coordinates to the front
@@ -280,15 +282,8 @@ def canonicalize(
     mismatched = [delta for delta in range(m) if b2[delta] != gamma]
     if len(mismatched) != d:
         raise RuntimeError("internal invariant: distance not preserved")
-    rest = [delta for delta in range(m) if delta not in set(mismatched)]
-    top_images = [0] * m
-    for i, delta in enumerate(mismatched):
-        top_images[delta] = i
-    for i, delta in enumerate(rest):
-        top_images[delta] = d + i
-    x3 = WreathElement(
-        (Permutation.identity(q),) * m, Permutation(top_images)
-    )
+    rest = [delta for delta in range(m) if b2[delta] == gamma]
+    x3 = WreathElement((Permutation.identity(q),) * m, Permutation(mismatched + rest).inverse())
 
     # stage 4: send the first d entries to nu, inside the stabilizer of gamma
     b3 = x3.apply(b2)

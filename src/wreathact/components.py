@@ -346,7 +346,6 @@ class WreathSubgroup:
                 )
 
         return SplitResult(
-            parent=self,
             delta0=tuple(part0),
             delta1=tuple(part1),
             first=x0,
@@ -396,7 +395,6 @@ class SplitResult:
     on generator data with no cap: bijection by the partition of the
     coordinates, equivariance on the probe words (see ``split``)."""
 
-    parent: WreathSubgroup
     delta0: tuple[int, ...]
     delta1: tuple[int, ...]
     first: WreathSubgroup

@@ -46,6 +46,12 @@ class Transversal:
     entries: dict[int, Permutation]
     rep_of: dict[int, int]
 
+    @property
+    def x(self) -> WreathElement:
+        """The normal-form element: entry ``entries[d].inverse()`` at each d, identity top."""
+        m = len(self.entries)
+        return WreathElement([self.entries[d].inverse() for d in range(m)], Permutation.identity(m))
+
 
 def build_transversal(
     X: WreathSubgroup, preferred_reps: tuple[int, ...] = ()
@@ -134,7 +140,6 @@ class NormalizationResult:
     transversal: Transversal
     component_flags: dict[int, bool]
     common_components: dict[int, GenGroup]
-    fixed_point: Point | None
     fixes_point: bool | None
 
     @property
@@ -158,24 +163,22 @@ def normalizing_element(
 ) -> NormalizationResult:
     """Base element x making the components of X^x constant on each orbit.
 
-    The entry of x at coordinate d is the inverse of the transversal entry
-    for d. When ``phi`` is given, every component must be transitive and
-    the returned x fixes ``phi``. The certificate needs no enumeration cap
-    and no chain per coordinate: with R the component of X at the
-    representative r and u' the conjugate's ``entry_transversal(r)``, the
-    component of X^x at d is the one at r conjugated by u'[d]. x's entry
-    at r is the identity, so the conjugate's component generators at r
-    equal R's and ``same_group`` takes its fast path; u'[d] is the
-    identity, or with ``phi`` the inverse of a correcting element of R,
-    sifted into R's chain. A u'[d] outside R, which the construction never
-    makes, falls back to ``same_group`` at d.
+    x is ``Transversal.x`` of ``build_transversal(X, preferred_reps)``,
+    passed through ``adjust_transversal`` when ``phi`` is given: then every
+    component must be transitive and x fixes ``phi``. The certificate needs
+    no enumeration cap and no chain per coordinate: with R the component of
+    X at the representative r and u' the conjugate's
+    ``entry_transversal(r)``, the component of X^x at d is the one at r
+    conjugated by u'[d]. x's entry at r is the identity, so the conjugate's
+    component generators at r equal R's and ``same_group`` takes its fast
+    path; u'[d] is the identity, or with ``phi`` the inverse of a correcting
+    element of R, sifted into R's chain. A u'[d] outside R, which the
+    construction never makes, falls back to ``same_group`` at d.
     """
     transversal = build_transversal(X, preferred_reps)
     if phi is not None:
         transversal = adjust_transversal(X, transversal, phi)
-    m = X.ctx.delta_size
-    base = [transversal.entries[d].inverse() for d in range(m)]
-    x = WreathElement(base, Permutation.identity(m))
+    x = transversal.x
     conjugated = conjugate_subgroup(X, x)
 
     component_flags: dict[int, bool] = {}
@@ -196,7 +199,6 @@ def normalizing_element(
         transversal=transversal,
         component_flags=component_flags,
         common_components=common_components,
-        fixed_point=phi,
         fixes_point=fixes_point,
     )
 

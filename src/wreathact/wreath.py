@@ -17,9 +17,10 @@ scale.
 from __future__ import annotations
 
 import itertools
-import math
+import operator
 import random
 import re
+import sys
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import DegreeMismatchError, EnumerationOverflow, ParseError
@@ -37,6 +38,8 @@ class WreathContext:
     def __init__(self, gamma_size: int, delta_size: int):
         if gamma_size < 1 or delta_size < 1:
             raise ValueError("gamma_size and delta_size must be at least 1")
+        if gamma_size > sys.maxsize or delta_size > sys.maxsize:
+            raise ValueError(f"gamma_size and delta_size must be at most {sys.maxsize}")
         self.gamma_size = gamma_size
         self.delta_size = delta_size
 
@@ -57,11 +60,6 @@ class WreathContext:
         """|Pi| = q^m."""
         return self.gamma_size**self.delta_size
 
-    def wreath_order(self) -> int:
-        """Order of the full wreath product, (q!)^m * m!."""
-        q, m = self.gamma_size, self.delta_size
-        return math.factorial(q) ** m * math.factorial(m)
-
     def identity_element(self) -> "WreathElement":
         base = (Permutation.identity(self.gamma_size),) * self.delta_size
         return WreathElement(base, Permutation.identity(self.delta_size))
@@ -77,14 +75,19 @@ class WreathContext:
         return itertools.product(range(self.gamma_size), repeat=self.delta_size)
 
     def all_elements(self, cap: int = DEFAULT_CAP) -> Iterator["WreathElement"]:
-        """Every element of the full wreath product, or a loud overflow."""
-        if self.wreath_order() > cap:
+        """Every element of the full wreath product, or a loud overflow as
+        soon as its order (q!)^m * m!, built up factor by factor, passes the cap."""
+        q, m = self.gamma_size, self.delta_size
+        # m! first: once it is within the cap, m is small enough to walk the m copies of q!
+        copies = itertools.chain.from_iterable(itertools.repeat(range(2, q + 1), m))
+        factors = itertools.chain(range(1, m + 1), copies)
+        if any(order > cap for order in itertools.accumulate(factors, operator.mul)):
             raise EnumerationOverflow(
-                f"full wreath product has order {self.wreath_order()}, cap is {cap}"
+                f"full wreath product at q={q}, m={m} has order over the cap, cap is {cap}"
             )
-        gamma_perms = [Permutation(p) for p in itertools.permutations(range(self.gamma_size))]
-        delta_perms = [Permutation(p) for p in itertools.permutations(range(self.delta_size))]
-        for base in itertools.product(gamma_perms, repeat=self.delta_size):
+        gamma_perms = [Permutation(p) for p in itertools.permutations(range(q))]
+        delta_perms = [Permutation(p) for p in itertools.permutations(range(m))]
+        for base in itertools.product(gamma_perms, repeat=m):
             for top in delta_perms:
                 yield WreathElement(base, top)
 

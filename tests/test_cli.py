@@ -1,12 +1,13 @@
 import io
 import os
 import random
+import re
 import subprocess
 import sys
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import wreathact
 from wreathact import (
@@ -225,6 +226,42 @@ class TestVerifyCommand:
             assert text == f"error: {message}\n"
 
 
+class TestUnrepresentableSizes:
+    @pytest.mark.parametrize("q", ["2000", "1000000000000000000"])
+    def test_over_cap_alphabet_refused_without_the_order(self, q, monkeypatch):
+        # (q!)^m * m! is multiplied up only until it passes the cap: at the
+        # first size a printed order would exceed Python's int-to-string
+        # limit, at the second computing it would not finish
+        monkeypatch.delenv("WREATHACT_CAP", raising=False)
+        start = time.perf_counter()
+        status, text = run("verify", "--q", q, "--m", "1")
+        elapsed = time.perf_counter() - start
+        assert status == 2
+        assert text.startswith("error: verify: stabilizer count:")
+        assert "cap is 1000000" in text
+        assert set(re.findall(r"\d+", text)) <= {q, "1", "1000000"}
+        assert elapsed < 1.0
+
+    def test_verify_rejects_a_size_no_sequence_can_have(self):
+        status, text = run("verify", "--q", str(sys.maxsize + 1), "--m", "1")
+        assert status == 2
+        assert text == f"error: gamma_size and delta_size must be at most {sys.maxsize}\n"
+
+    @pytest.mark.parametrize("command, header", [
+        (["components"], "99999999999999999992 2"),
+        (["normalize"], "99999999999999999992 2"),
+        (["split", "--delta0", "0"], "99999999999999999992 2"),
+        (["embed"], "99999999999999999991 1"),
+        (["components"], f"2 {sys.maxsize + 1}"),
+    ])
+    def test_group_header_beyond_the_bound_is_a_line_error(self, command, header, tmp_path):
+        path = tmp_path / "huge.group"
+        path.write_text(header + "\n", encoding="ascii")
+        status, text = run(command[0], str(path), *command[1:])
+        assert status == 2
+        assert text == f"error: line 1: gamma_size and delta_size must be at most {sys.maxsize}\n"
+
+
 class TestVerifyActionCount:
     def test_counts_points_whose_images_differ(self, monkeypatch):
         # with a product that is just its first factor, the action check
@@ -404,3 +441,37 @@ def test_code_canon_exit_codes_on_arbitrary_code_files(tmp_path_factory, text):
     )
     assert status in (0, 1, 2)
     assert "internal error:" not in report
+
+
+# group-file text: a header from a fixed list, then generator lines of
+# Sym(2) wr Sym(2) and at most one stray line. Headers are not free text:
+# one with a large m and no generators, such as "2 4000", costs O(m^2) in
+# the coordinate orbit search, which is not what this test is about
+PERM2 = st.permutations(["0", "1"]).map(lambda images: f"[{','.join(images)}]")
+GENERATOR_LINE = st.builds(
+    lambda base, top: f"base=[{';'.join(base)}] top={top}",
+    st.lists(PERM2, min_size=2, max_size=2),
+    PERM2,
+)
+GROUP_TEXT = st.builds(
+    lambda header, lines, stray, at: "\n".join([header, *lines[:at], *stray, *lines[at:]]) + "\n",
+    st.sampled_from([
+        "2 2", "2 2", "2 2", "2 3", "3 2", "1 1", "0 2", "2 x", "2", "",
+        "99999999999999999992 2",
+    ]),
+    st.lists(GENERATOR_LINE, max_size=4),
+    st.lists(st.text(alphabet="base=[];top01,2 #x-", max_size=24), max_size=1),
+    st.integers(0, 4),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=GROUP_TEXT)
+@example(text="99999999999999999992 2\n")
+def test_group_commands_exit_codes_on_arbitrary_group_files(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.group"
+    path.write_text(text, encoding="ascii")
+    for command in (["components"], ["normalize"], ["split", "--delta0", "0"]):
+        status, report = run(command[0], str(path), *command[1:])
+        assert status in (0, 1, 2)
+        assert "internal error:" not in report

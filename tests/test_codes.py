@@ -387,6 +387,26 @@ class TestStageTwo:
         assert result.certificate.passed
         assert calls == {"sift_embedding": 1, "chain": 1}
 
+    @pytest.mark.parametrize("name", ["even-weight", "parity-z3", "repetition-q5-m7"])
+    def test_two_conjugates_and_no_normalization_certificate(self, name, monkeypatch):
+        # X^x1 and X^x are built; X1^x2 and its component certificate are not
+        code, X = STAGE_TWO_INSTANCES[name]()
+        calls: Counter = Counter()
+
+        def counted(key, f):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return f(*args, **kwargs)
+            return wrapper
+
+        for module in (normalize_module, codes_module):
+            for key in ("conjugate_subgroup", "normalizing_element"):
+                if hasattr(module, key):
+                    monkeypatch.setattr(module, key, counted(key, getattr(module, key)))
+        result = canonicalize(code, X, 0, 1)
+        assert result.certificate.passed
+        assert calls == {"conjugate_subgroup": 2}
+
 
 class TestCanonicalizeAtScale:
     def test_conjugated_repetition_code_builds_no_chain_of_degree_m(self, monkeypatch):

@@ -250,6 +250,41 @@ class TestNormalizingElement:
                 )
 
 
+TRANSVERSAL_INSTANCES = {
+    "diagonal": lambda rng: diagonal_instance(rng, 3, 4, transitive_component=True)[1],
+    "block-intransitive": lambda rng: block_intransitive_subgroup(rng, 3, 4),
+    "conjugated-full": lambda rng: conjugated_full_wreath_product(rng, 3, 3),
+}
+
+
+class TestTransversalX:
+    """``Transversal.x`` is the one definition of the normal-form element."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name", TRANSVERSAL_INSTANCES)
+    def test_inverse_entries_and_identity_top(self, name, seed):
+        X = TRANSVERSAL_INSTANCES[name](random.Random(seed))
+        t = build_transversal(X)
+        m = X.ctx.delta_size
+        assert t.x.top == Permutation.identity(m)
+        assert t.x.base == tuple(t.entries[d].inverse() for d in range(m))
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name", TRANSVERSAL_INSTANCES)
+    def test_is_the_normalizing_element(self, name, seed):
+        rng = random.Random(seed)
+        X = TRANSVERSAL_INSTANCES[name](rng)
+        q, m = X.ctx.gamma_size, X.ctx.delta_size
+        phi = tuple(rng.randrange(q) for _ in range(m))
+        for reps in ((), (X.delta_orbits[0][-1],)):
+            t = build_transversal(X, reps)
+            assert normalizing_element(X, None, reps).x == t.x
+            # every component of these instances is transitive
+            adjusted = adjust_transversal(X, t, phi)
+            assert normalizing_element(X, phi, reps).x == adjusted.x
+            assert adjusted.x.apply(phi) == phi
+
+
 def raw_components(X: WreathSubgroup) -> list[set[tuple[int, ...]]]:
     """Every component of X by raw-tuple closure, sharing no library path."""
     q, m = X.ctx.gamma_size, X.ctx.delta_size

@@ -1,6 +1,7 @@
 import io
 import math
 import random
+import sys
 
 import pytest
 
@@ -247,6 +248,28 @@ class TestStabilizerOracle:
     def test_overflow_is_loud(self):
         with pytest.raises(EnumerationOverflow):
             stabilizer_order_oracle(WreathContext(3, 2), (0, 0), cap=10)
+
+    @pytest.mark.parametrize("q, m", [(1, 1), (1, 4), (2, 1), (2, 3), (3, 2), (4, 1)])
+    def test_cap_refuses_exactly_above_the_order(self, q, m):
+        ctx = WreathContext(q, m)
+        order = math.factorial(q) ** m * math.factorial(m)
+        assert sum(1 for _ in ctx.all_elements(cap=order)) == order
+        with pytest.raises(EnumerationOverflow) as info:
+            next(ctx.all_elements(cap=order - 1))
+        assert str(info.value) == (
+            f"full wreath product at q={q}, m={m} has order over the cap, cap is {order - 1}"
+        )
+
+
+class TestContextBounds:
+    @pytest.mark.parametrize("q, m", [(sys.maxsize + 1, 1), (1, sys.maxsize + 1)])
+    def test_sizes_above_the_longest_sequence_are_rejected(self, q, m):
+        with pytest.raises(ValueError, match=f"must be at most {sys.maxsize}$"):
+            WreathContext(q, m)
+
+    def test_largest_sizes_are_accepted(self):
+        ctx = WreathContext(sys.maxsize, sys.maxsize)
+        assert (ctx.gamma_size, ctx.delta_size) == (sys.maxsize, sys.maxsize)
 
 
 class TestSerialization:
