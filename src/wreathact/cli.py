@@ -69,7 +69,7 @@ def default_cap() -> int:
 
 def _read_generator(line: str, ctx: WreathContext) -> WreathElement:
     element = WreathElement.parse(line)
-    if element.ctx != ctx:
+    if element.base[0].degree != ctx.gamma_size or element.top.degree != ctx.delta_size:
         raise ParseError(f"element context {element.ctx!r} does not match header {ctx!r}")
     return element
 
@@ -245,9 +245,11 @@ def cmd_verify(args, out) -> int:
             raise ParseError(f"{flag} must be non-negative, got {count}")
     ctx = WreathContext(args.q, args.m)
     # the stabilizer count runs over the whole wreath product: count first,
-    # so that an over-cap context is refused before Pi is listed
-    constant = ctx.constant_point(0)
+    # so that an over-cap context is refused before Pi is listed, and refuse
+    # on q and m alone before the constant point of length m is built
     try:
+        ctx.check_cap(args.cap)
+        constant = ctx.constant_point(0)
         count = stabilizer_order_oracle(ctx, constant, cap=args.cap)
     except EnumerationOverflow as exc:
         raise EnumerationOverflow(f"verify: stabilizer count: {exc}") from None

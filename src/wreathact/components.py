@@ -33,7 +33,7 @@ from .perm import (
     same_group,
     schreier_generators,
 )
-from .wreath import Point, WreathContext, WreathElement
+from .wreath import Point, WreathContext, WreathElement, _from_parts
 
 
 class WreathSubgroup:
@@ -49,8 +49,9 @@ class WreathSubgroup:
 
     def __init__(self, ctx: WreathContext, generators: Iterable[WreathElement]):
         gens = tuple(generators)
+        q, m = ctx.gamma_size, ctx.delta_size
         for g in gens:
-            if g.ctx != ctx:
+            if g.base[0].degree != q or g.top.degree != m:
                 raise DegreeMismatchError(
                     f"generator context {g.ctx!r} != subgroup context {ctx!r}"
                 )
@@ -60,7 +61,7 @@ class WreathSubgroup:
             ctx.delta_size, tuple(g.top for g in gens)
         )
         self.delta_orbits: tuple[tuple[int, ...], ...] = tuple(
-            tuple(orbit) for orbit in self.induced_group.orbits()
+            map(tuple, self.induced_group.orbits())
         )
         self._components: dict[int, tuple[GenGroup, Mapping[int, Permutation]]] = {}
         self._chain: StabilizerChain | None = None
@@ -275,9 +276,11 @@ class WreathSubgroup:
         so the element map is injective once every generator reassembles
         from its two restrictions, and equivariant once every generator is
         on the (q-1)*m + 1 probe words, which determine an element of the
-        wreath product; every component is preserved (``same_group``). The
-        probe words are applied as columns (``apply_columns``), so their
-        restriction to a part is a selection of columns.
+        wreath product; every component is preserved (``same_group`` at
+        each orbit's representative, carried along the orbit by the entry
+        transversals). The probe words are applied as columns
+        (``apply_columns``), so their restriction to a part is a selection
+        of columns.
         """
         part0 = sorted(set(delta0))
         m = self.ctx.delta_size
@@ -295,12 +298,13 @@ class WreathSubgroup:
         part1 = [d for d in range(m) if d not in chosen]
         halves = []
         for part in (part0, part1):
+            # the part is invariant, so each renumbered top permutes it
             position = {d: i for i, d in enumerate(part)}
             sub_ctx = WreathContext(self.ctx.gamma_size, len(part))
             restricted = tuple(
-                WreathElement(
-                    tuple(g.base[d] for d in part),
-                    Permutation(position[g.top[d]] for d in part),
+                _from_parts(
+                    tuple(map(g.base.__getitem__, part)),
+                    _from_images(tuple(position[g.top.images[d]] for d in part)),
                 )
                 for g in self.generators
             )
@@ -337,13 +341,22 @@ class WreathSubgroup:
             for g, g0, g1 in zip(self.generators, gens0, gens1)
         )
 
-        # (c) components are preserved coordinate by coordinate
+        # (c) components are preserved coordinate by coordinate, decided
+        # once per orbit: with r the orbit's representative and u, u' the
+        # entry transversals at r and pos[r], the components at d and pos[d]
+        # are those at r and pos[r] conjugated by u[d] and u'[pos[d]], so
+        # equal components at r and u[d] == u'[pos[d]] make them equal;
+        # any other coordinate is compared on its own
         component_preserved: dict[int, bool] = {}
-        for part, pos, half in ((part0, pos0, x0), (part1, pos1, x1)):
-            for d in part:
-                component_preserved[d] = same_group(
-                    self.component(d), half.component(pos[d])
-                )
+        for orbit in self.delta_orbits:
+            r = orbit[0]
+            pos, half = (pos0, x0) if r in pos0 else (pos1, x1)
+            rep_equal = same_group(self.component(r), half.component(pos[r]))
+            u, u_half = self.entry_transversal(r), half.entry_transversal(pos[r])
+            for d in orbit:
+                component_preserved[d] = (
+                    rep_equal and u[d] == u_half.get(pos[d])
+                ) or same_group(self.component(d), half.component(pos[d]))
 
         return SplitResult(
             delta0=tuple(part0),

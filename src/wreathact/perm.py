@@ -104,7 +104,7 @@ class Permutation:
 
     def __str__(self) -> str:
         """Serialize as a bracketed image list, e.g. ``[1,0,2]``."""
-        return "[" + ",".join(str(i) for i in self.images) + "]"
+        return "[" + ",".join(map(str, self.images)) + "]"
 
     @classmethod
     def parse(cls, text: str) -> "Permutation":
@@ -116,17 +116,23 @@ class Permutation:
         if not inner:
             raise ParseError("empty image list")
         try:
-            images = [int(part) for part in inner.split(",")]
+            images = tuple(map(int, inner.split(",")))
         except ValueError:
             raise ParseError(f"non-integer entry in image list {text!r}") from None
+        # text yields ints only, so one sorted check is all of __init__'s;
+        # a list that fails it goes through __init__ for its error
+        if sorted(images) == list(range(len(images))):
+            return _from_images(images)
         return cls(images)
 
 
 def _from_images(images: tuple[int, ...]) -> Permutation:
     """A ``Permutation`` on an image tuple known to be valid, unchecked.
 
-    Only for images built here from valid permutations (products and
-    inverses); user-supplied lists always go through ``Permutation(...)``.
+    Only for images built from valid permutations (products, inverses,
+    restrictions to an invariant part) or that passed ``Permutation``'s
+    check (``Permutation.parse``, after its sorted check); other lists go
+    through ``Permutation(...)``.
     """
     p = object.__new__(Permutation)
     p.images = images
@@ -354,12 +360,12 @@ class GenGroup:
 
     Membership and order come from a stabilizer chain built on first use;
     ``enumerate_elements`` is the brute-force closure backing the oracle
-    tests, refused by the chain order when over its cap. Both caches are
-    built lazily, so construct a group on one thread before sharing it;
-    afterwards all reads are pure.
+    tests, refused by the chain order when over its cap; ``witness`` keeps
+    one BFS per start point. The caches are built lazily, so construct a
+    group on one thread before sharing it; afterwards all reads are pure.
     """
 
-    __slots__ = ("degree", "generators", "_chain", "_closure")
+    __slots__ = ("degree", "generators", "_chain", "_closure", "_witnesses")
 
     def __init__(self, degree: int, generators: Iterable[Permutation] = ()):
         if degree < 1:
@@ -374,6 +380,7 @@ class GenGroup:
         self.generators = gens
         self._chain: StabilizerChain | None = None
         self._closure: frozenset[Permutation] | None = None
+        self._witnesses: dict[int, dict[int, Permutation]] | None = None
 
     def __repr__(self) -> str:
         return f"GenGroup(degree={self.degree}, generators={len(self.generators)})"
@@ -392,14 +399,33 @@ class GenGroup:
 
     def witness(self, start: int, target: int) -> Permutation:
         """The BFS witness mapping ``start`` to ``target`` (see
-        ``orbit_with_transversal``); ``RuntimeError`` off the orbit."""
-        found = self.orbit_with_transversal(start)[1].get(target)
+        ``orbit_with_transversal``); ``RuntimeError`` off the orbit. The
+        BFS from each start point runs once and is kept."""
+        if self._witnesses is None:
+            self._witnesses = {}
+        witnesses = self._witnesses.get(start)
+        if witnesses is None:
+            witnesses = self._witnesses[start] = self.orbit_with_transversal(start)[1]
+        found = witnesses.get(target)
         if found is None:
             raise RuntimeError(f"internal invariant: {target} is not in the orbit of {start}")
         return found
 
     def orbit(self, point: int) -> list[int]:
-        return self.orbit_with_transversal(point)[0]
+        """The orbit of ``point`` in the BFS order of
+        ``orbit_with_transversal``, found on the image tuples alone."""
+        if not 0 <= point < self.degree:
+            raise ValueError(f"point {point} out of range for degree {self.degree}")
+        images = [g.images for g in self.generators]
+        orbit = [point]
+        seen = {point}
+        for beta in orbit:
+            for s in images:
+                gamma = s[beta]
+                if gamma not in seen:
+                    seen.add(gamma)
+                    orbit.append(gamma)
+        return orbit
 
     def orbits(self) -> list[list[int]]:
         """The orbit partition of {0..degree-1}, each orbit sorted, ordered by minimum."""

@@ -74,9 +74,10 @@ class WreathContext:
         """All of Pi in lexicographic order."""
         return itertools.product(range(self.gamma_size), repeat=self.delta_size)
 
-    def all_elements(self, cap: int = DEFAULT_CAP) -> Iterator["WreathElement"]:
-        """Every element of the full wreath product, or a loud overflow as
-        soon as its order (q!)^m * m!, built up factor by factor, passes the cap."""
+    def check_cap(self, cap: int = DEFAULT_CAP) -> None:
+        """Raise ``EnumerationOverflow`` as soon as the order (q!)^m * m! of
+        the full wreath product, built up factor by factor, passes the cap.
+        Takes O(log cap) steps however large q and m are."""
         q, m = self.gamma_size, self.delta_size
         # m! first: once it is within the cap, m is small enough to walk the m copies of q!
         copies = itertools.chain.from_iterable(itertools.repeat(range(2, q + 1), m))
@@ -85,6 +86,12 @@ class WreathContext:
             raise EnumerationOverflow(
                 f"full wreath product at q={q}, m={m} has order over the cap, cap is {cap}"
             )
+
+    def all_elements(self, cap: int = DEFAULT_CAP) -> Iterator["WreathElement"]:
+        """Every element of the full wreath product, or a loud overflow
+        (``check_cap``) when its order is over the cap."""
+        self.check_cap(cap)
+        q, m = self.gamma_size, self.delta_size
         gamma_perms = [Permutation(p) for p in itertools.permutations(range(q))]
         delta_perms = [Permutation(p) for p in itertools.permutations(range(m))]
         for base in itertools.product(gamma_perms, repeat=m):
@@ -206,7 +213,7 @@ class WreathElement:
 
     def __str__(self) -> str:
         """Serialize as ``base=[p0;p1;...] top=p`` with bracketed image lists."""
-        base = ";".join(str(p) for p in self.base)
+        base = ";".join(map(str, self.base))
         return f"base=[{base}] top={self.top}"
 
     _PARSE_RE = re.compile(r"base=\[(.*)\]\s+top=(\[[^\[\]]*\])\s*$")
@@ -217,15 +224,21 @@ class WreathElement:
         if match is None:
             raise ParseError(f"expected 'base=[...;...] top=[...]', got {text!r}")
         base_blob, top_text = match.groups()
-        base = [Permutation.parse(part) for part in base_blob.split(";")]
+        base = tuple(map(Permutation.parse, base_blob.split(";")))
         top = Permutation.parse(top_text)
+        # parts whose degrees disagree go through __init__ for its error
+        q = len(base[0].images)
+        if len(top.images) == len(base) and all(len(p.images) == q for p in base):
+            return _from_parts(base, top)
         return cls(base, top)
 
 
 def _from_parts(base: tuple[Permutation, ...], top: Permutation) -> WreathElement:
     """A ``WreathElement`` on parts known to agree in degrees, unchecked.
 
-    Only for products and inverses of elements that passed the checks.
+    Only for products, inverses and restrictions of elements that passed
+    the checks, or for parts whose degrees were just compared
+    (``WreathElement.parse``).
     """
     w = object.__new__(WreathElement)
     w.base = base

@@ -254,6 +254,43 @@ def reference_parse_code(text: str) -> Code:
     return Code(ctx, words)
 
 
+def reference_parse_permutation(text: str) -> Permutation:
+    """The checked parse of one ``[1,0,2]`` image list: every list goes
+    through ``Permutation(...)``, valid or not."""
+    t = text.strip()
+    if not (t.startswith("[") and t.endswith("]")):
+        raise ParseError(f"expected a bracketed image list, got {text!r}")
+    inner = t[1:-1].strip()
+    if not inner:
+        raise ParseError("empty image list")
+    try:
+        images = [int(part) for part in inner.split(",")]
+    except ValueError:
+        raise ParseError(f"non-integer entry in image list {text!r}") from None
+    return Permutation(images)
+
+
+def reference_parse_group_text(text: str) -> WreathSubgroup:
+    """The checked group-file parse: every image list goes through
+    ``Permutation(...)``, every element through ``WreathElement(...)`` and
+    is compared with the header as a context, so the first bad line raises."""
+
+    def read_line(line: str, ctx: WreathContext) -> WreathElement:
+        match = WreathElement._PARSE_RE.match(line.strip())
+        if match is None:
+            raise ParseError(f"expected 'base=[...;...] top=[...]', got {line!r}")
+        base_blob, top_text = match.groups()
+        element = WreathElement(
+            [reference_parse_permutation(part) for part in base_blob.split(";")],
+            reference_parse_permutation(top_text),
+        )
+        if element.ctx != ctx:
+            raise ParseError(f"element context {element.ctx!r} does not match header {ctx!r}")
+        return element
+
+    return WreathSubgroup(*parse_with_header(text, read_line))
+
+
 def record_component_builds(monkeypatch) -> list[tuple[WreathSubgroup, int]]:
     """Patch ``WreathSubgroup._component_data`` to log (subgroup,
     coordinate) for every build; cached reads are not logged."""

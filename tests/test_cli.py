@@ -20,6 +20,7 @@ from wreathact import (
 )
 from wreathact import cli
 from wreathact.cli import main, parse_group_text
+from helpers import reference_parse_group_text
 from test_acceptance import GOLDEN, GOLDEN_COMMANDS
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -242,6 +243,21 @@ class TestUnrepresentableSizes:
         assert set(re.findall(r"\d+", text)) <= {q, "1", "1000000"}
         assert elapsed < 1.0
 
+    @pytest.mark.parametrize("q, m", [("1", "9223372036854775807"), ("2", "10000000")])
+    def test_verify_refuses_on_q_and_m_before_building_a_point(self, q, m, monkeypatch):
+        # the constant point has length m: at the first size it cannot be
+        # allocated, at the second building it costs more than the refusal
+        monkeypatch.delenv("WREATHACT_CAP", raising=False)
+        start = time.perf_counter()
+        status, text = run("verify", "--q", q, "--m", m)
+        elapsed = time.perf_counter() - start
+        assert status == 2
+        assert text == (
+            f"error: verify: stabilizer count: full wreath product at q={q}, m={m}"
+            " has order over the cap, cap is 1000000\n"
+        )
+        assert elapsed < 0.2
+
     def test_verify_rejects_a_size_no_sequence_can_have(self):
         status, text = run("verify", "--q", str(sys.maxsize + 1), "--m", "1")
         assert status == 2
@@ -384,6 +400,99 @@ class TestParsing:
         assert status == 2
 
 
+class TestParseGroupParity:
+    """``WreathElement.parse`` checks each image tuple once and builds the
+    element unchecked, calling the constructors' checks only on a list or
+    degree that fails. ``parse_group_text`` must give the generators of the
+    checked reference parse, or the same error."""
+
+    @staticmethod
+    def outcome(parse, text):
+        try:
+            X = parse(text)
+        except ValueError as exc:
+            return type(exc), str(exc)
+        return X.ctx, X.generators
+
+    def assert_parity(self, text):
+        expected = self.outcome(reference_parse_group_text, text)
+        assert self.outcome(parse_group_text, text) == expected
+        return expected
+
+    @pytest.mark.parametrize("name", sorted(
+        name for name in os.listdir(DATA) if name.endswith((".group", ".code"))
+    ))
+    def test_fixtures(self, name):
+        with open(fixture(name), encoding="ascii") as handle:
+            expected = self.assert_parity(handle.read())
+        parsed = isinstance(expected[0], WreathContext)
+        assert parsed == (name.endswith(".group") and name != "malformed.group")
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_benchmark_style_files(self, seed):
+        rng = random.Random(seed)
+        q, m = rng.randint(1, 7), rng.randint(1, 7)
+        ctx = WreathContext(q, m)
+        lines = [f"{q} {m}"]
+        for _ in range(rng.randint(0, 8)):
+            if rng.random() < 0.15:
+                lines.append(rng.choice(["", "  ", "# comment", "  # indented comment"]))
+            lines.append(str(ctx.random_element(rng)))
+        assert self.assert_parity("\n".join(lines) + rng.choice(["", "\n"]))[0] == ctx
+
+    # spacing that the plain serialization never writes
+    SPACED_LINES = [
+        "base=[[0,1] ; [1,0]] top=[1,0]",
+        "base=[[0,1];\t[1,0]] top=[1,0]",
+        "base=[ [0,1];[1,0] ] top=[1,0]",
+        "base=[[0,1];[1,0] ] top=[1,0]",
+        "base=[[ 0 , 1 ];[1,0]] top=[ 1,0 ]",
+    ]
+
+    @pytest.mark.parametrize("line", SPACED_LINES)
+    def test_spaced_lines_parse_as_before(self, line):
+        good = "base=[[1,0];[0,1]] top=[0,1]"
+        ctx, generators = self.assert_parity(f"2 2\n{good}\n{line}\n{good}\n")
+        assert generators[1] == WreathElement.parse("base=[[0,1];[1,0]] top=[1,0]")
+
+    BAD_LINES = {
+        "short-entry": "base=[[1,0,2];[0,1];[2,0,1]] top=[1,2,0]",
+        "non-permutation": "base=[[1,0,2];[0,0,1];[2,0,1]] top=[1,2,0]",
+        "wrong-top-degree": "base=[[1,0,2];[0,2,1];[2,0,1]] top=[1,0]",
+        "wrong-base-count": "base=[[1,0,2];[0,2,1]] top=[1,2,0]",
+        "trailing-comment": "base=[[1,0,2];[0,2,1];[2,0,1]] top=[1,2,0] # note",
+        "non-integer": "base=[[1,0,2];[0,x,1];[2,0,1]] top=[1,2,0]",
+        "empty-entry": "base=[[1,0,2];[];[2,0,1]] top=[1,2,0]",
+        "unbracketed-entry": "base=[[1,0,2];0,2,1;[2,0,1]] top=[1,2,0]",
+        "non-permutation-top": "base=[[1,0,2];[0,2,1];[2,0,1]] top=[1,1,0]",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BAD_LINES))
+    def test_bad_line_after_300_good_lines(self, kind):
+        rng = random.Random(kind)
+        ctx = WreathContext(3, 3)
+        good = [str(ctx.random_element(rng)) for _ in range(300)]
+        text = "\n".join(["3 3", *good, self.BAD_LINES[kind], *good[:20]]) + "\n"
+        expected = self.assert_parity(text)
+        assert expected[0] is ParseError and expected[1].startswith("line 302: ")
+
+    def test_header_without_generators_is_linear_in_m(self, tmp_path):
+        start = time.perf_counter()
+        X = parse_group_text("2 200000\n")
+        elapsed = time.perf_counter() - start
+        assert X.delta_orbits == tuple((d,) for d in range(200000))
+        assert elapsed < 1.0
+        # end to end: at O(m^2) this header took about 40 s
+        path = tmp_path / "wide.group"
+        path.write_text("2 20000\n")
+        start = time.perf_counter()
+        status, text = run("components", str(path))
+        elapsed = time.perf_counter() - start
+        assert status == 0
+        assert text.endswith("component 19999: generators=[] transitivity=intransitive\n")
+        assert elapsed < 2.0
+
+
 # every malformed header, with the message both file parsers must give
 HEADER_ERRORS = (
     ("", "missing header line 'q m'"),
@@ -443,10 +552,9 @@ def test_code_canon_exit_codes_on_arbitrary_code_files(tmp_path_factory, text):
     assert "internal error:" not in report
 
 
-# group-file text: a header from a fixed list, then generator lines of
-# Sym(2) wr Sym(2) and at most one stray line. Headers are not free text:
-# one with a large m and no generators, such as "2 4000", costs O(m^2) in
-# the coordinate orbit search, which is not what this test is about
+# group-file text: a free header or one from a fixed list, then generator
+# lines of Sym(2) wr Sym(2) and at most one stray line. m stays small
+# because split's probe columns hold (q-1)*m^2 + m entries
 PERM2 = st.permutations(["0", "1"]).map(lambda images: f"[{','.join(images)}]")
 GENERATOR_LINE = st.builds(
     lambda base, top: f"base=[{';'.join(base)}] top={top}",
@@ -455,10 +563,13 @@ GENERATOR_LINE = st.builds(
 )
 GROUP_TEXT = st.builds(
     lambda header, lines, stray, at: "\n".join([header, *lines[:at], *stray, *lines[at:]]) + "\n",
-    st.sampled_from([
-        "2 2", "2 2", "2 2", "2 3", "3 2", "1 1", "0 2", "2 x", "2", "",
-        "99999999999999999992 2",
-    ]),
+    st.one_of(
+        st.builds("{} {}".format, st.integers(0, 6), st.integers(0, 300)),
+        st.sampled_from([
+            "2 2", "2 2", "2 2", "2 3", "3 2", "1 1", "0 2", "2 x", "2", "",
+            "99999999999999999992 2",
+        ]),
+    ),
     st.lists(GENERATOR_LINE, max_size=4),
     st.lists(st.text(alphabet="base=[];top01,2 #x-", max_size=24), max_size=1),
     st.integers(0, 4),
@@ -473,5 +584,21 @@ def test_group_commands_exit_codes_on_arbitrary_group_files(tmp_path_factory, te
     path.write_text(text, encoding="ascii")
     for command in (["components"], ["normalize"], ["split", "--delta0", "0"]):
         status, report = run(command[0], str(path), *command[1:])
+        assert status in (0, 1, 2)
+        assert "internal error:" not in report
+
+
+# --fix text: comma lists of small integers, with stray characters
+FIX_TEXT = st.one_of(
+    st.lists(st.integers(-2, 4), max_size=4).map(lambda entries: ",".join(map(str, entries))),
+    st.text(alphabet="0123-, x", max_size=8),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fix=FIX_TEXT, group=st.sampled_from(["scattered_q3m2.group", "diag_swap_q2m2.group"]))
+def test_fix_text_exit_codes_on_normalize_and_embed(fix, group):
+    for command in ("normalize", "embed"):
+        status, report = run(command, fixture(group), f"--fix={fix}")
         assert status in (0, 1, 2)
         assert "internal error:" not in report

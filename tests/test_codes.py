@@ -431,6 +431,23 @@ class TestCanonicalizeAtScale:
         assert result.induced_group._chain is None
         assert elapsed < 1.0
 
+    def test_conjugated_repetition_code_runs_one_witness_bfs_per_start(self, monkeypatch):
+        # stage 1 asks the component at 0 for a witness at each of the 60
+        # coordinates, from at most q = 5 start letters; with one BFS per
+        # start the run makes 1310 products; a BFS per call made 1849
+        code, X = conjugated_repetition_code(random.Random(157), 5, 60)
+        products = 0
+        mul = Permutation.__mul__
+
+        def counting(a, b):
+            nonlocal products
+            products += 1
+            return mul(a, b)
+
+        monkeypatch.setattr(Permutation, "__mul__", counting)
+        assert canonicalize(code, X, 0, 1).certificate.passed
+        assert products <= 1400
+
     def test_conjugated_repetition_code_builds_one_component_of_x(self, monkeypatch):
         code, X = conjugated_repetition_code(random.Random(157), 5, 60)
         builds = record_component_builds(monkeypatch)

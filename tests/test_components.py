@@ -318,6 +318,53 @@ class TestSplit:
             X, dataclasses.replace(result, component_preserved=broken)
         )
 
+    def test_one_component_build_per_coordinate_orbit_on_each_side(self, monkeypatch):
+        rng = random.Random(71)
+        cases = [two_block_wreath_product(rng, 2, 2), two_block_wreath_product(rng, 2, 3)]
+        while len(cases) < 10:
+            X = block_intransitive_subgroup(rng, rng.choice([2, 3]), rng.choice([2, 3]))
+            if len(X.delta_orbits) >= 2:
+                cases.append(X)
+        builds = record_component_builds(monkeypatch)
+        for X in cases:
+            orbits = X.delta_orbits
+            builds.clear()
+            result = X.split(orbits[rng.randrange(len(orbits))])
+            for Y in (X, result.first, result.second):
+                assert [delta for Z, delta in builds if Z is Y] == [orbit[0] for orbit in Y.delta_orbits]
+            assert len(builds) == 2 * len(orbits)
+            assert result.ok
+            assert split_oracle_agrees(X, result)
+
+    def test_mismatched_half_transversal_falls_back_per_coordinate(self, monkeypatch):
+        X = two_block_wreath_product(random.Random(73), 2, 2)
+        swap = p(1, 0)
+        entry_transversal = WreathSubgroup.entry_transversal
+
+        def mismatched(self, delta):
+            u = entry_transversal(self, delta)
+            return u if self is X else {beta: entry * swap for beta, entry in u.items()}
+
+        monkeypatch.setattr(WreathSubgroup, "entry_transversal", mismatched)
+        builds = record_component_builds(monkeypatch)
+        result = X.split([0, 1])
+        assert sorted(delta for Y, delta in builds if Y is X) == [0, 1, 2, 3]
+        assert result.component_preserved == {0: True, 1: True, 2: True, 3: True}
+        assert split_oracle_agrees(X, result)
+        # the fallback decides: a wrong component at position 1 of each half,
+        # off the representatives (positions 0), is caught only because the
+        # transversals differ
+        component = WreathSubgroup.component
+
+        def wrong_at_1(self, delta):
+            return GenGroup(2) if self is not X and delta == 1 else component(self, delta)
+
+        monkeypatch.setattr(WreathSubgroup, "component", wrong_at_1)
+        result = X.split([0, 1])
+        assert result.component_preserved == {0: True, 1: False, 2: True, 3: False}
+        monkeypatch.setattr(WreathSubgroup, "entry_transversal", entry_transversal)
+        assert X.split([0, 1]).ok
+
     def test_invalid_subsets_rejected(self):
         X = WreathSubgroup(
             WreathContext(2, 3), (we([[1, 0], [1, 0], [0, 1]], [1, 0, 2]),)

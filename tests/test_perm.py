@@ -159,6 +159,23 @@ class TestOrbits:
             flat = [point for orbit in orbits for point in orbit]
             assert sorted(flat) == list(range(degree))
 
+    def test_orbit_is_the_transversal_orbit_in_bfs_order(self):
+        rng = random.Random(17)
+        groups = [GenGroup(1, ()), GenGroup(4, ())]
+        for _ in range(25):
+            degree = rng.randint(1, 8)
+            gens = (random_permutation(rng, degree) for _ in range(rng.randint(0, 3)))
+            groups.append(GenGroup(degree, gens))
+        for g in groups:
+            for point in range(g.degree):
+                assert g.orbit(point) == g.orbit_with_transversal(point)[0]
+            for point in (-1, g.degree):
+                with pytest.raises(ValueError, match=f"point {point} out of range"):
+                    g.orbit(point)
+            orbits = g.orbits()
+            assert orbits == [sorted(g.orbit(orbit[0])) for orbit in orbits]
+            assert [orbit[0] for orbit in orbits] == sorted(orbit[0] for orbit in orbits)
+
 
 class TestSchreierGenerators:
     def test_cyclic_group_has_trivial_stabilizer(self):
