@@ -27,7 +27,9 @@ from .perm import (
     Images,
     Permutation,
     StabilizerChain,
+    _compose,
     _from_images,
+    _invert,
     closure,
     orbit_with_witnesses,
     same_group,
@@ -155,13 +157,13 @@ class WreathSubgroup:
             u_beta = u[beta]
             for top, base in pairs:
                 gamma = top[beta]
-                v = tuple(map(base[beta].images.__getitem__, u_beta))
+                v = _compose(u_beta, base[beta].images)
                 if gamma not in u:
                     u[gamma] = v
-                    u_inverse[gamma] = tuple(sorted(range(q), key=v.__getitem__))
+                    u_inverse[gamma] = _invert(v)
                     orbit.append(gamma)
                 elif v != u[gamma]:
-                    entries[tuple(map(u_inverse[gamma].__getitem__, v))] = None
+                    entries[_compose(v, u_inverse[gamma])] = None
         data = (
             GenGroup(q, map(_from_images, entries)),
             MappingProxyType({beta: _from_images(entry) for beta, entry in u.items()}),
@@ -303,7 +305,7 @@ class WreathSubgroup:
             sub_ctx = WreathContext(self.ctx.gamma_size, len(part))
             restricted = tuple(
                 _from_parts(
-                    tuple(map(g.base.__getitem__, part)),
+                    _compose(part, g.base),
                     _from_images(tuple(position[g.top.images[d]] for d in part)),
                 )
                 for g in self.generators

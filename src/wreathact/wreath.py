@@ -24,7 +24,7 @@ import sys
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import DegreeMismatchError, EnumerationOverflow, ParseError
-from .perm import DEFAULT_CAP, Permutation, random_permutation
+from .perm import DEFAULT_CAP, Permutation, _compose, random_permutation
 
 Point = tuple[int, ...]
 T = TypeVar("T")
@@ -185,14 +185,14 @@ class WreathElement:
 
         ``columns[d]`` holds entry d of every point, in one fixed order;
         mapped by ``base[d]`` it becomes column ``top[d]`` of the images,
-        the rule of ``apply`` with one ``map`` per coordinate. Point k of
+        the rule of ``apply`` with one gather per coordinate. Point k of
         the result is the image of point k of the input.
         """
         if len(columns) != len(self.base):
             raise ValueError(f"got {len(columns)} columns, expected {len(self.base)}")
         image: list[tuple[int, ...]] = [()] * len(columns)
         for p, d, column in zip(self.base, self.top.images, columns):
-            image[d] = tuple(map(p.images.__getitem__, column))
+            image[d] = _compose(column, p.images)
         return image
 
     def is_identity(self) -> bool:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from pathlib import Path
 from types import SimpleNamespace
 
 from wreathact import (
@@ -24,6 +25,7 @@ from wreathact import (
     random_permutation,
     symmetric_gens,
 )
+from wreathact.perm import StabilizerChain
 from wreathact.wreath import parse_with_header
 
 
@@ -515,3 +517,67 @@ def hamming_code_with_automorphisms() -> tuple[Code, WreathSubgroup]:
         for w in basis
     ]
     return code, WreathSubgroup(ctx, tuple(gens))
+
+
+# ----- stabilizer chains pinned level by level -----
+
+CHAIN_LEVELS = Path(__file__).parent / "data" / "chain_levels.json"
+
+
+def _three_cycles(n: int) -> list[Permutation]:
+    """The 3-cycles (0 1 i) for i >= 2, which generate Alt(n)."""
+    gens = []
+    for i in range(2, n):
+        images = list(range(n))
+        images[0], images[1], images[i] = 1, i, 0
+        gens.append(Permutation(images))
+    return gens
+
+
+def _sym_wr_sym_on_points(a: int, b: int) -> list[Permutation]:
+    """Sym(a) wr Sym(b) on a*b points in blocks of a: Sym(a) on the first
+    block, and Sym(b) moving whole blocks."""
+    n = a * b
+    gens = [Permutation(list(g.images) + list(range(a, n))) for g in symmetric_gens(a)]
+    gens += [Permutation([t[i // a] * a + i % a for i in range(n)]) for t in symmetric_gens(b)]
+    return gens
+
+
+def _sym_on_pairs(n: int) -> tuple[int, list[Permutation]]:
+    """Sym(n) acting on its n(n-1)/2 unordered pairs."""
+    pairs = list(itertools.combinations(range(n), 2))
+    index = {pair: k for k, pair in enumerate(pairs)}
+    gens = [
+        Permutation([index[tuple(sorted((g[a], g[b])))] for a, b in pairs])
+        for g in symmetric_gens(n)
+    ]
+    return len(pairs), gens
+
+
+def pinned_chain_cases() -> dict[str, tuple[int, list[Permutation]]]:
+    """Name -> (degree, generators) of the groups whose stabilizer chains
+    ``CHAIN_LEVELS`` records: the chain-order benchmark's larger classes,
+    two seeded random 2-generated groups, and one group on 300 points."""
+    rng = random.Random(20261018)
+    sym8 = [Permutation(list(g.images) + [8]) for g in symmetric_gens(8)]
+    return {
+        "alt10": (10, _three_cycles(10)),
+        "alt12": (12, _three_cycles(12)),
+        "sym3-wr-sym6": (18, _sym_wr_sym_on_points(3, 6)),
+        "sym8-on-9": (9, sym8),
+        "random-30": (30, [random_permutation(rng, 30) for _ in range(2)]),
+        "random-40": (40, [random_permutation(rng, 40) for _ in range(2)]),
+        "sym25-on-pairs": _sym_on_pairs(25),
+    }
+
+
+def chain_state(chain: StabilizerChain) -> dict:
+    """Every level's base point, orbit and strong generators. Strong
+    generators are listed once, in order of first appearance, and each
+    level names its own by index into that list."""
+    strong: dict[tuple[int, ...], int] = {}
+    levels = []
+    for lvl in chain.levels:
+        indices = [strong.setdefault(g, len(strong)) for g in lvl.gens]
+        levels.append({"point": lvl.point, "orbit": lvl.orbit, "gens": indices})
+    return {"strong": [list(g) for g in strong], "levels": levels}

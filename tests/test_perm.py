@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import sys
@@ -18,8 +19,16 @@ from wreathact import (
     same_group,
     symmetric_gens,
 )
-from wreathact.perm import StabilizerChain
-from helpers import p, perm_closure, sym_perms, tuple_closure
+from wreathact.perm import StabilizerChain, _compose, _invert
+from helpers import (
+    CHAIN_LEVELS,
+    chain_state,
+    p,
+    perm_closure,
+    pinned_chain_cases,
+    sym_perms,
+    tuple_closure,
+)
 
 
 @st.composite
@@ -49,6 +58,11 @@ class TestPermutation:
     def test_compose_inverse_pair(self):
         assert p(1, 2, 0) * p(2, 0, 1) == Permutation.identity(3)
         assert p(1, 2, 0).inverse() == p(2, 0, 1)
+
+    def test_degree_one(self):
+        one = Permutation([0])
+        assert (one * one).images == (0,)
+        assert one.inverse().images == (0,)
 
     def test_degree_mismatch_rejected(self):
         with pytest.raises(DegreeMismatchError):
@@ -271,6 +285,33 @@ class TestMembership:
                 assert not g.contains(candidate)
                 misses += 1
 
+
+
+class TestRawKernels:
+    @pytest.mark.parametrize("degree", [1, 2, 3, 12, 257, 1000])
+    def test_compose_is_the_map_gather(self, degree):
+        rng = random.Random(degree)
+        for _ in range(5):
+            a = random_permutation(rng, degree).images
+            b = random_permutation(rng, degree).images
+            assert _compose(a, b) == tuple(map(b.__getitem__, a))
+            assert _compose(a, _invert(a)) == tuple(range(degree))
+
+    @pytest.mark.parametrize("indices", [(), (0,), (3,)])
+    def test_compose_on_zero_and_one_index(self, indices):
+        b = (4, 2, 0, 1, 3)
+        got = _compose(indices, b)
+        assert type(got) is tuple
+        assert got == tuple(map(b.__getitem__, indices))
+
+
+@pytest.mark.parametrize("name", list(pinned_chain_cases()))
+def test_chain_levels_match_the_recorded_chains(name):
+    """Same products in the same order give the same base, orbits and
+    strong generators at every level as the recorded chains."""
+    degree, gens = pinned_chain_cases()[name]
+    recorded = json.loads(CHAIN_LEVELS.read_text())[name]
+    assert {"degree": degree, **chain_state(StabilizerChain(degree, gens))} == recorded
 
 
 def _on_disjoint_points(rng: random.Random, a: int, b: int) -> list[Permutation]:

@@ -181,6 +181,17 @@ class TestApplyColumns:
                     assert len(images) == m
                     assert list(zip(*images)) == [w.apply(phi) for phi in points]
 
+    @pytest.mark.parametrize("points", [[(1, 0, 2)], []], ids=["one-point", "zero-points"])
+    def test_one_and_zero_point_columns(self, points):
+        ctx = WreathContext(3, 3)
+        w = ctx.random_element(random.Random(8))
+        columns = [tuple(phi[d] for phi in points) for d in range(3)]
+        images = w.apply_columns(columns)
+        assert all(type(column) is tuple and len(column) == len(points) for column in images)
+        assert [tuple(column[k] for column in images) for k in range(len(points))] == [
+            w.apply(phi) for phi in points
+        ]
+
     def test_column_count_checked(self):
         w = WreathElement((S, ID2), S)
         assert w.apply_columns([(0, 1), (1, 1)]) == [(1, 1), (1, 0)]
