@@ -330,6 +330,12 @@ GOLDEN_COMMANDS = {
         "code-canon", "parity_z3_m4.code", "parity_z3_m4_aut.group",
         "--gamma", "0", "--nu", "1",
     ],
+    # q = 12: two-digit entries, so numeric and string order of the
+    # transformed words differ
+    "code_canon_q12.txt": [
+        "code-canon", "repetition_q12_m4.code", "repetition_q12_m4_aut.group",
+        "--gamma", "10", "--nu", "3",
+    ],
     "verify.txt": ["verify", "--q", "3", "--m", "2", "--pairs", "60", "--samples", "120"],
     "verify_q3m4.txt": ["verify", "--q", "3", "--m", "4", "--pairs", "0", "--samples", "50"],
 }
