@@ -19,12 +19,17 @@ stabilizer count over the full wreath product, which is refused before any
 other work when over the cap, and the scan's orbits on Pi; the scan
 enumerates no subgroup. The other subcommands, ``split`` included, certify
 from generator data without enumerating and take no cap.
+
+An internal error prints ``internal error: <message>`` and exits 2; with the
+environment variable ``WREATHACT_DEBUG=1`` its traceback also goes to
+standard error.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import operator
 import os
@@ -44,9 +49,10 @@ from .wreath import (
 )
 from .components import WreathSubgroup, _yn
 from .normalize import embed_in_wreath, normalizing_element
-from .codes import canonicalize, parse_code
+from .codes import canonicalize, format_words, parse_code
 
 ENV_CAP = "WREATHACT_CAP"
+ENV_DEBUG = "WREATHACT_DEBUG"
 
 
 def checked_cap(cap: int, source: str) -> int:
@@ -229,10 +235,8 @@ def cmd_code_canon(args, out) -> int:
     _emit(out, "pinned-mixed", format_point(result.pinned_mixed))
     _emit(out, "transformed-size", len(result.code))
     _emit(out, "transformed-min-distance", result.code.min_distance())
-    out.write("".join(
-        f"transformed-word {k}: {format_point(word)}\n"
-        for k, word in enumerate(result.code.sorted_words())
-    ))
+    words = format_words(result.code)
+    out.write("".join(map("transformed-word {}: {}\n".format, itertools.count(), words)))
     _emit(out, "G-generators", _fmt_perm_list(result.component_group.generators))
     _emit(out, "K-generators", _fmt_perm_list(result.induced_group.generators))
     _emit_certificate(out, result.certificate, result.certificate.passed)
@@ -374,8 +378,12 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
     except (ParseError, EnumerationOverflow, ValueError, OSError) as exc:
         out.write(f"error: {exc}\n")
         return 2
-    except Exception as exc:  # pragma: no cover - internal errors still exit 2
+    except Exception as exc:  # internal errors still exit 2
         out.write(f"internal error: {exc}\n")
+        if os.environ.get(ENV_DEBUG) == "1":
+            import traceback  # only here: importing it costs every run about 3 ms
+
+            traceback.print_exc(file=sys.stderr)
         return 2
 
 

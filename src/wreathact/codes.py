@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import DegreeMismatchError, HypothesisViolation, ParseError
-from .perm import GenGroup, Permutation, TWO_TRANSITIVE
+from .perm import GenGroup, Permutation, TWO_TRANSITIVE, _compose
 from .components import WreathSubgroup
 from .normalize import (
     EmbedCertificate,
@@ -28,13 +29,13 @@ from .normalize import (
     conjugate_subgroup,
     sift_embedding,
 )
-from .wreath import Point, WreathContext, WreathElement, format_point, parse_point, parse_with_header
+from .wreath import Point, WreathContext, WreathElement, parse_point, parse_with_header
 
 
 def hamming_distance(a: Point, b: Point) -> int:
     if len(a) != len(b):
         raise ValueError("words of different lengths")
-    return sum(1 for x, y in zip(a, b) if x != y)
+    return sum(map(operator.ne, a, b))
 
 
 class Code:
@@ -46,7 +47,8 @@ class Code:
     since ``zip`` truncates) and the distinct entries of the columns are
     ints in ``range(q)``. Only a set failing that is checked word by word
     with ``check_point``, which raises its usual error or accepts what it
-    accepts.
+    accepts. Words already known to be valid (a checked code file, the
+    images of a code) skip the check through ``_code_from_words``.
     """
 
     __slots__ = ("ctx", "words", "columns", "_min_distance")
@@ -128,11 +130,27 @@ class Code:
 
     def transform(self, x: WreathElement) -> "Code":
         """The equivalent code: the images of all words under ``x``, computed
-        from ``columns``; the image columns lie in ``range(q)``, so ``Code``
-        accepts them on its column check."""
+        from ``columns``. Images of valid words under an element of the
+        same context are valid words, so they are not checked again."""
         if x.ctx != self.ctx:
             raise DegreeMismatchError("element lives in a different context")
-        return Code(self.ctx, zip(*x.apply_columns(self.columns)))
+        return _code_from_words(self.ctx, zip(*x.apply_columns(self.columns)))
+
+
+def _code_from_words(ctx: WreathContext, words: Iterable[Point]) -> Code:
+    """A ``Code`` on a nonempty run of tuples of length m over ``range(q)``,
+    unchecked.
+
+    Only for words known to be valid: a code file that passed the checks of
+    ``parse_code``, or the images of a code's words (``Code.transform``).
+    Other words go through ``Code(...)``.
+    """
+    code = object.__new__(Code)
+    code.ctx = ctx
+    code.words = frozenset(words)
+    code.columns = tuple(zip(*code.words))
+    code._min_distance = None
+    return code
 
 
 def is_automorphism(w: WreathElement, code: Code) -> bool:
@@ -152,31 +170,50 @@ def parse_code(text: str) -> Code:
     """Parse the code file format: header ``q m``, then one word per line.
 
     Words are bare comma lists; blank lines and ``#`` comments are skipped.
-    Each word line is only split and converted to ints, and ``Code``
-    validates the word set once, on its columns. Only text that fails is
+    The word lines are read in one pass: every line must hold m - 1 commas,
+    the joined lines are split into entries once, each distinct entry is
+    converted with ``int`` once and range-checked, and the words are cut
+    from the converted entries, so the checks are those of ``parse_point``
+    and the code is built unchecked. Only text that fails any of them is
     parsed again line by line with ``parse_point``, so the error names the
     first bad line.
     """
-    try:
-        ctx, words = parse_with_header(text, _split_word)
-        if words:
-            return Code(ctx, words)
-    except ValueError:
-        pass
+    lines = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
+    if len(lines) > 1:
+        body = lines[1:]
+        try:
+            q, m = map(int, lines[0].split())
+            ctx = WreathContext(q, m)
+            if set(map(str.count, body, itertools.repeat(","))) == {m - 1}:
+                entries = ",".join(body).split(",")
+                table = {entry: int(entry) for entry in set(entries)}
+                if all(0 <= e < q for e in table.values()):
+                    return _code_from_words(ctx, zip(*[map(table.__getitem__, entries)] * m))
+        except ValueError:
+            pass
     ctx, words = parse_with_header(text, parse_point)
     if not words:
         raise ParseError("code file contains no words")
     return Code(ctx, words)
 
 
-def _split_word(line: str, ctx: WreathContext) -> Point:
-    return tuple(map(int, line.split(",")))
+def format_words(code: Code) -> Iterator[str]:
+    """The words of ``code`` as bare comma lists (``format_point``), in
+    numeric sort order.
+
+    The sorted words are transposed once, each distinct entry is converted
+    with ``str`` once, and every column gathers its strings in one call.
+    """
+    columns = tuple(zip(*code.sorted_words()))
+    strings = {e: str(e) for e in set().union(*columns)}
+    return map(",".join, zip(*(_compose(column, strings) for column in columns)))
 
 
 def format_code(code: Code) -> str:
-    lines = [f"{code.ctx.gamma_size} {code.ctx.delta_size}"]
-    lines.extend(format_point(w) for w in code.sorted_words())
-    return "\n".join(lines) + "\n"
+    """The code file of ``code``: the header ``q m``, then its words in
+    numeric sort order, one per line."""
+    header = f"{code.ctx.gamma_size} {code.ctx.delta_size}"
+    return "\n".join([header, *format_words(code)]) + "\n"
 
 
 @dataclass

@@ -357,6 +357,30 @@ class TestCachedParser:
         assert second == first
 
 
+class TestInternalErrors:
+    ARGV = ("components", fixture("diag_swap_q2m2.group"))
+
+    @pytest.fixture
+    def broken(self, monkeypatch):
+        def cmd_components(args, out):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_components", cmd_components)
+
+    def test_message_only_by_default(self, broken, monkeypatch, capsys):
+        monkeypatch.delenv("WREATHACT_DEBUG", raising=False)
+        assert run(*self.ARGV) == (2, "internal error: boom\n")
+        assert capsys.readouterr().err == ""
+
+    def test_debug_prints_the_traceback_on_stderr(self, broken, monkeypatch, capsys):
+        monkeypatch.setenv("WREATHACT_DEBUG", "1")
+        assert run(*self.ARGV) == (2, "internal error: boom\n")
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback (most recent call last):")
+        assert "in cmd_components" in err
+        assert err.endswith("RuntimeError: boom\n")
+
+
 class TestParsing:
     def test_malformed_file_reports_line(self):
         status, text = run("components", fixture("malformed.group"))

@@ -18,6 +18,7 @@ from wreathact import (
     conjugate_subgroup,
     embed_in_wreath,
     format_code,
+    format_point,
     hamming_distance,
     is_automorphism,
     parse_code,
@@ -507,6 +508,19 @@ class TestCodeFiles:
         code, _ = even_weight_code()
         assert parse_code(format_code(code)) == code
 
+    # q from 1 to 12 covers two-digit letters, where numeric and string
+    # order differ; one word and m = 1 give the columns and words of length
+    # 1 that _compose gathers on its own path
+    @pytest.mark.parametrize("seed", range(36))
+    def test_format_matches_the_per_word_writer(self, seed):
+        rng = random.Random(seed)
+        q, m = seed % 12 + 1, [1, rng.randint(2, 6)][seed % 2]
+        size = [1, rng.randint(2, 60)][seed // 12 % 2]
+        code = Code(WreathContext(q, m), [[rng.randrange(q) for _ in range(m)] for _ in range(size)])
+        text = format_code(code)
+        assert text == f"{q} {m}\n" + "".join(format_point(w) + "\n" for w in sorted(code.words))
+        assert parse_code(text) == code
+
     def test_parse_reports_line_numbers(self):
         with pytest.raises(ValueError) as err:
             parse_code("2 3\n0,0,0\n0,7,0\n")
@@ -593,6 +607,30 @@ class TestParseParity:
     ])
     def test_edge_files(self, text):
         self.assert_parity(text)
+
+    # spellings int() accepts that are not canonical, Arabic-Indic and
+    # Devanagari digits among them: the table is keyed by the entry as
+    # written, so "01" and "1" convert to one letter
+    @pytest.mark.parametrize("text", [
+        "12 3\n01,1,2\n1,1,2\n",
+        "12 3\n+1,1,2\n-0,0,0\n",
+        "12 3\n 1, 1 ,2\n1,\t2,0\n",
+        "12 3\n1_0,1,2\n10,1,2\n",
+        "12 3\n\u0661,\u0968,2\n1,2,0\n",
+        "12 3\n1__0,1,2\n",
+        "9 3\n1_0,1,2\n",
+        "12 3\n\u0661\u0660,+0_2,011\n",
+    ])
+    def test_spellings_int_accepts(self, text):
+        self.assert_parity(text)
+
+    def test_huge_alphabet_builds_no_table_by_q(self):
+        text = "1000000007 3\n0,1,2\n1000000006,5,7\n3,3,3\n"
+        start = time.perf_counter()
+        code = parse_code(text)
+        assert time.perf_counter() - start < 1.0
+        assert code == self.assert_parity(text)
+        assert (1000000006, 5, 7) in code and len(code) == 3
 
 
 def _replace(rng: random.Random, word: list[str], entry: str) -> list[str]:
