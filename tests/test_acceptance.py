@@ -319,6 +319,9 @@ GOLDEN_COMMANDS = {
     "normalize.txt": ["normalize", "two_orbit_q3m3.group"],
     "normalize_fix.txt": ["normalize", "scattered_q4m2.group", "--fix", "0,0"],
     "embed.txt": ["embed", "diag_swap_q2m2.group"],
+    # G = Sym(12) with --fix: the corrections make base entries of the
+    # conjugate that are neither the identity nor a generator of G
+    "embed_fix.txt": ["embed", "repetition_q12_m4_aut.group", "--fix", "3,7,1,10"],
     "split.txt": ["split", "two_orbit_q2m3.group", "--delta0", "0,1"],
     "code_canon.txt": [
         "code-canon", "even_weight.code", "even_weight_aut.group",
