@@ -14,22 +14,29 @@ component along the orbit equals the one at r, with no stabilizer chain
 built per coordinate.
 When every component is transitive each entry can be corrected by an
 element of the component at r so that x additionally fixes a prescribed
-point of Pi.
+point of Pi. Each correction is a BFS witness of that component, so it
+is a member by construction, and the certificate reads it off the
+component's witness table.
 
 When the induced coordinate action is transitive this conjugation lands X
 inside G wr H, where G is the component at a chosen coordinate and H is
 the induced group; ``embed_in_wreath`` returns that embedding along with a
-sifting certificate for every conjugated generator.
+membership certificate for every conjugated generator. Undo the
+corrections and every base entry of a conjugated generator is the
+identity or a Schreier entry at r, that is, one of G's generators; every
+top is one of H's. So the certificate builds no stabilizer chain on
+anything the construction made, and sifts only what it cannot read off.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Mapping
 
 from .errors import DegreeMismatchError, HypothesisViolation
-from .perm import GenGroup, Permutation, same_group
+from .perm import GenGroup, Permutation, _compose, _from_images, _invert, same_group
 from .components import WreathSubgroup
-from .wreath import Point, WreathElement
+from .wreath import Point, WreathElement, _from_parts
 
 
 @dataclass
@@ -38,13 +45,16 @@ class Transversal:
 
     ``entries[d]`` is the entry, at the representative r of d's orbit, of
     an element of X whose top maps r to d; the representative itself gets
-    the identity.
+    the identity. ``corrections[d]``, set by ``adjust_transversal`` only, is
+    the element of the component at r it premultiplied into ``entries[d]``
+    (the identity where none was needed).
     """
 
     orbits: tuple[tuple[int, ...], ...]
     reps: tuple[int, ...]
     entries: dict[int, Permutation]
     rep_of: dict[int, int]
+    corrections: dict[int, Permutation] = field(default_factory=dict)
 
     @property
     def x(self) -> WreathElement:
@@ -93,11 +103,16 @@ def adjust_transversal(
     entry at r of an element of X carrying r to d, and it fixes phi[d].
     Requires the component at every representative to be transitive (all
     components along an orbit are conjugate, so this is equivalent to all
-    components being transitive); w is the BFS-first witness, which keeps
-    the result deterministic. Representatives keep the identity.
+    components being transitive); w is the BFS witness
+    ``component.witness(phi[d], ...)``, which keeps the result
+    deterministic and is recorded as ``corrections[d]`` (the identity for
+    an entry that already fixes phi[d]), so that the certificate can read
+    it as a member. Representatives keep their entry.
     """
     phi = X.ctx.check_point(phi)
     new_entries = dict(transversal.entries)
+    corrections: dict[int, Permutation] = {}
+    identity = Permutation.identity(X.ctx.gamma_size)
     for orbit, rep in zip(transversal.orbits, transversal.reps):
         component = X.component(rep)
         if not component.is_transitive():
@@ -106,19 +121,40 @@ def adjust_transversal(
                 delta=rep,
             )
         for d in orbit:
-            if d == rep:
-                continue
             entry = transversal.entries[d]
             p = phi[d]
-            if entry[p] == p:
+            if d == rep or entry[p] == p:
+                corrections[d] = identity
                 continue
-            corrected = component.witness(p, entry.inverse()[p]) * entry
+            correction = corrections[d] = component.witness(p, entry.inverse()[p])
+            corrected = correction * entry
             if corrected[p] != p:
                 raise RuntimeError("internal invariant: corrected entry moves point")
             new_entries[d] = corrected
     return Transversal(
-        transversal.orbits, transversal.reps, new_entries, transversal.rep_of
+        transversal.orbits, transversal.reps, new_entries, transversal.rep_of, corrections
     )
+
+
+def certified_corrections(
+    X: WreathSubgroup, transversal: Transversal, phi: Point | None
+) -> dict[int, Permutation]:
+    """The recorded corrections proved to lie in their component.
+
+    ``corrections[d]`` counts as a member of the component R at d's
+    representative when it is the identity or R's BFS witness from
+    ``phi[d]`` to its image there: a witness is a product of R's
+    generators. This reads the witness table that ``adjust_transversal``
+    filled, and sifts nothing. A correction failing the test is left out,
+    so whatever relied on it is checked another way.
+    """
+    if phi is None:
+        return {}
+    certified: dict[int, Permutation] = {}
+    for d, c in transversal.corrections.items():
+        if c.is_identity() or X.component(transversal.rep_of[d]).is_witness(phi[d], c):
+            certified[d] = c
+    return certified
 
 
 @dataclass
@@ -132,7 +168,8 @@ class NormalizationResult:
     equal components at r proves it; otherwise ``same_group`` decides at d.
     ``common_components`` maps each representative to that common value,
     presented by the conjugate's component generators at the
-    representative.
+    representative. ``corrections`` are the transversal's corrections
+    that ``certified_corrections`` proved members, empty without ``phi``.
     """
 
     x: WreathElement
@@ -141,6 +178,7 @@ class NormalizationResult:
     component_flags: dict[int, bool]
     common_components: dict[int, GenGroup]
     fixes_point: bool | None
+    corrections: dict[int, Permutation] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -149,11 +187,29 @@ class NormalizationResult:
 
 
 def conjugate_subgroup(X: WreathSubgroup, x: WreathElement) -> WreathSubgroup:
-    """The subgroup generated by x^-1 g x over the generators g of X."""
+    """The subgroup generated by x^-1 g x over the generators g of X.
+
+    For a base element x (identity top), x^-1 g x keeps g's top and has
+    entry ``x[d]^-1 * g.base[d] * x[g.top[d]]`` at d: two gathers on image
+    tuples per entry, and no intermediate wreath element.
+    """
     if x.ctx != X.ctx:
         raise DegreeMismatchError("conjugating element lives in a different context")
-    x_inv = x.inverse()
-    return WreathSubgroup(X.ctx, tuple(x_inv * g * x for g in X.generators))
+    if not x.top.is_identity():
+        x_inv = x.inverse()
+        return WreathSubgroup(X.ctx, tuple(x_inv * g * x for g in X.generators))
+    entries = [p.images for p in x.base]
+    inverses = list(map(_invert, entries))
+    return WreathSubgroup(X.ctx, tuple(
+        _from_parts(
+            tuple(
+                _from_images(_compose(_compose(inverse, p.images), entries[e]))
+                for inverse, p, e in zip(inverses, g.base, g.top.images)
+            ),
+            g.top,
+        )
+        for g in X.generators
+    ))
 
 
 def normalizing_element(
@@ -166,20 +222,22 @@ def normalizing_element(
     x is ``Transversal.x`` of ``build_transversal(X, preferred_reps)``,
     passed through ``adjust_transversal`` when ``phi`` is given: then every
     component must be transitive and x fixes ``phi``. The certificate needs
-    no enumeration cap and no chain per coordinate: with R the component of
-    X at the representative r and u' the conjugate's
-    ``entry_transversal(r)``, the component of X^x at d is the one at r
-    conjugated by u'[d]. x's entry at r is the identity, so the conjugate's
-    component generators at r equal R's and ``same_group`` takes its fast
-    path; u'[d] is the identity, or with ``phi`` the inverse of a correcting
-    element of R, sifted into R's chain. A u'[d] outside R, which the
-    construction never makes, falls back to ``same_group`` at d.
+    no enumeration cap and no stabilizer chain: with R the component of X
+    at the representative r and u' the conjugate's ``entry_transversal(r)``,
+    the component of X^x at d is the one at r conjugated by u'[d]. x's
+    entry at r is the identity, so the conjugate's component generators at
+    r equal R's and ``same_group`` takes its fast path; u'[d] is the
+    identity, or with ``phi`` the inverse of the correction c_d, a member
+    of R by ``certified_corrections``. Only a u'[d] that is neither, which
+    the construction never makes, is sifted into R's chain, and failing
+    that compared by ``same_group`` at d.
     """
     transversal = build_transversal(X, preferred_reps)
     if phi is not None:
         transversal = adjust_transversal(X, transversal, phi)
     x = transversal.x
     conjugated = conjugate_subgroup(X, x)
+    corrections = certified_corrections(X, transversal, phi)
 
     component_flags: dict[int, bool] = {}
     common_components: dict[int, GenGroup] = {}
@@ -190,7 +248,9 @@ def normalizing_element(
         u = conjugated.entry_transversal(rep)
         for d in orbit:
             # the component at d is the one at rep conjugated by u[d]
-            carried = rep_equal and (u[d].is_identity() or reference.contains(u[d]))
+            c = corrections.get(d)
+            by_construction = u[d].is_identity() or (c is not None and u[d] == c.inverse())
+            carried = rep_equal and (by_construction or reference.contains(u[d]))
             component_flags[d] = carried or same_group(conjugated.component(d), reference)
     fixes_point = None if phi is None else (x.apply(phi) == phi)
     return NormalizationResult(
@@ -200,6 +260,7 @@ def normalizing_element(
         component_flags=component_flags,
         common_components=common_components,
         fixes_point=fixes_point,
+        corrections=corrections,
     )
 
 
@@ -216,20 +277,39 @@ class EmbedCertificate:
 
 
 def sift_embedding(
-    generators: tuple[WreathElement, ...], G: GenGroup, H: GenGroup
+    generators: tuple[WreathElement, ...],
+    G: GenGroup,
+    H: GenGroup,
+    corrections: Mapping[int, Permutation] | None = None,
 ) -> EmbedCertificate:
     """Check every base entry into G and every top into H.
 
-    Base entries are sifted into G's chain. A top that is the identity or
-    one of H's generators is in H by construction, which is how
-    ``embed_in_wreath`` and ``canonicalize`` build H; any other top is
-    sifted into H's chain, so a tampered top still fails exactly, and an
-    untampered one builds no chain for H.
+    A base entry b of a generator g at coordinate d is in G by
+    construction when it is the identity or one of G's generators, or,
+    given ``corrections`` (members of G keyed by coordinate, such as
+    ``NormalizationResult.corrections``), when
+    ``corrections[d]^-1 * b * corrections[g.top[d]]`` is; then b is a
+    product of members. Likewise a top that is the identity or one of H's
+    generators is in H, which is how ``embed_in_wreath`` and
+    ``canonicalize`` build H. Only the entries and tops left over are
+    sifted into G's or H's chain, so a tampered one still fails exactly,
+    and an untampered embedding builds no chain.
     """
+    q = G.degree
+    known = {g.images for g in G.generators}
+    known.add(tuple(range(q)))
+    c = {d: p.images for d, p in (corrections or {}).items()}
+    c_inverse = {d: _invert(images) for d, images in c.items()}
     tops = frozenset(H.generators)
     failures: list[tuple[int, str, int | None]] = []
     for k, w in enumerate(generators):
-        for d, p in enumerate(w.base):
+        for d, (p, e) in enumerate(zip(w.base, w.top.images)):
+            b = p.images
+            if b in known or (
+                len(b) == q and d in c and e in c
+                and _compose(_compose(c_inverse[d], b), c[e]) in known
+            ):
+                continue
             if not G.contains(p):
                 failures.append((k, "base", d))
         top = w.top
@@ -264,11 +344,13 @@ def embed_in_wreath(
 
     Requires the induced coordinate action to be transitive. With ``phi``
     supplied, G must additionally be transitive and the conjugating element
-    fixes ``phi``. The certificate sifts every base entry of every
-    conjugated generator into G. x is a base element, so conjugation keeps
-    each generator's top, and that top is a generator of H: tops are
-    members by construction and are sifted into H only as a fallback, so
-    the only chain built is G's.
+    fixes ``phi``. x is a base element, so conjugation keeps each
+    generator's top, and that top is a generator of H. With the
+    corrections undone, each base entry of a conjugated generator is the
+    identity or a generator of G, and the corrections are G's BFS
+    witnesses. So ``sift_embedding`` reads every entry and top as a member
+    by construction, and sifts only a leftover one: no stabilizer chain is
+    built, with ``phi`` or without.
     """
     if not 0 <= delta1 < X.ctx.delta_size:
         raise ValueError(f"coordinate {delta1} out of range")
@@ -279,7 +361,9 @@ def embed_in_wreath(
     G = X.component(delta1)
     H = X.induced_group
     normalization = normalizing_element(X, phi, preferred_reps=(delta1,))
-    certificate = sift_embedding(normalization.conjugated.generators, G, H)
+    certificate = sift_embedding(
+        normalization.conjugated.generators, G, H, normalization.corrections
+    )
     return EmbedResult(
         G=G,
         H=H,

@@ -419,19 +419,29 @@ class GenGroup:
             point, self.generators, Permutation.__getitem__, Permutation.identity(self.degree)
         )
 
-    def witness(self, start: int, target: int) -> Permutation:
-        """The BFS witness mapping ``start`` to ``target`` (see
-        ``orbit_with_transversal``); ``RuntimeError`` off the orbit. The
-        BFS from each start point runs once and is kept."""
+    def _witness_table(self, start: int) -> dict[int, Permutation]:
+        """The witnesses of ``orbit_with_transversal(start)``; the BFS from
+        each start point runs once and is kept."""
         if self._witnesses is None:
             self._witnesses = {}
         witnesses = self._witnesses.get(start)
         if witnesses is None:
             witnesses = self._witnesses[start] = self.orbit_with_transversal(start)[1]
-        found = witnesses.get(target)
+        return witnesses
+
+    def witness(self, start: int, target: int) -> Permutation:
+        """The BFS witness mapping ``start`` to ``target`` (see
+        ``orbit_with_transversal``); ``RuntimeError`` off the orbit."""
+        found = self._witness_table(start).get(target)
         if found is None:
             raise RuntimeError(f"internal invariant: {target} is not in the orbit of {start}")
         return found
+
+    def is_witness(self, start: int, p: Permutation) -> bool:
+        """Whether ``p`` is the BFS witness mapping ``start`` to
+        ``p[start]``. A witness is a product of the generators, so this
+        proves ``p`` a member from the kept witness table, with no chain."""
+        return p.degree == self.degree and self._witness_table(start).get(p[start]) == p
 
     def orbit(self, point: int) -> list[int]:
         """The orbit of ``point`` in the BFS order of

@@ -14,6 +14,7 @@ from types import SimpleNamespace
 
 from wreathact import (
     Code,
+    EmbedCertificate,
     GenGroup,
     ParseError,
     Permutation,
@@ -23,6 +24,7 @@ from wreathact import (
     conjugate_subgroup,
     parse_point,
     random_permutation,
+    same_group,
     symmetric_gens,
 )
 from wreathact.perm import StabilizerChain
@@ -245,6 +247,43 @@ def split_oracle_agrees(X: WreathSubgroup, result) -> bool:
 
 
 # ----- reference parse and build counts -----
+
+
+# ----- the normal-form certificates by stabilizer chain -----
+
+
+def chain_sift_embedding(
+    generators: tuple[WreathElement, ...], G: GenGroup, H: GenGroup
+) -> EmbedCertificate:
+    """``sift_embedding`` with every base entry sifted into G's chain; a
+    top that is the identity or a generator of H is taken as a member,
+    any other is sifted into H's chain."""
+    tops = frozenset(H.generators)
+    failures: list[tuple[int, str, int | None]] = []
+    for k, w in enumerate(generators):
+        for d, p in enumerate(w.base):
+            if not G.contains(p):
+                failures.append((k, "base", d))
+        top = w.top
+        if not (top in tops or top.is_identity() or H.contains(top)):
+            failures.append((k, "top", None))
+    return EmbedCertificate(passed=not failures, failures=tuple(failures))
+
+
+def chain_component_flags(X: WreathSubgroup, result) -> dict[int, bool]:
+    """``component_flags`` of a ``NormalizationResult`` with every entry
+    of the conjugate's transversal that is not the identity sifted into
+    the reference component's chain, then ``same_group`` at d."""
+    flags: dict[int, bool] = {}
+    conjugated, transversal = result.conjugated, result.transversal
+    for orbit, rep in zip(transversal.orbits, transversal.reps):
+        reference = X.component(rep)
+        rep_equal = same_group(conjugated.component(rep), reference)
+        u = conjugated.entry_transversal(rep)
+        for d in orbit:
+            carried = rep_equal and (u[d].is_identity() or reference.contains(u[d]))
+            flags[d] = carried or same_group(conjugated.component(d), reference)
+    return flags
 
 
 def reference_parse_code(text: str) -> Code:

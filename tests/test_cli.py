@@ -79,10 +79,11 @@ class TestNormalizeCommand:
 
 def tamper_certificates(monkeypatch, module) -> None:
     """Make ``module`` sift into trivial groups, so that every non-identity
-    base entry and top is reported as a failure."""
+    base entry and top is reported as a failure. Corrections, members of
+    the real G, are no members of the trivial group and are dropped."""
     sift = wreathact.normalize.sift_embedding
 
-    def into_trivial_groups(generators, G, H):
+    def into_trivial_groups(generators, G, H, corrections=None):
         return sift(generators, GenGroup(G.degree), GenGroup(H.degree))
 
     monkeypatch.setattr(module, "sift_embedding", into_trivial_groups)

@@ -368,8 +368,20 @@ class TestStageTwo:
         assert result.x2 == embedding.x
         assert result.component_group.generators == embedding.G.generators
 
+    # chains that the one sift builds: G's, and only where a base entry of
+    # the conjugate is neither the identity nor a generator of G; at
+    # q = 2 every non-identity entry is G's one generator
+    CHAINS = {
+        "even-weight": 0,
+        "parity-z3": 1,
+        "repetition-q3-m3": 0,
+        "repetition-q3-m4": 0,
+        "repetition-q5-m7": 0,
+    }
+
     @pytest.mark.parametrize("name", STAGE_TWO_INSTANCES)
     def test_one_sift_and_one_chain(self, name, monkeypatch):
+        """One sift, and at most one chain: exactly ``CHAINS[name]``."""
         code, X = STAGE_TWO_INSTANCES[name]()
         calls: Counter = Counter()
 
@@ -386,7 +398,8 @@ class TestStageTwo:
         monkeypatch.setattr(StabilizerChain, "__init__", counted("chain", StabilizerChain.__init__))
         result = canonicalize(code, X, 0, 1)
         assert result.certificate.passed
-        assert calls == {"sift_embedding": 1, "chain": 1}
+        assert calls == Counter(sift_embedding=1, chain=self.CHAINS[name])
+        assert (result.component_group._chain is not None) is (self.CHAINS[name] == 1)
 
     @pytest.mark.parametrize("name", ["even-weight", "parity-z3", "repetition-q5-m7"])
     def test_two_conjugates_and_no_normalization_certificate(self, name, monkeypatch):
@@ -428,7 +441,9 @@ class TestCanonicalizeAtScale:
         assert result.certificate.passed and result.certificate.failures == ()
         assert result.pinned_constant in result.code
         assert result.pinned_mixed == (1,) * m
-        assert m not in degrees and degrees
+        # every base entry of the conjugate is the identity or a generator
+        # of G, so not even G's chain is built
+        assert degrees == [] and result.component_group._chain is None
         assert result.induced_group._chain is None
         assert elapsed < 1.0
 

@@ -1,7 +1,9 @@
 import io
 import math
+import os
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -22,18 +24,23 @@ from wreathact import (
     same_group,
     sift_embedding,
 )
-from wreathact.cli import main
-from wreathact.perm import StabilizerChain
+from wreathact.cli import load_group, main
+from wreathact.perm import StabilizerChain, random_permutation, symmetric_gens
 from helpers import (
     block_intransitive_subgroup,
+    chain_component_flags,
+    chain_sift_embedding,
     conjugated_full_wreath_product,
+    cycle,
     diagonal_instance,
     full_wreath_product,
     p,
+    random_wreath_subgroup,
     raw_closure,
     raw_component,
     raw_wreath,
     sym_perms,
+    tuple_closure,
     we,
 )
 
@@ -354,7 +361,7 @@ class TestOrbitCertificate:
                     sifted += not entry.is_identity()
                 with_phi += phi is not None
         assert with_phi >= 6
-        assert sifted > 0  # some entries went through the component's chain
+        assert sifted > 0  # some entries are corrections, not the identity
 
     def test_fallback_keeps_a_component_that_the_entry_normalizes(self, monkeypatch):
         # component A3 at both coordinates; a transposition normalizes A3
@@ -449,14 +456,14 @@ class TestCertificateCost:
         built = [d for owner, d in components if owner is result.conjugated]
         assert built == list(result.transversal.reps) == [0]
 
-    def test_embedding_builds_the_chain_of_G_alone(self, monkeypatch):
+    def test_embedding_builds_no_chain(self, monkeypatch):
         X = conjugated_full_wreath_product(random.Random(127), 12, 24)
         phi = tuple(random.Random(131).randrange(12) for _ in range(24))
         chains, components = self.count_builds(monkeypatch)
         result = embed_in_wreath(X, 0, phi)
         assert result.ok and result.normalization.fixes_point
-        assert len(chains) == 1
-        assert result.G._chain is not None and result.H._chain is None
+        assert chains == []
+        assert result.G._chain is None and result.H._chain is None
         built = [d for owner, d in components if owner is result.conjugated]
         assert built == [0]
 
@@ -469,6 +476,25 @@ class TestCertificateCost:
         assert result.ok and result.normalization.fixes_point
         assert result.H._chain is None
         assert elapsed < 0.05
+
+    @pytest.mark.parametrize("run", ["embed", "normalize"])
+    def test_sym100_wr_sym10_with_phi_builds_no_chain(self, run, monkeypatch):
+        # each correction is read off G's witness table: no chain of
+        # Sym(100), which took about 1 s to build
+        X = conjugated_full_wreath_product(random.Random(151), 100, 10)
+        rng = random.Random(157)
+        phi = tuple(rng.randrange(100) for _ in range(10))
+        chains, _ = self.count_builds(monkeypatch)
+        start = time.perf_counter()
+        if run == "embed":
+            result = embed_in_wreath(X, 0, phi)
+            normalization = result.normalization
+        else:
+            result = normalization = normalizing_element(X, phi)
+        elapsed = time.perf_counter() - start
+        assert result.ok and normalization.fixes_point
+        assert chains == []
+        assert elapsed < 0.3
 
     def test_several_orbits_build_the_conjugate_at_each_representative(
         self, monkeypatch
@@ -544,6 +570,263 @@ class TestTopsByConstruction:
         gens[2] = WreathElement(gens[2].base, self.SWAP)
         certificate = sift_embedding(tuple(gens), result.G, result.H)
         assert certificate.failures == ((2, "top", None),)
+
+
+def dihedral_wreath(rng: random.Random, q: int, m: int) -> WreathSubgroup:
+    """The diagonal dihedral group of order 2q times the coordinate
+    Sym(m), conjugated by a random base element: G is a proper, transitive
+    subgroup of Sym(q), so most of Sym(q) lies outside it."""
+    ctx = WreathContext(q, m)
+    id_q, id_m = Permutation.identity(q), Permutation.identity(m)
+    reflection = Permutation([(-i) % q for i in range(q)])
+    gens = [WreathElement((g,) * m, id_m) for g in (cycle(q), reflection)]
+    gens += [WreathElement((id_q,) * m, h) for h in symmetric_gens(m)]
+    y = WreathElement(tuple(random_permutation(rng, q) for _ in range(m)), id_m)
+    return conjugate_subgroup(WreathSubgroup(ctx, tuple(gens)), y)
+
+
+def repetition_q12() -> WreathSubgroup:
+    """G = Sym(12), where ``--fix`` makes base entries that are neither the
+    identity nor a generator (the ``embed_fix.txt`` golden)."""
+    data = os.path.join(os.path.dirname(__file__), "data")
+    return load_group(os.path.join(data, "repetition_q12_m4_aut.group"))
+
+
+class TestCertificateByConstruction:
+    """With the corrections undone, every base entry of a conjugated
+    generator is the identity or a generator of G, and every correction is
+    a BFS witness of G; only what is neither is sifted."""
+
+    INSTANCES = {
+        "full-sym7-m4": lambda: conjugated_full_wreath_product(random.Random(211), 7, 4),
+        "dihedral7-m5": lambda: dihedral_wreath(random.Random(223), 7, 5),
+        "diagonal-q5-m4": lambda: diagonal_instance(
+            random.Random(227), 5, 4, transitive_component=True, delta_transitive=True
+        )[1],
+        "repetition-q12-m4": repetition_q12,
+    }
+    PHI = (3, 7, 1, 10)
+
+    def phi(self, X: WreathSubgroup) -> tuple[int, ...]:
+        q, m = X.ctx.gamma_size, X.ctx.delta_size
+        return tuple(self.PHI[d % 4] % q for d in range(m))
+
+    @staticmethod
+    def known(G: GenGroup) -> set[tuple[int, ...]]:
+        return {g.images for g in G.generators} | {tuple(range(G.degree))}
+
+    @pytest.mark.parametrize("with_phi", [False, True])
+    @pytest.mark.parametrize("name", INSTANCES)
+    def test_embed_and_normalize_build_no_chain(self, name, with_phi, monkeypatch):
+        chains, _ = TestCertificateCost.count_builds(monkeypatch)
+        X = self.INSTANCES[name]()
+        phi = self.phi(X) if with_phi else None
+        normalization = normalizing_element(X, phi)
+        embedding = embed_in_wreath(self.INSTANCES[name](), 0, phi)
+        assert normalization.ok and embedding.ok
+        assert chains == []
+        if with_phi:
+            assert normalization.fixes_point and embedding.normalization.fixes_point
+
+    def test_corrected_entries_are_read_off_the_corrections(self):
+        # the golden's instance: entries outside G's generators, which the
+        # corrections carry back to generators
+        result = embed_in_wreath(repetition_q12(), 0, self.PHI)
+        known = self.known(result.G)
+        outside = [
+            b for g in result.conjugated.generators for b in g.base if b.images not in known
+        ]
+        assert len(outside) == 10
+        corrections = result.normalization.corrections
+        assert set(corrections) == set(range(4))
+        assert any(not c.is_identity() for c in corrections.values())
+        assert result.ok and result.G._chain is None
+
+    @pytest.mark.parametrize("corrections", [False, True])
+    def test_each_tampered_entry_outside_G_gives_one_base_failure(self, corrections):
+        X = dihedral_wreath(random.Random(229), 7, 5)
+        result = embed_in_wreath(X, 0, self.phi(X))
+        G, H = result.G, result.H
+        closure = tuple_closure([g.images for g in G.generators], 7)
+        assert len(closure) == 14
+        outside = [b for b in sym_perms(7) if b.images not in closure]
+        c = result.normalization.corrections if corrections else None
+        gens = [list(g.base) for g in result.conjugated.generators]
+        tampered_at = [(0, 1), (2, 0), (2, 4), (3, 3)]
+        for i, (k, d) in enumerate(tampered_at):
+            gens[k][d] = outside[31 * i]
+        tampered = tuple(
+            WreathElement(base, g.top) for base, g in zip(gens, result.conjugated.generators)
+        )
+        certificate = sift_embedding(tampered, G, H, c)
+        assert certificate.failures == tuple((k, "base", d) for k, d in tampered_at)
+        assert certificate == chain_sift_embedding(tampered, G, H)
+
+    @pytest.mark.parametrize("corrected", [False, True])
+    def test_tampered_entry_inside_G_is_sifted_and_passes(self, corrected):
+        X = dihedral_wreath(random.Random(233), 7, 5)
+        phi = self.phi(X) if corrected else None
+        result = embed_in_wreath(X, 0, phi)
+        G, H = result.G, result.H
+        corrections = result.normalization.corrections
+        known = self.known(G)
+        closure = tuple_closure([g.images for g in G.generators], 7)
+        gens = result.conjugated.generators
+        top = gens[0].top
+
+        def c(e: int) -> Permutation:
+            return corrections.get(e, Permutation.identity(7))
+
+        d = 1
+        if corrected:  # corrections on the two sides of d that are not both the identity
+            d = next(d for d in range(5) if not (c(d).is_identity() and c(top[d]).is_identity()))
+        b = next(
+            Permutation(e) for e in sorted(closure)
+            if e not in known and (c(d).inverse() * Permutation(e) * c(top[d])).images not in known
+        )
+        base = list(gens[0].base)
+        base[d] = b
+        tampered = (WreathElement(base, top),) + gens[1:]
+        assert G._chain is None
+        certificate = sift_embedding(tampered, G, H, corrections)
+        assert certificate.passed and certificate.failures == ()
+        assert G._chain is not None
+
+    @pytest.mark.parametrize(
+        "name, kind",
+        [("dihedral7-m5", "member"), ("dihedral7-m5", "outside"), ("full-sym7-m4", "member")],
+    )
+    def test_swapped_correction_gives_the_chain_verdict(self, name, kind, monkeypatch):
+        """A correction that is not G's BFS witness is not certified, so
+        the flags and the certificate fall back to the chain."""
+        X = self.INSTANCES[name]()
+        phi = self.phi(X)
+        adjust = normalize_module.adjust_transversal
+        swapped = []
+
+        def swapping(X, transversal, phi):
+            t = adjust(X, transversal, phi)
+            R = X.component(t.rep_of[1])
+            c = t.corrections[1]
+            if kind == "member":
+                words = R.generators + tuple(g * h for g in R.generators for h in R.generators)
+                new = next(c * w for w in words if not R.is_witness(phi[1], c * w))
+            else:
+                closure = tuple_closure([g.images for g in R.generators], R.degree)
+                new = next(b for b in sym_perms(R.degree) if b.images not in closure)
+            swapped.append(new)
+            entries, corrections = dict(t.entries), dict(t.corrections)
+            entries[1] = new * c.inverse() * t.entries[1]
+            corrections[1] = new
+            return Transversal(t.orbits, t.reps, entries, t.rep_of, corrections)
+
+        monkeypatch.setattr(normalize_module, "adjust_transversal", swapping)
+        result = embed_in_wreath(X, 0, phi)
+        normalization = result.normalization
+        assert swapped and 1 not in normalization.corrections
+        flags = chain_component_flags(X, normalization)
+        oracle = chain_sift_embedding(result.conjugated.generators, result.G, result.H)
+        assert normalization.component_flags == flags
+        assert result.certificate == oracle
+        assert result.certificate.passed is (kind == "member")
+        assert all(flags.values()) is (kind == "member")
+
+
+    @pytest.mark.parametrize("phi", [(0, 0), (0, 3)])
+    def test_spoiled_entry_under_certified_corrections_gives_the_chain_verdict(
+        self, phi, monkeypatch
+    ):
+        # the correction is G's witness, but the entry it corrects is not
+        # one of X's: u'[d] is not c[d]^-1, so the flag is the chain's, no
+        id4 = Permutation.identity(4)
+        c4 = cycle(4)
+        X = WreathSubgroup(
+            WreathContext(4, 2), (WreathElement((c4, c4), ID2), WreathElement((id4, id4), S))
+        )
+        spoiled_transversal(monkeypatch, 1, p(1, 2, 0, 3))
+        result = normalizing_element(X, phi)
+        assert 1 in result.corrections and result.fixes_point
+        assert result.component_flags == chain_component_flags(X, result) == {0: True, 1: False}
+        assert raw_components(result.conjugated)[1] != raw_components(X)[0]
+
+
+class TestCertificateAgainstChainOracle:
+    """``component_flags`` and the embedding certificate by construction
+    against the chain that sifts every entry, on seeded families with and
+    without ``phi``, untampered and with one entry replaced."""
+
+    @staticmethod
+    def instances():
+        rng = random.Random(1013)
+        for i in range(320):
+            q, m = rng.choice([2, 3, 4]), rng.choice([2, 3, 4])
+            kind = i % 4
+            if kind == 0:
+                yield rng, random_wreath_subgroup(rng, q, m)
+            elif kind == 1:
+                yield rng, conjugated_full_wreath_product(rng, q, m)
+            elif kind == 2:
+                yield rng, block_intransitive_subgroup(rng, q, m)
+            else:
+                yield rng, diagonal_instance(
+                    rng, q, m,
+                    transitive_component=rng.random() < 0.5,
+                    delta_transitive=rng.random() < 0.5,
+                )[1]
+
+    def test_flags_and_certificates_equal_the_chain_verdict(self):
+        counts: Counter = Counter()
+        for rng, X in self.instances():
+            q, m = X.ctx.gamma_size, X.ctx.delta_size
+            counts["instances"] += 1
+            phis = [None]
+            if all(X.component(orbit[0]).is_transitive() for orbit in X.delta_orbits):
+                phis.append(tuple(rng.randrange(q) for _ in range(m)))
+            for phi in phis:
+                result = normalizing_element(X, phi)
+                flags = chain_component_flags(X, result)
+                assert result.component_flags == flags
+                assert result.ok is (all(flags.values()) and result.fixes_point is not False)
+                counts["normalized"] += 1
+                counts["with_phi"] += phi is not None
+                if not X.is_delta_transitive:
+                    continue
+                embedding = embed_in_wreath(X, 0, phi)
+                G, H = embedding.G, embedding.H
+                gens = embedding.conjugated.generators
+                oracle = chain_sift_embedding(gens, G, H)
+                assert embedding.certificate == oracle
+                assert embedding.normalization.component_flags == chain_component_flags(
+                    X, embedding.normalization
+                )
+                counts["embedded"] += 1
+                known = {g.images for g in G.generators} | {tuple(range(q))}
+                counts["corrected"] += sum(b.images not in known for g in gens for b in g.base)
+                k, d = rng.randrange(len(gens)), rng.randrange(m)
+                base = list(gens[k].base)
+                base[d] = random_permutation(rng, q)
+                tampered = gens[:k] + (WreathElement(base, gens[k].top),) + gens[k + 1:]
+                certificate = sift_embedding(tampered, G, H, embedding.normalization.corrections)
+                assert certificate == chain_sift_embedding(tampered, G, H)
+                counts["tampered_fail"] += not certificate.passed
+        assert counts["instances"] >= 300
+        assert counts["with_phi"] >= 100 and counts["embedded"] >= 150
+        assert counts["corrected"] > 0 and counts["tampered_fail"] > 0
+
+    def test_witnesses_lie_in_the_closure_of_the_generators(self):
+        checked = 0
+        for _, X in self.instances():
+            q = X.ctx.gamma_size
+            for orbit in X.delta_orbits:
+                R = X.component(orbit[0])
+                closure = tuple_closure([g.images for g in R.generators], q)
+                for start in range(q):
+                    for target in R.orbit(start):
+                        w = R.witness(start, target)
+                        assert w.images in closure and w[start] == target
+                        assert R.is_witness(start, w)
+                        checked += 1
+        assert checked > 1000
 
 
 class TestBeyondEnumeration:
@@ -729,3 +1012,15 @@ class TestConjugateSubgroup:
                     tuple(pt) for pt in Xc.orbit_of_point(x.apply(phi))
                 }
                 assert transported == conjugate_orbit
+
+    @pytest.mark.parametrize("q, m", [(1, 3), (2, 1), (3, 4), (7, 5)])
+    def test_base_element_gathers_equal_the_products(self, q, m):
+        # a base element conjugates by raw gathers; any other x by products
+        rng = random.Random(163 + q * m)
+        ctx = WreathContext(q, m)
+        X = WreathSubgroup(ctx, tuple(ctx.random_element(rng) for _ in range(3)))
+        x = WreathElement(
+            tuple(random_permutation(rng, q) for _ in range(m)), Permutation.identity(m)
+        )
+        gathered = conjugate_subgroup(X, x).generators
+        assert gathered == tuple(x.inverse() * g * x for g in X.generators)
