@@ -189,27 +189,28 @@ class NormalizationResult:
 def conjugate_subgroup(X: WreathSubgroup, x: WreathElement) -> WreathSubgroup:
     """The subgroup generated by x^-1 g x over the generators g of X.
 
-    For a base element x (identity top), x^-1 g x keeps g's top and has
-    entry ``x[d]^-1 * g.base[d] * x[g.top[d]]`` at d: two gathers on image
-    tuples per entry, and no intermediate wreath element.
+    With x = (a, t) and s = t^-1[d], x^-1 g x has top t^-1 * g.top * t and
+    entry ``a[s]^-1 * g.base[s] * a[g.top[s]]`` at d: gathers on image
+    tuples, and no intermediate wreath element. For a base element x
+    (identity top) s is d and the top is g's.
     """
     if x.ctx != X.ctx:
         raise DegreeMismatchError("conjugating element lives in a different context")
-    if not x.top.is_identity():
-        x_inv = x.inverse()
-        return WreathSubgroup(X.ctx, tuple(x_inv * g * x for g in X.generators))
     entries = [p.images for p in x.base]
     inverses = list(map(_invert, entries))
-    return WreathSubgroup(X.ctx, tuple(
-        _from_parts(
+    t = x.top.images
+    order = _invert(t)
+    conjugates = []
+    for g in X.generators:
+        base, top = g.base, g.top.images
+        conjugates.append(_from_parts(
             tuple(
-                _from_images(_compose(_compose(inverse, p.images), entries[e]))
-                for inverse, p, e in zip(inverses, g.base, g.top.images)
+                _from_images(_compose(_compose(inverses[s], base[s].images), entries[top[s]]))
+                for s in order
             ),
-            g.top,
-        )
-        for g in X.generators
-    ))
+            _from_images(_compose(_compose(order, top), t)),
+        ))
+    return WreathSubgroup(X.ctx, tuple(conjugates))
 
 
 def normalizing_element(
@@ -281,16 +282,19 @@ def sift_embedding(
     G: GenGroup,
     H: GenGroup,
     corrections: Mapping[int, Permutation] | None = None,
+    phi: Point | None = None,
 ) -> EmbedCertificate:
     """Check every base entry into G and every top into H.
 
     A base entry b of a generator g at coordinate d is in G by
-    construction when it is the identity or one of G's generators, or,
-    given ``corrections`` (members of G keyed by coordinate, such as
-    ``NormalizationResult.corrections``), when
-    ``corrections[d]^-1 * b * corrections[g.top[d]]`` is; then b is a
-    product of members. Likewise a top that is the identity or one of H's
-    generators is in H, which is how ``embed_in_wreath`` and
+    construction when it is the identity or one of G's generators, or when
+    ``c[d]^-1 * b * c[g.top[d]]`` is, for corrections c that are members of
+    G; then b is a product of members. A correction ``corrections[d]``
+    counts as a member only when it is the identity, one of G's generators
+    or G's BFS witness from ``phi[d]`` (``GenGroup.is_witness``), so the
+    certificate proves the corrections itself and trusts none it is given;
+    without ``phi`` only the first two count. Likewise a top that is the identity or one of
+    H's generators is in H, which is how ``embed_in_wreath`` and
     ``canonicalize`` build H. Only the entries and tops left over are
     sifted into G's or H's chain, so a tampered one still fails exactly,
     and an untampered embedding builds no chain.
@@ -298,7 +302,10 @@ def sift_embedding(
     q = G.degree
     known = {g.images for g in G.generators}
     known.add(tuple(range(q)))
-    c = {d: p.images for d, p in (corrections or {}).items()}
+    c = {
+        d: p.images for d, p in (corrections or {}).items()
+        if p.images in known or (phi is not None and G.is_witness(phi[d], p))
+    }
     c_inverse = {d: _invert(images) for d, images in c.items()}
     tops = frozenset(H.generators)
     failures: list[tuple[int, str, int | None]] = []
@@ -348,9 +355,10 @@ def embed_in_wreath(
     generator's top, and that top is a generator of H. With the
     corrections undone, each base entry of a conjugated generator is the
     identity or a generator of G, and the corrections are G's BFS
-    witnesses. So ``sift_embedding`` reads every entry and top as a member
-    by construction, and sifts only a leftover one: no stabilizer chain is
-    built, with ``phi`` or without.
+    witnesses from ``phi``, which ``sift_embedding`` finds in G's witness
+    table. So it reads every entry and top as a member by construction,
+    and sifts only a leftover one: no stabilizer chain is built, with
+    ``phi`` or without.
     """
     if not 0 <= delta1 < X.ctx.delta_size:
         raise ValueError(f"coordinate {delta1} out of range")
@@ -362,7 +370,7 @@ def embed_in_wreath(
     H = X.induced_group
     normalization = normalizing_element(X, phi, preferred_reps=(delta1,))
     certificate = sift_embedding(
-        normalization.conjugated.generators, G, H, normalization.corrections
+        normalization.conjugated.generators, G, H, normalization.corrections, phi
     )
     return EmbedResult(
         G=G,

@@ -83,7 +83,7 @@ def tamper_certificates(monkeypatch, module) -> None:
     the real G, are no members of the trivial group and are dropped."""
     sift = wreathact.normalize.sift_embedding
 
-    def into_trivial_groups(generators, G, H, corrections=None):
+    def into_trivial_groups(generators, G, H, corrections=None, phi=None):
         return sift(generators, GenGroup(G.degree), GenGroup(H.degree))
 
     monkeypatch.setattr(module, "sift_embedding", into_trivial_groups)

@@ -651,6 +651,7 @@ class TestCertificateByConstruction:
         assert len(closure) == 14
         outside = [b for b in sym_perms(7) if b.images not in closure]
         c = result.normalization.corrections if corrections else None
+        phi = self.phi(X) if corrections else None
         gens = [list(g.base) for g in result.conjugated.generators]
         tampered_at = [(0, 1), (2, 0), (2, 4), (3, 3)]
         for i, (k, d) in enumerate(tampered_at):
@@ -658,7 +659,7 @@ class TestCertificateByConstruction:
         tampered = tuple(
             WreathElement(base, g.top) for base, g in zip(gens, result.conjugated.generators)
         )
-        certificate = sift_embedding(tampered, G, H, c)
+        certificate = sift_embedding(tampered, G, H, c, phi)
         assert certificate.failures == tuple((k, "base", d) for k, d in tampered_at)
         assert certificate == chain_sift_embedding(tampered, G, H)
 
@@ -688,7 +689,7 @@ class TestCertificateByConstruction:
         base[d] = b
         tampered = (WreathElement(base, top),) + gens[1:]
         assert G._chain is None
-        certificate = sift_embedding(tampered, G, H, corrections)
+        certificate = sift_embedding(tampered, G, H, corrections, phi)
         assert certificate.passed and certificate.failures == ()
         assert G._chain is not None
 
@@ -731,6 +732,29 @@ class TestCertificateByConstruction:
         assert result.certificate.passed is (kind == "member")
         assert all(flags.values()) is (kind == "member")
 
+    @pytest.mark.parametrize("with_phi", [False, True])
+    def test_bogus_corrections_do_not_certify_a_non_member(self, with_phi):
+        # c[d] = b and c[top[d]] = 1 would read any b at d as the identity;
+        # b is no BFS witness of G, so it is not taken as a correction and
+        # the entry is sifted
+        X = dihedral_wreath(random.Random(229), 7, 5)
+        phi = self.phi(X)
+        result = embed_in_wreath(X, 0, phi)
+        G, H = result.G, result.H
+        closure = tuple_closure([g.images for g in G.generators], 7)
+        b = next(b for b in sym_perms(7) if b.images not in closure)
+        gens = result.conjugated.generators
+        k = next(k for k, g in enumerate(gens) if not g.top.is_identity())
+        top = gens[k].top
+        d = next(d for d in range(5) if top[d] != d)
+        base = list(gens[k].base)
+        base[d] = b
+        tampered = gens[:k] + (WreathElement(base, top),) + gens[k + 1:]
+        bogus = {e: Permutation.identity(7) for e in range(5)}
+        bogus[d] = b
+        certificate = sift_embedding(tampered, G, H, bogus, phi if with_phi else None)
+        assert certificate.failures == ((k, "base", d),)
+        assert certificate == chain_sift_embedding(tampered, G, H)
 
     @pytest.mark.parametrize("phi", [(0, 0), (0, 3)])
     def test_spoiled_entry_under_certified_corrections_gives_the_chain_verdict(
@@ -806,7 +830,9 @@ class TestCertificateAgainstChainOracle:
                 base = list(gens[k].base)
                 base[d] = random_permutation(rng, q)
                 tampered = gens[:k] + (WreathElement(base, gens[k].top),) + gens[k + 1:]
-                certificate = sift_embedding(tampered, G, H, embedding.normalization.corrections)
+                certificate = sift_embedding(
+                    tampered, G, H, embedding.normalization.corrections, phi
+                )
                 assert certificate == chain_sift_embedding(tampered, G, H)
                 counts["tampered_fail"] += not certificate.passed
         assert counts["instances"] >= 300
@@ -1013,14 +1039,17 @@ class TestConjugateSubgroup:
                 }
                 assert transported == conjugate_orbit
 
+    @pytest.mark.parametrize("base_element", [True, False])
     @pytest.mark.parametrize("q, m", [(1, 3), (2, 1), (3, 4), (7, 5)])
-    def test_base_element_gathers_equal_the_products(self, q, m):
-        # a base element conjugates by raw gathers; any other x by products
+    def test_gathers_equal_the_products(self, q, m, base_element):
+        # conjugation gathers on image tuples, for any x, top or none
         rng = random.Random(163 + q * m)
         ctx = WreathContext(q, m)
         X = WreathSubgroup(ctx, tuple(ctx.random_element(rng) for _ in range(3)))
-        x = WreathElement(
-            tuple(random_permutation(rng, q) for _ in range(m)), Permutation.identity(m)
-        )
+        x = ctx.random_element(rng)
+        if base_element:
+            x = WreathElement(x.base, Permutation.identity(m))
+        else:
+            assert x.top.is_identity() is (m == 1)
         gathered = conjugate_subgroup(X, x).generators
         assert gathered == tuple(x.inverse() * g * x for g in X.generators)
