@@ -30,7 +30,7 @@ from .perm import (
     _compose,
     _from_images,
     _invert,
-    closure,
+    _times,
     orbit_with_witnesses,
     same_group,
     schreier_generators,
@@ -43,10 +43,10 @@ class WreathSubgroup:
 
     The induced coordinate action and its orbit partition are built at
     construction. The component of each coordinate, with its entry
-    transversal, the stabilizer chain and the brute-force element closure
-    are lazy caches built on first use; build the ones a thread will need
-    before sharing an instance across threads, after which all reads are
-    pure.
+    transversal, the stabilizer chain and the element set of
+    ``enumerate_elements`` are lazy caches built on first use; build the
+    ones a thread will need before sharing an instance across threads,
+    after which all reads are pure.
     """
 
     def __init__(self, ctx: WreathContext, generators: Iterable[WreathElement]):
@@ -192,12 +192,14 @@ class WreathSubgroup:
     # ----- brute-force oracles -----
 
     def enumerate_elements(self, cap: int = DEFAULT_CAP) -> frozenset[WreathElement]:
-        """The full element set by BFS closure, refused by order over ``cap``."""
+        """The full element set, the orbit of the identity under right
+        multiplication, refused by order over ``cap``."""
         order = self.order()
         if order > cap:
             raise EnumerationOverflow(f"subgroup order {order} exceeds cap {cap}")
         if self._closure is None:
-            self._closure = closure(self.identity(), self.generators, cap)
+            elements = orbit_with_witnesses(self.identity(), self.generators, _times)[0]
+            self._closure = frozenset(elements)
         return self._closure
 
     def orbit_of_point(self, start: Point, cap: int = DEFAULT_CAP) -> list[Point]:
@@ -207,15 +209,7 @@ class WreathSubgroup:
             raise EnumerationOverflow(
                 f"|Pi| = {self.ctx.point_count()} exceeds cap {cap}"
             )
-        orbit = [start]
-        seen = {start}
-        for phi in orbit:
-            for s in self.generators:
-                image = s.apply(phi)
-                if image not in seen:
-                    seen.add(image)
-                    orbit.append(image)
-        return orbit
+        return orbit_with_witnesses(start, self.generators, WreathElement.apply)[0]
 
     def is_transitive_on_points(self, cap: int = DEFAULT_CAP) -> bool:
         start = self.ctx.constant_point(0)

@@ -31,7 +31,7 @@ INTRANSITIVE: Transitivity = "intransitive"
 TRANSITIVE: Transitivity = "transitive"
 TWO_TRANSITIVE: Transitivity = "2-transitive-or-more"
 
-# Element type of the shared orbit, Schreier and closure routines:
+# Element type of the shared orbit and Schreier routines:
 # Permutation or WreathElement (hashable, ``*``, ``inverse``, ``is_identity``).
 E = TypeVar("E")
 T = TypeVar("T")
@@ -139,14 +139,15 @@ def _from_images(images: tuple[int, ...]) -> Permutation:
 
 
 def orbit_with_witnesses(
-    start, generators: Sequence[E], image: Callable, identity: E
+    start, generators: Sequence[E], image: Callable, identity: E | None = None
 ) -> tuple[list, dict]:
     """BFS orbit of ``start`` with witness elements.
 
     ``image(s, point)`` is the action of generator ``s``. ``witness[beta]``
     is a product of generators mapping ``start`` to ``beta``, and
-    ``witness[start]`` is ``identity``. The orbit list is in BFS discovery
-    order with generators applied in declaration order.
+    ``witness[start]`` is ``identity``; without ``identity`` no product is
+    formed and every witness is None. The orbit list and the witness keys
+    are in BFS discovery order with generators applied in declaration order.
     """
     orbit = [start]
     witness = {start: identity}
@@ -154,7 +155,7 @@ def orbit_with_witnesses(
         for s in generators:
             gamma = image(s, beta)
             if gamma not in witness:
-                witness[gamma] = witness[beta] * s
+                witness[gamma] = None if identity is None else witness[beta] * s
                 orbit.append(gamma)
     return orbit, witness
 
@@ -181,28 +182,9 @@ def schreier_generators(
     return out
 
 
-def closure(
-    identity: E, generators: Sequence[E], cap: int, detail: str = ""
-) -> frozenset[E]:
-    """Every product of ``generators``, by BFS from ``identity``.
-
-    Raises ``EnumerationOverflow`` once more than ``cap`` elements would be
-    needed; ``detail`` is appended to its message.
-    """
-    elements = {identity}
-    frontier = [identity]
-    while frontier:
-        new: list[E] = []
-        for e in frontier:
-            for s in generators:
-                c = e * s
-                if c not in elements:
-                    if len(elements) >= cap:
-                        raise EnumerationOverflow(f"closure exceeds cap {cap}{detail}")
-                    elements.add(c)
-                    new.append(c)
-        frontier = new
-    return frozenset(elements)
+def _times(s: E, e: E) -> E:
+    """Right multiplication by ``s``: the orbit of the identity is the group."""
+    return e * s
 
 
 def random_permutation(rng: random.Random, degree: int) -> Permutation:
@@ -381,10 +363,11 @@ class GenGroup:
     """A permutation group given by a list of generators.
 
     Membership and order come from a stabilizer chain built on first use;
-    ``enumerate_elements`` is the brute-force closure backing the oracle
-    tests, refused by the chain order when over its cap; ``witness`` keeps
-    one BFS per start point. The caches are built lazily, so construct a
-    group on one thread before sharing it; afterwards all reads are pure.
+    ``enumerate_elements`` lists the elements, as the orbit of the identity,
+    for the oracle tests, refused by the chain order when over its cap;
+    ``witness`` and ``schreier_generators`` share one kept BFS per start
+    point. The caches are built lazily, so construct a group on one thread
+    before sharing it; afterwards all reads are pure.
     """
 
     __slots__ = ("degree", "generators", "_chain", "_closure", "_witnesses")
@@ -445,7 +428,13 @@ class GenGroup:
 
     def orbit(self, point: int) -> list[int]:
         """The orbit of ``point`` in the BFS order of
-        ``orbit_with_transversal``, found on the image tuples alone."""
+        ``orbit_with_transversal``, found on the image tuples alone.
+
+        Every ``WreathSubgroup`` build runs this for its coordinate orbits,
+        so it keeps its own loop: through ``orbit_with_witnesses`` and its
+        image callback, ``orbits`` of two random generators took 2.3 -> 3.3
+        us at m = 6 and 55 -> 71 us at m = 200 (CPython 3.11, Xeon).
+        """
         if not 0 <= point < self.degree:
             raise ValueError(f"point {point} out of range for degree {self.degree}")
         images = [g.images for g in self.generators]
@@ -471,9 +460,10 @@ class GenGroup:
         return out
 
     def schreier_generators(self, point: int) -> list[Permutation]:
-        """Pruned Schreier generators of the stabilizer of ``point``."""
-        orbit, witness = self.orbit_with_transversal(point)
-        return schreier_generators(orbit, witness, self.generators, Permutation.__getitem__)
+        """Pruned Schreier generators of the stabilizer of ``point``, from
+        the kept witness table, whose keys are the orbit in BFS order."""
+        witness = self._witness_table(point)
+        return schreier_generators(list(witness), witness, self.generators, Permutation.__getitem__)
 
     # ----- membership and enumeration -----
 
@@ -494,18 +484,15 @@ class GenGroup:
         return self._get_chain().order()
 
     def enumerate_elements(self, cap: int = DEFAULT_CAP) -> frozenset[Permutation]:
-        """The full element set by BFS closure. A group whose chain order
-        is over ``cap`` is refused before any enumeration."""
+        """The full element set, the orbit of the identity under right
+        multiplication. A group whose chain order is over ``cap`` is
+        refused before any enumeration."""
         order = self.order()
         if order > cap:
             raise EnumerationOverflow(f"group order {order} exceeds cap {cap}")
         if self._closure is None:
-            self._closure = closure(
-                Permutation.identity(self.degree),
-                self.generators,
-                cap,
-                f" (degree {self.degree})",
-            )
+            identity = Permutation.identity(self.degree)
+            self._closure = frozenset(orbit_with_witnesses(identity, self.generators, _times)[0])
         return self._closure
 
     # ----- transitivity -----
@@ -523,15 +510,8 @@ class GenGroup:
             return INTRANSITIVE
         if self.degree < 2:
             return TRANSITIVE
-        pair_orbit = {(0, 1)}
-        queue = [(0, 1)]
-        while queue:
-            a, b = queue.pop()
-            for s in self.generators:
-                image = (s[a], s[b])
-                if image not in pair_orbit:
-                    pair_orbit.add(image)
-                    queue.append(image)
+        images = [g.images for g in self.generators]
+        pair_orbit = orbit_with_witnesses((0, 1), images, lambda s, ab: (s[ab[0]], s[ab[1]]))[0]
         if len(pair_orbit) == self.degree * (self.degree - 1):
             return TWO_TRANSITIVE
         return TRANSITIVE

@@ -505,6 +505,29 @@ class TestSplit:
         assert result.first.component(0).order() == 720
 
 
+class TestOrbitOnPi:
+    def test_equals_a_raw_search_in_bfs_order(self):
+        rng = random.Random(67)
+        for _ in range(40):
+            q, m = rng.choice([2, 3, 4]), rng.choice([1, 2, 3])
+            X = random_wreath_subgroup(rng, q, m, n_gens=rng.randint(0, 3))
+            start = tuple(rng.randrange(q) for _ in range(m))
+            gens = [raw_wreath(g) for g in X.generators]
+            orbit = [start]
+            for phi in orbit:
+                for g in gens:
+                    image = raw_apply(g, phi)
+                    if image not in orbit:
+                        orbit.append(image)
+            assert X.orbit_of_point(start) == orbit
+
+    def test_refused_by_the_size_of_pi(self):
+        X = full_wreath_product(3, 3)
+        assert len(X.orbit_of_point((0, 1, 2), cap=27)) == 27
+        with pytest.raises(EnumerationOverflow, match=r"\|Pi\| = 27 exceeds cap 26"):
+            X.orbit_of_point((0, 1, 2), cap=26)
+
+
 class TestTransitivityReport:
     def test_full_wreath_product(self):
         report = full_w22().transitivity_report()

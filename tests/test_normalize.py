@@ -157,7 +157,8 @@ class TestAdjustTransversal:
     def test_no_wreath_products_at_scale(self, monkeypatch):
         # the transversal and its corrections are computed on Gamma alone
         X = conjugated_full_wreath_product(random.Random(89), 8, 12)
-        phi = tuple(random.Random(97).randrange(8) for _ in range(12))
+        rng = random.Random(97)
+        phi = tuple(rng.randrange(8) for _ in range(12))
         calls = []
         multiply = WreathElement.__mul__
 
@@ -458,7 +459,8 @@ class TestCertificateCost:
 
     def test_embedding_builds_no_chain(self, monkeypatch):
         X = conjugated_full_wreath_product(random.Random(127), 12, 24)
-        phi = tuple(random.Random(131).randrange(12) for _ in range(24))
+        rng = random.Random(131)
+        phi = tuple(rng.randrange(12) for _ in range(24))
         chains, components = self.count_builds(monkeypatch)
         result = embed_in_wreath(X, 0, phi)
         assert result.ok and result.normalization.fixes_point
@@ -469,7 +471,8 @@ class TestCertificateCost:
 
     def test_embedding_at_scale_builds_no_chain_of_degree_m(self):
         X = conjugated_full_wreath_product(random.Random(139), 6, 60)
-        phi = tuple(random.Random(149).randrange(6) for _ in range(60))
+        rng = random.Random(149)
+        phi = tuple(rng.randrange(6) for _ in range(60))
         start = time.perf_counter()
         result = embed_in_wreath(X, 0, phi)
         elapsed = time.perf_counter() - start

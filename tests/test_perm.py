@@ -19,10 +19,17 @@ from wreathact import (
     same_group,
     symmetric_gens,
 )
-from wreathact.perm import StabilizerChain, _compose, _invert
+from wreathact.perm import (
+    StabilizerChain,
+    _compose,
+    _invert,
+    orbit_with_witnesses,
+    schreier_generators,
+)
 from helpers import (
     CHAIN_LEVELS,
     chain_state,
+    invertible_coordinate_perms,
     p,
     perm_closure,
     pinned_chain_cases,
@@ -190,6 +197,26 @@ class TestOrbits:
             assert orbits == [sorted(g.orbit(orbit[0])) for orbit in orbits]
             assert [orbit[0] for orbit in orbits] == sorted(orbit[0] for orbit in orbits)
 
+    def test_search_without_identity_forms_no_product(self, monkeypatch):
+        rng = random.Random(19)
+        cases = [(1, (), 0), (4, (), 2)]
+        for _ in range(25):
+            degree = rng.randint(1, 8)
+            gens = tuple(random_permutation(rng, degree) for _ in range(rng.randint(1, 3)))
+            cases.append((degree, gens, rng.randrange(degree)))
+        expected = [
+            orbit_with_witnesses(start, gens, Permutation.__getitem__, Permutation.identity(degree))[0]
+            for degree, gens, start in cases
+        ]
+        products = []
+        multiply = Permutation.__mul__
+        monkeypatch.setattr(Permutation, "__mul__", lambda a, b: products.append(None) or multiply(a, b))
+        for (_, gens, start), orbit in zip(cases, expected):
+            plain, witness = orbit_with_witnesses(start, gens, Permutation.__getitem__)
+            assert plain == orbit == list(witness)
+            assert set(witness.values()) == {None}
+        assert products == []
+
 
 class TestSchreierGenerators:
     def test_cyclic_group_has_trivial_stabilizer(self):
@@ -205,6 +232,33 @@ class TestSchreierGenerators:
 
     def test_trivial_group(self):
         assert GenGroup(4, ()).schreier_generators(2) == []
+
+    def test_equal_the_shared_routine_on_a_fresh_search(self):
+        rng = random.Random(29)
+        groups = [GenGroup(1, ()), GenGroup(3, ()), GenGroup(5, symmetric_gens(5))]
+        for _ in range(25):
+            degree = rng.randint(2, 8)
+            gens = (random_permutation(rng, degree) for _ in range(rng.randint(1, 3)))
+            groups.append(GenGroup(degree, gens))
+        for g in groups:
+            for point in range(g.degree):
+                orbit, witness = g.orbit_with_transversal(point)
+                fresh = schreier_generators(orbit, witness, g.generators, Permutation.__getitem__)
+                assert g.schreier_generators(point) == fresh
+            with pytest.raises(ValueError, match=f"point {g.degree} out of range"):
+                g.schreier_generators(g.degree)
+
+    def test_read_the_search_that_witness_kept(self, monkeypatch):
+        searches = []
+        search = GenGroup.orbit_with_transversal
+        monkeypatch.setattr(
+            GenGroup, "orbit_with_transversal", lambda g, point: searches.append(point) or search(g, point)
+        )
+        g = GenGroup(6, symmetric_gens(6))
+        g.witness(2, 5)
+        first = g.schreier_generators(2)
+        assert g.schreier_generators(2) == first
+        assert searches == [2]
 
     def test_schreier_soundness(self):
         rng = random.Random(3)
@@ -529,3 +583,43 @@ class TestTransitivity:
 
     def test_degree_one(self):
         assert GenGroup(1, ()).transitivity_degree() == TRANSITIVE
+
+    def test_agrees_with_sympy(self):
+        """The ordered-pair orbit against sympy's ``transitivity_degree``
+        (0 intransitive, 1 transitive, at least 2 for 2-transitive), on
+        2-transitive groups that are not giants, on dihedral, cyclic and
+        intransitive groups, and on seeded random and relabelled ones."""
+        combinatorics = pytest.importorskip("sympy.combinatorics")
+        SympyPerm, SympyGroup = combinatorics.Permutation, combinatorics.PermutationGroup
+        rng = random.Random(20261019)
+        agl = [Permutation((x + 1) % 7 for x in range(7)), Permutation(3 * x % 7 for x in range(7))]
+        # PGL(2, 7) on the projective line: 0..6 and infinity as 7
+        pgl = [Permutation(list(g.images) + [7]) for g in agl]
+        pgl.append(Permutation([7] + [-pow(x, 5, 7) % 7 for x in range(1, 7)] + [0]))  # -1/x
+        gl32 = invertible_coordinate_perms()
+        named = [(agl, 42), (pgl, 336), (gl32, 168)]
+        for gens, order in named:
+            g = GenGroup(gens[0].degree, gens)
+            assert g.order() == order and g.transitivity_degree() == TWO_TRANSITIVE
+        cases = [gens for gens, _ in named]
+        for n in (4, 5, 6, 8):
+            rotation = Permutation((x + 1) % n for x in range(n))
+            cases.append([rotation, Permutation(-x % n for x in range(n))])
+            cases.append([rotation])
+            cases.append([rotation * rotation])
+        cases += [_on_disjoint_points(rng, a, b) for a, b in ((1, 4), (3, 4), (2, 5))]
+        cases.append([p(1, 0), p(1, 0)])
+        for _ in range(15):
+            degree = rng.randint(3, 9)
+            cases.append([random_permutation(rng, degree) for _ in range(rng.randint(1, 2))])
+        for gens, _ in named:
+            relabel = random_permutation(rng, gens[0].degree)
+            cases.append([relabel.inverse() * g * relabel for g in gens])
+        seen = set()
+        for gens in cases:
+            g = GenGroup(gens[0].degree, gens)
+            reference = SympyGroup([SympyPerm(list(x.images)) for x in gens]).transitivity_degree
+            expected = {0: INTRANSITIVE, 1: TRANSITIVE}.get(reference, TWO_TRANSITIVE)
+            assert g.transitivity_degree() == expected, gens
+            seen.add(expected)
+        assert seen == {INTRANSITIVE, TRANSITIVE, TWO_TRANSITIVE}
