@@ -367,6 +367,10 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     args = _parser().parse_args(argv)
     try:
+        # argparse before 3.13 reads --name=-- as an empty list, not as "--"
+        for name, value in vars(args).items():
+            if isinstance(value, list):
+                raise ParseError(f"--{name} needs a value")
         if getattr(args, "cap", None) is None:
             args.cap = default_cap()
         else:

@@ -16,8 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DegreeMismatchError, HypothesisViolation, ParseError
 from .perm import GenGroup, Permutation, TWO_TRANSITIVE, _compose
@@ -216,8 +215,7 @@ def format_code(code: Code) -> str:
     return "\n".join([header, *format_words(code)]) + "\n"
 
 
-@dataclass
-class CanonicalizationResult:
+class CanonicalizationResult(NamedTuple):
     """The four factors, their product, and the transformed code and group."""
 
     x1: WreathElement

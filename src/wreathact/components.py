@@ -16,9 +16,8 @@ and the brute-force oracles list points or elements, under a cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import DegreeMismatchError, EnumerationOverflow
 from .perm import (
@@ -387,8 +386,7 @@ def _top_image(w: WreathElement, d: int) -> int:
     return w.top[d]
 
 
-@dataclass
-class TransitivityReport:
+class TransitivityReport(NamedTuple):
     """Outcome of the transitive-components scan for one subgroup."""
 
     transitive_on_points: bool
@@ -398,8 +396,7 @@ class TransitivityReport:
     violation: bool
 
 
-@dataclass
-class SplitResult:
+class SplitResult(NamedTuple):
     """The two restricted subgroups plus the embedding certificate, checked
     on generator data with no cap: bijection by the partition of the
     coordinates, equivariance on the probe words (see ``split``)."""

@@ -30,8 +30,8 @@ anything the construction made, and sifts only what it cannot read off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .errors import DegreeMismatchError, HypothesisViolation
 from .perm import GenGroup, Permutation, _compose, _from_images, _invert, same_group
@@ -39,8 +39,7 @@ from .components import WreathSubgroup
 from .wreath import Point, WreathElement, _from_parts
 
 
-@dataclass
-class Transversal:
+class Transversal(NamedTuple):
     """Per-orbit representatives with a base entry for each coordinate.
 
     ``entries[d]`` is the entry, at the representative r of d's orbit, of
@@ -54,7 +53,7 @@ class Transversal:
     reps: tuple[int, ...]
     entries: dict[int, Permutation]
     rep_of: dict[int, int]
-    corrections: dict[int, Permutation] = field(default_factory=dict)
+    corrections: Mapping[int, Permutation] = MappingProxyType({})
 
     @property
     def x(self) -> WreathElement:
@@ -157,8 +156,7 @@ def certified_corrections(
     return certified
 
 
-@dataclass
-class NormalizationResult:
+class NormalizationResult(NamedTuple):
     """Base element x with the conjugate X^x and its per-orbit certificate.
 
     ``component_flags[d]`` records that the component of X^x at d equals,
@@ -178,7 +176,7 @@ class NormalizationResult:
     component_flags: dict[int, bool]
     common_components: dict[int, GenGroup]
     fixes_point: bool | None
-    corrections: dict[int, Permutation] = field(default_factory=dict)
+    corrections: Mapping[int, Permutation] = MappingProxyType({})
 
     @property
     def ok(self) -> bool:
@@ -265,8 +263,7 @@ def normalizing_element(
     )
 
 
-@dataclass
-class EmbedCertificate:
+class EmbedCertificate(NamedTuple):
     """Sifting record for the containment of conjugated generators in G wr H.
 
     Each failure names the generator index, whether a base entry or the top
@@ -325,8 +322,7 @@ def sift_embedding(
     return EmbedCertificate(passed=not failures, failures=tuple(failures))
 
 
-@dataclass
-class EmbedResult:
+class EmbedResult(NamedTuple):
     """Certified embedding X^x <= G wr H for a coordinate-transitive X."""
 
     G: GenGroup

@@ -627,3 +627,24 @@ def test_fix_text_exit_codes_on_normalize_and_embed(fix, group):
         status, report = run(command, fixture(group), f"--fix={fix}")
         assert status in (0, 1, 2)
         assert "internal error:" not in report
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["normalize", fixture("scattered_q3m2.group"), "--fix=--"], "fix"),
+    (["embed", fixture("diag_swap_q2m2.group"), "--delta1=--"], "delta1"),
+    (["split", fixture("two_orbit_q2m3.group"), "--delta0=--"], "delta0"),
+    (["code-canon", fixture("even_weight.code"), fixture("even_weight_aut.group"),
+      "--gamma=--", "--nu", "1"], "gamma"),
+    (["verify", "--q", "2", "--m", "2", "--cap=--"], "cap"),
+])
+def test_double_dash_as_an_option_value_is_an_input_error(argv, option):
+    # argparse before 3.13 reads --name=-- as an empty list; from 3.13 an
+    # option's own type check or the handler rejects the text "--"
+    try:
+        status, report = run(*argv)
+    except SystemExit as exc:  # an int option's usage error, from 3.13
+        status, report = exc.code, ""
+    assert status == 2
+    assert "internal error:" not in report
+    if sys.version_info < (3, 13):
+        assert report == f"error: --{option} needs a value\n"
