@@ -12,6 +12,8 @@ witness, transversal and Schreier generator list is deterministic.
 
 from __future__ import annotations
 
+import functools
+import math
 import random
 from operator import itemgetter
 from typing import Callable, Iterable, Literal, Sequence, TypeVar
@@ -220,6 +222,115 @@ def _invert(images: Images) -> Images:
     return tuple(inverse)
 
 
+def _cycle_lengths(images: Images) -> list[int]:
+    """The lengths of the cycles of a raw image tuple, fixed points included."""
+    seen = [False] * len(images)
+    lengths = []
+    for i, j in enumerate(images):
+        if not seen[i]:
+            seen[i] = True
+            length = 1
+            while j != i:
+                seen[j] = True
+                j = images[j]
+                length += 1
+            lengths.append(length)
+    return lengths
+
+
+def _is_odd(images: Images) -> bool:
+    """Whether a raw image tuple is an odd permutation: degree minus the
+    number of cycles is odd."""
+    return (len(images) - len(_cycle_lengths(images))) % 2 == 1
+
+
+# ----- giant groups: Alt(n) and Sym(n) certified by Jordan's theorem -----
+
+# The walk that looks for a Jordan element is seeded and has a fixed
+# budget, so every answer is deterministic. A walk that finds none proves
+# nothing either way: the group only goes to the stabilizer chain.
+_GIANT_SEED = 20261019
+_GIANT_SLOTS = 10
+_GIANT_TRIES = 100
+
+
+@functools.cache
+def _jordan_primes(n: int) -> frozenset[int]:
+    """The primes p with n/2 < p <= n - 3; empty below degree 8."""
+    return frozenset(
+        p for p in range(n // 2 + 1, n - 2) if all(p % d for d in range(2, math.isqrt(p) + 1))
+    )
+
+
+def _block_of_0_and_1_is_everything(n: int, images: Sequence[Images]) -> bool:
+    """Whether the smallest block of imprimitivity holding 0 and 1 is all
+    ``n >= 3`` points (Atkinson's algorithm).
+
+    Each class of points is named by one of its points and lists its
+    members; merging relabels the smaller class. Every merged pair's images
+    under each generator are merged in turn, so the classes, once every
+    pair is processed, form the smallest invariant partition in which 0
+    and 1 share a class. A class smaller than ``n`` is a proper block, so
+    the group is imprimitive.
+    """
+    block = list(range(n))
+    members = [[x] for x in range(n)]
+    block[1] = 0
+    members[0].append(1)
+    pairs = [(0, 1)]
+    for a, b in pairs:  # grows while it is read
+        for s in images:
+            u, v = block[s[a]], block[s[b]]
+            if u != v:
+                if len(members[u]) < len(members[v]):
+                    u, v = v, u
+                for x in members[v]:
+                    block[x] = u
+                members[u] += members[v]
+                if len(members[u]) == n:
+                    return True
+                pairs.append((u, v))
+    return False
+
+
+def _walk_finds_jordan_element(images: Sequence[Images], primes: frozenset[int]) -> bool:
+    """Whether a seeded product-replacement walk on the generators finds,
+    within ``_GIANT_TRIES`` steps, an element with a cycle whose length is
+    in ``primes``.
+
+    Up to ``_GIANT_SLOTS`` generators fill the slots, repeated to at
+    least that count; more generators are replaced by ``_GIANT_SLOTS``
+    random subproducts of them, since a walk on many sparse generators,
+    such as the adjacent transpositions, mixes slowly. Each step replaces
+    a random slot by its product with another, on a random side, and
+    multiplies it into an accumulator, whose cycle lengths are then read
+    (Celler et al. 1995, with Leedham-Green's accumulator). Every element
+    made is a product of the generators.
+    """
+    rng = random.Random(_GIANT_SEED)
+    if len(images) <= _GIANT_SLOTS:
+        slots = list(images) * -(-_GIANT_SLOTS // len(images))
+    else:
+        slots = []
+        for _ in range(_GIANT_SLOTS):
+            subproduct = tuple(range(len(images[0])))
+            for g in images:
+                if rng.random() < 0.5:
+                    subproduct = _compose(subproduct, g)
+            slots.append(subproduct)
+    size = len(slots)
+    accumulator = slots[0]
+    for _ in range(_GIANT_TRIES):
+        i = rng.randrange(size)
+        j = rng.randrange(size - 1)
+        other = slots[j + (j >= i)]
+        slots[i] = _compose(slots[i], other) if rng.random() < 0.5 else _compose(other, slots[i])
+        accumulator = _compose(accumulator, slots[i])
+        if not primes.isdisjoint(_cycle_lengths(accumulator)):
+            return True
+    return False
+
+
 class _ChainLevel:
     """One level of a stabilizer chain, on raw image tuples.
 
@@ -362,15 +473,38 @@ class StabilizerChain:
 class GenGroup:
     """A permutation group given by a list of generators.
 
-    Membership and order come from a stabilizer chain built on first use;
-    ``enumerate_elements`` lists the elements, as the orbit of the identity,
-    for the oracle tests, refused by the chain order when over its cap;
-    ``witness`` and ``schreier_generators`` share one kept BFS per start
-    point. The caches are built lazily, so construct a group on one thread
-    before sharing it; afterwards all reads are pure.
+    Order and membership have two paths. A group on n points that the giant
+    test certifies as Alt(n) or Sym(n) is answered from that alone: the
+    order is n!/2 or n!, and membership is a parity test or always true.
+    Every other group is answered by a stabilizer chain built on first use.
+    The giant test needs three facts:
+
+    * a prime p with n/2 < p <= n - 3 (there is one from n = 8 on);
+    * the group is transitive;
+    * a seeded product-replacement walk, with a fixed budget, finds an
+      element g with a cycle of length p.
+
+    The other cycles of g cover fewer than p points, so their lengths are
+    prime to p, and g raised to the lcm of those lengths is a p-cycle c.
+    The group is then primitive. Take any block system: each orbit of <c>
+    on the blocks has 1 or p blocks. An orbit of p > n/2 blocks leaves
+    room only for blocks of one point. Otherwise c fixes every block, so
+    its support, one orbit of <c> with p > n/2 points, lies in one block,
+    whose size divides n and so is n. A primitive group holding a p-cycle
+    with p <= n - 3 contains Alt(n) (Jordan's theorem, Dixon and Mortimer,
+    Permutation Groups, Thm 3.3E), and it is Sym(n) when a generator is
+    odd. Before the walk, a proper block holding 0 and 1 proves the group
+    imprimitive, so it goes to the chain at once. A walk that finds no
+    such element proves nothing: that group goes to the chain too.
+
+    ``enumerate_elements`` lists the elements, as the orbit of the
+    identity, for the oracle tests, refused by the exact order when over
+    its cap; ``witness`` and ``schreier_generators`` share one kept BFS
+    per start point. The caches are built lazily, so construct a group on
+    one thread before sharing it; afterwards all reads are pure.
     """
 
-    __slots__ = ("degree", "generators", "_chain", "_closure", "_witnesses")
+    __slots__ = ("degree", "generators", "_chain", "_closure", "_witnesses", "_giant")
 
     def __init__(self, degree: int, generators: Iterable[Permutation] = ()):
         if degree < 1:
@@ -386,6 +520,7 @@ class GenGroup:
         self._chain: StabilizerChain | None = None
         self._closure: frozenset[Permutation] | None = None
         self._witnesses: dict[int, dict[int, Permutation]] | None = None
+        self._giant: int | None = None
 
     def __repr__(self) -> str:
         return f"GenGroup(degree={self.degree}, generators={len(self.generators)})"
@@ -472,20 +607,47 @@ class GenGroup:
             self._chain = StabilizerChain(self.degree, self.generators)
         return self._chain
 
+    def _giant_index(self) -> int:
+        """The index of the group in Sym(n) when the giant test (see the
+        class docstring) certifies it: 1 for Sym(n), 2 for Alt(n); 0 when
+        it does not. Run once and kept."""
+        if self._giant is None:
+            n = self.degree
+            primes = _jordan_primes(n)
+            images = [g.images for g in self.generators]
+            self._giant = 0
+            if (
+                primes
+                and self.is_transitive()
+                and _block_of_0_and_1_is_everything(n, images)
+                and _walk_finds_jordan_element(images, primes)
+            ):
+                self._giant = 1 if any(map(_is_odd, images)) else 2
+        return self._giant
+
     def contains(self, p: Permutation) -> bool:
-        """Whether ``p`` is a product of the generators (stabilizer-chain sift)."""
+        """Whether ``p`` is a product of the generators: true in Sym(n), a
+        parity test in Alt(n), a stabilizer-chain sift otherwise."""
         if p.degree != self.degree:
             raise DegreeMismatchError(
                 f"element degree {p.degree} != group degree {self.degree}"
             )
+        index = self._giant_index()
+        if index:
+            return index == 1 or not _is_odd(p.images)
         return self._get_chain().contains(p)
 
     def order(self) -> int:
+        """The exact order: n! or n!/2 for a certified giant, the product of
+        the chain's basic orbit lengths otherwise."""
+        index = self._giant_index()
+        if index:
+            return math.factorial(self.degree) // index
         return self._get_chain().order()
 
     def enumerate_elements(self, cap: int = DEFAULT_CAP) -> frozenset[Permutation]:
         """The full element set, the orbit of the identity under right
-        multiplication. A group whose chain order is over ``cap`` is
+        multiplication. A group whose exact order is over ``cap`` is
         refused before any enumeration."""
         order = self.order()
         if order > cap:
@@ -522,7 +684,9 @@ def same_group(a: GenGroup, b: GenGroup) -> bool:
 
     Equal generator tuples give A = B with no chain. Otherwise every
     generator of ``b`` lying in ``a`` gives B <= A, and then equal orders
-    give A = B; both come from the stabilizer chains.
+    give A = B. Both come from ``GenGroup.order`` and ``contains``: from
+    the giant certificate when a group is Alt(n) or Sym(n), so two giants
+    are compared with no chain, and from the stabilizer chains otherwise.
     """
     if a.degree != b.degree:
         return False

@@ -409,7 +409,10 @@ def test_chain_agrees_with_sympy():
         if gens in deep:
             assert len(g._get_chain().levels) >= 20
         reference = SympyGroup([SympyPerm(list(x.images)) for x in gens])
-        assert g.order() == reference.order()
+        # most random pairs generate a giant, which GenGroup answers with no
+        # chain, so the chain is asked as well
+        chain = StabilizerChain(n, gens)
+        assert g.order() == chain.order() == reference.order()
         queries = [random_permutation(rng, n) for _ in range(10)]
         for _ in range(10):
             word = Permutation.identity(n)
@@ -417,7 +420,7 @@ def test_chain_agrees_with_sympy():
                 word = word * rng.choice(gens)
             queries.append(word)
         for w in queries:
-            assert g.contains(w) == reference.contains(SympyPerm(list(w.images)))
+            assert g.contains(w) == chain.contains(w) == reference.contains(SympyPerm(list(w.images)))
 
 
 def _alternating_gens(n: int) -> tuple[Permutation, Permutation]:
@@ -431,19 +434,22 @@ def _alternating_gens(n: int) -> tuple[Permutation, Permutation]:
 
 @pytest.mark.parametrize("alternating", [False, True], ids=["sym30", "alt30"])
 def test_chain_at_degree_30(alternating):
-    """Orders and membership at degree 30, far beyond the closure oracles."""
+    """Orders and membership at degree 30, far beyond the closure oracles,
+    from the giant path and from the chain."""
     n = 30
     gens = _alternating_gens(n) if alternating else symmetric_gens(n)
     g = GenGroup(n, gens)
-    assert g.order() == (math.factorial(n) // 2 if alternating else math.factorial(n))
+    chain = StabilizerChain(n, gens)
+    order = math.factorial(n) // 2 if alternating else math.factorial(n)
+    assert g.order() == chain.order() == order
     rng = random.Random(30)
     for _ in range(10):
         word = Permutation.identity(n)
         for _ in range(20):
             word = word * rng.choice(gens)
-        assert g.contains(word)
+        assert g.contains(word) and chain.contains(word)
     odd = Permutation([1, 0] + list(range(2, n)))
-    assert g.contains(odd) is not alternating
+    assert g.contains(odd) is chain.contains(odd) is not alternating
 
 
 def _disjoint_transpositions(count: int) -> list[Permutation]:
