@@ -162,8 +162,9 @@ class NormalizationResult(NamedTuple):
     ``component_flags[d]`` records that the component of X^x at d equals,
     as a group, the component of X at the representative r of d's orbit.
     It is exact both ways: the component at d is the one at r conjugated
-    by the conjugate's entry transversal at r, so an entry inside the
-    equal components at r proves it; otherwise ``same_group`` decides at d.
+    by the conjugate's entry transversal at r, so equal components at r and
+    an entry that is the identity or a certified correction's inverse prove
+    it; otherwise ``same_group`` decides at d.
     ``common_components`` maps each representative to that common value,
     presented by the conjugate's component generators at the
     representative. ``corrections`` are the transversal's corrections
@@ -227,9 +228,9 @@ def normalizing_element(
     entry at r is the identity, so the conjugate's component generators at
     r equal R's and ``same_group`` takes its fast path; u'[d] is the
     identity, or with ``phi`` the inverse of the correction c_d, a member
-    of R by ``certified_corrections``. Only a u'[d] that is neither, which
-    the construction never makes, is sifted into R's chain, and failing
-    that compared by ``same_group`` at d.
+    of R by ``certified_corrections``. Only at a u'[d] that is neither,
+    which the construction never makes, is the component at d compared
+    with R by ``same_group``, the exact answer.
     """
     transversal = build_transversal(X, preferred_reps)
     if phi is not None:
@@ -249,8 +250,9 @@ def normalizing_element(
             # the component at d is the one at rep conjugated by u[d]
             c = corrections.get(d)
             by_construction = u[d].is_identity() or (c is not None and u[d] == c.inverse())
-            carried = rep_equal and (by_construction or reference.contains(u[d]))
-            component_flags[d] = carried or same_group(conjugated.component(d), reference)
+            component_flags[d] = (rep_equal and by_construction) or same_group(
+                conjugated.component(d), reference
+            )
     fixes_point = None if phi is None else (x.apply(phi) == phi)
     return NormalizationResult(
         x=x,

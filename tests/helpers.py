@@ -27,7 +27,7 @@ from wreathact import (
     same_group,
     symmetric_gens,
 )
-from wreathact.perm import StabilizerChain
+from wreathact.perm import StabilizerChain, orbit_with_witnesses
 from wreathact.wreath import parse_with_header
 
 
@@ -154,6 +154,17 @@ def raw_closure(gens: list[tuple], q: int, m: int, cap: int | None = None) -> se
                     new.append(c)
         frontier = new
     return elements
+
+
+def delta_orbit_with_witnesses(
+    X: WreathSubgroup, start: int
+) -> tuple[list[int], dict[int, WreathElement]]:
+    """BFS orbit of a coordinate under the induced action, with witnesses in X.
+
+    ``witness[d]`` is a product of X's generators whose top maps ``start``
+    to ``d``; ``witness[start]`` is the identity.
+    """
+    return orbit_with_witnesses(start, X.generators, lambda w, d: w.top[d], X.identity())
 
 
 def pruned_entries(elements, delta: int) -> tuple[Permutation, ...]:

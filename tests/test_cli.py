@@ -578,8 +578,7 @@ def test_code_canon_exit_codes_on_arbitrary_code_files(tmp_path_factory, text):
 
 
 # group-file text: a free header or one from a fixed list, then generator
-# lines of Sym(2) wr Sym(2) and at most one stray line. m stays small
-# because split's probe columns hold (q-1)*m^2 + m entries
+# lines of Sym(2) wr Sym(2) and at most one stray line
 PERM2 = st.permutations(["0", "1"]).map(lambda images: f"[{','.join(images)}]")
 GENERATOR_LINE = st.builds(
     lambda base, top: f"base=[{';'.join(base)}] top={top}",

@@ -19,6 +19,7 @@ from wreathact.perm import StabilizerChain, orbit_with_witnesses
 from helpers import (
     block_intransitive_subgroup,
     conjugated_full_wreath_product,
+    delta_orbit_with_witnesses,
     full_wreath_product,
     p,
     pruned_entries,
@@ -216,14 +217,14 @@ def lifted_witness_orbit(X: WreathSubgroup, delta: int, gamma0: int):
 
 def lifted_entry_transversal(X: WreathSubgroup, delta: int) -> list:
     """The entries at ``delta`` of the wreath coordinate witnesses, in BFS order."""
-    _, witness = X.delta_orbit_with_witnesses(delta)
+    _, witness = delta_orbit_with_witnesses(X, delta)
     return [(beta, w.base[delta]) for beta, w in witness.items()]
 
 
 class TestComponentFromEntries:
     """Components and entry transversals are built from base entries; the
     wreath Schreier generators of ``partition_stabilizer_gens`` and the
-    witnesses of ``delta_orbit_with_witnesses`` are the oracles."""
+    witnesses of ``helpers.delta_orbit_with_witnesses`` are the oracles."""
 
     def test_generators_equal_the_lifted_oracle_on_random_subgroups(self):
         rng = random.Random(61)
@@ -377,29 +378,30 @@ class TestSplit:
         with pytest.raises(ValueError):
             X.split([3])
 
-    def test_applies_only_probe_words(self, monkeypatch):
+    def test_applies_no_point(self, monkeypatch):
+        # equivariance is read off reassembly, so no point of Pi, probe
+        # word or column goes through a generator or a restriction
         X = WreathSubgroup(
             WreathContext(2, 3), (we([[1, 0], [1, 0], [0, 1]], [1, 0, 2]),)
         )
         calls = []
-        apply_columns = WreathElement.apply_columns
 
-        def counted(self, columns):
-            calls.append((self, list(zip(*columns))))
-            return apply_columns(self, columns)
+        def counted(name):
+            method = getattr(WreathElement, name)
 
-        monkeypatch.setattr(WreathElement, "apply_columns", counted)
+            def wrapper(self, *args):
+                calls.append(name)
+                return method(self, *args)
+            return wrapper
+
+        for name in ("apply", "apply_columns"):
+            monkeypatch.setattr(WreathElement, name, counted(name))
         assert X.split([0, 1]).ok
-        # (q-1)*m + 1 = 4 probes through the generator and each of its two
-        # restrictions: 12 point images, not |Pi| * 3 = 24
-        assert sum(len(points) for _, points in calls) == 12
-        probes = {(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)}
-        parent = [points for w, points in calls if w in X.generators]
-        assert len(parent) == 1 and len(parent[0]) == 4 and set(parent[0]) == probes
         # no cap: the 2^20 points, more than the default cap of 10^6, are
         # never listed
         X = two_block_wreath_product(random.Random(61), 2, 10)
         assert X.split(range(10)).ok
+        assert calls == []
 
     def test_probe_words_determine_an_element(self):
         # distinct elements of the full Sym(q) wr Sym(m) differ on a probe
@@ -465,6 +467,20 @@ class TestSplit:
             assert result.ok
             assert split_oracle_agrees(X, result)
             done += 1
+        # q = 1: Pi is the single word 0^m, so equivariance holds trivially
+        # and must still agree with reassembly
+        rng = random.Random(61)
+        done = 0
+        while done < 15:
+            X0 = block_intransitive_subgroup(rng, 1, rng.choice([2, 3, 4]))
+            X = conjugate_subgroup(X0, X0.ctx.random_element(rng))
+            orbits = X.delta_orbits
+            if len(orbits) < 2:
+                continue
+            result = X.split(orbits[rng.randrange(len(orbits))])
+            assert result.ok
+            assert split_oracle_agrees(X, result)
+            done += 1
 
     def test_oracle_agrees_up_to_q4_m4(self):
         # every (q, m) with q in {2, 3, 4} and m in {3, 4}, twice each; the
@@ -496,6 +512,17 @@ class TestSplit:
         elapsed = time.perf_counter() - start
         assert result.ok
         assert elapsed < 0.5
+
+    def test_two_blocks_at_m400_are_linear(self):
+        # reassembly is linear in m per generator; applying the (q-1)*m + 1
+        # probe words through every generator instead is quadratic and
+        # takes about 0.2 s on 2 vCPUs with Python 3.11
+        X = two_block_wreath_product(random.Random(73), 4, 200)
+        start = time.perf_counter()
+        result = X.split(range(200))
+        elapsed = time.perf_counter() - start
+        assert result.ok
+        assert elapsed < 0.05
 
     def test_two_blocks_at_q6_m30(self):
         X = two_block_wreath_product(random.Random(71), 6, 15)

@@ -31,6 +31,7 @@ from helpers import (
     chain_component_flags,
     chain_sift_embedding,
     conjugated_full_wreath_product,
+    delta_orbit_with_witnesses,
     cycle,
     diagonal_instance,
     full_wreath_product,
@@ -89,7 +90,7 @@ class TestBuildTransversal:
             t = build_transversal(X)
             for d in range(m):
                 rep = t.rep_of[d]
-                w = X.delta_orbit_with_witnesses(rep)[1][d]
+                w = delta_orbit_with_witnesses(X, rep)[1][d]
                 assert w.top[rep] == d
                 assert t.entries[d] == w.base[rep]
                 assert t.entries[rep] == Permutation.identity(q)
@@ -377,15 +378,30 @@ class TestOrbitCertificate:
         assert not X.component(0).contains(outside)
         spoiled_transversal(monkeypatch, 1, outside)
         calls = []
+        comparing = []
+        direct_sifts = []
         compare = normalize_module.same_group
+        contains = GenGroup.contains
 
         def counting(a, b):
             calls.append(None)
-            return compare(a, b)
+            comparing.append(None)
+            try:
+                return compare(a, b)
+            finally:
+                comparing.pop()
+
+        def sifting(self, g):
+            if not comparing:
+                direct_sifts.append(g)
+            return contains(self, g)
 
         monkeypatch.setattr(normalize_module, "same_group", counting)
+        monkeypatch.setattr(GenGroup, "contains", sifting)
         result = normalizing_element(X)
         assert len(calls) == 2  # the representative, then the fallback at 1
+        # normalizing_element sifts nothing itself: only same_group does
+        assert direct_sifts == []
         assert not result.x.base[1].is_identity()
         assert result.component_flags == {0: True, 1: True}
         assert raw_components(result.conjugated)[1] == raw_components(X)[0]
