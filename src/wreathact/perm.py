@@ -341,10 +341,13 @@ class _ChainLevel:
     made, so a Schreier generator, once sifted, never needs sifting again:
     ``done[a]`` counts the generators whose Schreier generator at
     ``orbit[a]`` has been sifted, and no pair before ``cursor`` is pending.
+    While the chain is built, ``known`` is the set of image tuples already
+    known to strip to the identity from this level; the finished chain sets
+    it to None.
     """
 
     __slots__ = ("point", "gens", "gen_inverses", "orbit", "transversal",
-                 "inverse", "done", "cursor")
+                 "inverse", "done", "cursor", "known")
 
     def __init__(self, point: int, identity: Images):
         self.point = point
@@ -356,11 +359,13 @@ class _ChainLevel:
         self.transversal[point] = self.inverse[point] = identity
         self.done = [0]
         self.cursor = 0
+        self.known: set[Images] | None = set()
 
     def add_gen(self, g: Images, g_inverse: Images) -> None:
         """Take ``g`` as a generator and extend the orbit in place: old
         points under ``g`` alone, newly reached points under every
-        generator."""
+        generator. ``g`` joins ``known``: see ``StabilizerChain``."""
+        self.known.add(g)
         self.gens.append(g)
         self.gen_inverses.append(g_inverse)
         self.cursor = 0
@@ -391,6 +396,30 @@ class StabilizerChain:
     The base starts with the distinct points ``base``; after them, a new
     level's base point is the smallest point its first generator moves, so
     the same generators always give the same base and orbits.
+
+    In wreath-like groups most Schreier generators repeat one already
+    sifted from the same level (270 of the 341 sifts of ``Sym(3) wr
+    Sym(6)``), so while the chain is built each level keeps ``known``, the
+    image tuples known to strip to the identity from it. ``_insert``
+    returns None at once for a member of its start level's set; otherwise
+    the tuple joins that set and is stripped. ``add_gen`` adds every new
+    strong generator to its level's set. Three facts make the skip exact:
+
+    * transversal entries never change once made, so a strip that ended at
+      the identity takes the same path to it every later time;
+    * a strip that left a residue ``r`` adds ``r`` to the levels from its
+      start to its drop level, and at the drop level ``add_gen`` reaches
+      ``r[point]`` first, from ``point`` through ``r``, so ``r`` becomes
+      that point's transversal entry and the same tuple now strips to the
+      identity;
+    * a strong generator ``r`` of level ``k`` fixes the base points from
+      ``k`` to its drop level, where it is a transversal entry, so it
+      strips to the identity from ``k``.
+
+    A skipped tuple is one ``_insert`` would have returned None for with no
+    side effect, so the base, orbits and strong generators are the same as
+    without the sets. They serve only the build: the finished chain sets
+    every level's ``known`` to None, and ``contains`` does not use them.
     """
 
     def __init__(self, degree: int, generators: Iterable[Permutation], base: Iterable[int] = ()):
@@ -403,6 +432,8 @@ class StabilizerChain:
         while level >= 0:
             drop = self._sift_pending(level)
             level = level - 1 if drop is None else drop
+        for lvl in self.levels:
+            lvl.known = None
 
     def _strip(self, g: Images, start: int) -> tuple[Images, int]:
         """Divide ``g`` by transversal elements from level ``start`` on;
@@ -422,7 +453,14 @@ class StabilizerChain:
 
     def _insert(self, g: Images, start: int) -> int | None:
         """Sift ``g`` from level ``start``; a non-identity residue joins
-        levels ``start`` to its drop level, which is returned."""
+        levels ``start`` to its drop level, which is returned. A member
+        of the start level's ``known`` set returns None unstripped."""
+        if start < len(self.levels):
+            known = self.levels[start].known
+            size = len(known)
+            known.add(g)  # one hash: tuples do not cache theirs
+            if len(known) == size:
+                return None
         residue, drop = self._strip(g, start)
         if residue == self.identity:
             return None

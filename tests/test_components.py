@@ -713,6 +713,12 @@ class TestChainOfX:
             assert kernel_order == group.pointwise_stabilizer(list(range(m))).order()
         assert cases[0].order() == 6**4 * 24
 
+    def test_order_of_a_conjugated_sym4_wr_sym30(self):
+        """X's chain on 150 points, with 30 block points leading the base,
+        gives the order of Sym(4) wr Sym(30) with no oracle to run."""
+        X = conjugated_full_wreath_product(random.Random(30), 4, 30)
+        assert X.order() == 24**30 * math.factorial(30)
+
     def test_prefix_on_relabelled_points_agrees_with_sympy(self):
         """The prefix need not be the smallest points: on the faithful
         images of Sym(3) wr Sym(4) with every point relabelled, the
