@@ -244,6 +244,7 @@ def cmd_code_canon(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
+    cap = default_cap() if args.cap is None else checked_cap(args.cap, "--cap")
     for flag, count in (("--pairs", args.pairs), ("--samples", args.samples)):
         if count < 0:
             raise ParseError(f"{flag} must be non-negative, got {count}")
@@ -252,9 +253,9 @@ def cmd_verify(args, out) -> int:
     # so that an over-cap context is refused before Pi is listed, and refuse
     # on q and m alone before the constant point of length m is built
     try:
-        ctx.check_cap(args.cap)
+        ctx.check_cap(cap)
         constant = ctx.constant_point(0)
-        count = stabilizer_order_oracle(ctx, constant, cap=args.cap)
+        count = stabilizer_order_oracle(ctx, constant, cap=cap)
     except EnumerationOverflow as exc:
         raise EnumerationOverflow(f"verify: stabilizer count: {exc}") from None
     rng = random.Random(args.seed)
@@ -288,7 +289,7 @@ def cmd_verify(args, out) -> int:
     transitive = 0
     for _ in range(args.samples):
         gens = [ctx.random_element(rng) for _ in range(2)]
-        report = WreathSubgroup(ctx, gens).transitivity_report(cap=args.cap)
+        report = WreathSubgroup(ctx, gens).transitivity_report(cap=cap)
         if report.transitive_on_points:
             transitive += 1
         if report.violation:
@@ -371,10 +372,6 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
         for name, value in vars(args).items():
             if isinstance(value, list):
                 raise ParseError(f"--{name} needs a value")
-        if getattr(args, "cap", None) is None:
-            args.cap = default_cap()
-        else:
-            args.cap = checked_cap(args.cap, "--cap")
         return globals()[args.handler](args, out)
     except HypothesisViolation as exc:
         out.write(f"error: {exc}\n")

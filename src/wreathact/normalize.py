@@ -14,9 +14,10 @@ component along the orbit equals the one at r, with no stabilizer chain
 built per coordinate.
 When every component is transitive each entry can be corrected by an
 element of the component at r so that x additionally fixes a prescribed
-point of Pi. Each correction is a BFS witness of that component, so it
-is a member by construction, and the certificate reads it off the
-component's witness table.
+point of Pi. Each correction c_d is a BFS witness of that component, so it
+is a member by construction. The conjugate's entry transversal at r is
+c_d^-1 at d, so the certificate reads each correction there and checks
+it against the component's witness table.
 
 When the induced coordinate action is transitive this conjugation lands X
 inside G wr H, where G is the component at a chosen coordinate and H is
@@ -30,7 +31,6 @@ anything the construction made, and sifts only what it cannot read off.
 
 from __future__ import annotations
 
-from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .errors import DegreeMismatchError, HypothesisViolation
@@ -44,16 +44,13 @@ class Transversal(NamedTuple):
 
     ``entries[d]`` is the entry, at the representative r of d's orbit, of
     an element of X whose top maps r to d; the representative itself gets
-    the identity. ``corrections[d]``, set by ``adjust_transversal`` only, is
-    the element of the component at r it premultiplied into ``entries[d]``
-    (the identity where none was needed).
+    the identity.
     """
 
     orbits: tuple[tuple[int, ...], ...]
     reps: tuple[int, ...]
     entries: dict[int, Permutation]
     rep_of: dict[int, int]
-    corrections: Mapping[int, Permutation] = MappingProxyType({})
 
     @property
     def x(self) -> WreathElement:
@@ -104,14 +101,11 @@ def adjust_transversal(
     components along an orbit are conjugate, so this is equivalent to all
     components being transitive); w is the BFS witness
     ``component.witness(phi[d], ...)``, which keeps the result
-    deterministic and is recorded as ``corrections[d]`` (the identity for
-    an entry that already fixes phi[d]), so that the certificate can read
-    it as a member. Representatives keep their entry.
+    deterministic and makes w a member by construction. Representatives,
+    and entries that already fix phi[d], are kept.
     """
     phi = X.ctx.check_point(phi)
     new_entries = dict(transversal.entries)
-    corrections: dict[int, Permutation] = {}
-    identity = Permutation.identity(X.ctx.gamma_size)
     for orbit, rep in zip(transversal.orbits, transversal.reps):
         component = X.component(rep)
         if not component.is_transitive():
@@ -123,37 +117,12 @@ def adjust_transversal(
             entry = transversal.entries[d]
             p = phi[d]
             if d == rep or entry[p] == p:
-                corrections[d] = identity
                 continue
-            correction = corrections[d] = component.witness(p, entry.inverse()[p])
-            corrected = correction * entry
+            corrected = component.witness(p, entry.inverse()[p]) * entry
             if corrected[p] != p:
                 raise RuntimeError("internal invariant: corrected entry moves point")
             new_entries[d] = corrected
-    return Transversal(
-        transversal.orbits, transversal.reps, new_entries, transversal.rep_of, corrections
-    )
-
-
-def certified_corrections(
-    X: WreathSubgroup, transversal: Transversal, phi: Point | None
-) -> dict[int, Permutation]:
-    """The recorded corrections proved to lie in their component.
-
-    ``corrections[d]`` counts as a member of the component R at d's
-    representative when it is the identity or R's BFS witness from
-    ``phi[d]`` to its image there: a witness is a product of R's
-    generators. This reads the witness table that ``adjust_transversal``
-    filled, and sifts nothing. A correction failing the test is left out,
-    so whatever relied on it is checked another way.
-    """
-    if phi is None:
-        return {}
-    certified: dict[int, Permutation] = {}
-    for d, c in transversal.corrections.items():
-        if c.is_identity() or X.component(transversal.rep_of[d]).is_witness(phi[d], c):
-            certified[d] = c
-    return certified
+    return Transversal(transversal.orbits, transversal.reps, new_entries, transversal.rep_of)
 
 
 class NormalizationResult(NamedTuple):
@@ -163,12 +132,12 @@ class NormalizationResult(NamedTuple):
     as a group, the component of X at the representative r of d's orbit.
     It is exact both ways: the component at d is the one at r conjugated
     by the conjugate's entry transversal at r, so equal components at r and
-    an entry that is the identity or a certified correction's inverse prove
-    it; otherwise ``same_group`` decides at d.
+    an entry that is the identity or, with ``phi``, the inverse of a BFS
+    witness of the component at r prove it; otherwise ``same_group``
+    decides at d.
     ``common_components`` maps each representative to that common value,
     presented by the conjugate's component generators at the
-    representative. ``corrections`` are the transversal's corrections
-    that ``certified_corrections`` proved members, empty without ``phi``.
+    representative.
     """
 
     x: WreathElement
@@ -177,7 +146,6 @@ class NormalizationResult(NamedTuple):
     component_flags: dict[int, bool]
     common_components: dict[int, GenGroup]
     fixes_point: bool | None
-    corrections: Mapping[int, Permutation] = MappingProxyType({})
 
     @property
     def ok(self) -> bool:
@@ -227,17 +195,17 @@ def normalizing_element(
     the component of X^x at d is the one at r conjugated by u'[d]. x's
     entry at r is the identity, so the conjugate's component generators at
     r equal R's and ``same_group`` takes its fast path; u'[d] is the
-    identity, or with ``phi`` the inverse of the correction c_d, a member
-    of R by ``certified_corrections``. Only at a u'[d] that is neither,
-    which the construction never makes, is the component at d compared
-    with R by ``same_group``, the exact answer.
+    identity, or with ``phi`` the inverse of the correction c_d, which is
+    R's BFS witness from ``phi[d]`` and so a member of R by
+    ``GenGroup.is_witness``. Only at a u'[d] that is neither, which the
+    construction never makes, is the component at d compared with R by
+    ``same_group``, the exact answer.
     """
     transversal = build_transversal(X, preferred_reps)
     if phi is not None:
         transversal = adjust_transversal(X, transversal, phi)
     x = transversal.x
     conjugated = conjugate_subgroup(X, x)
-    corrections = certified_corrections(X, transversal, phi)
 
     component_flags: dict[int, bool] = {}
     common_components: dict[int, GenGroup] = {}
@@ -248,8 +216,9 @@ def normalizing_element(
         u = conjugated.entry_transversal(rep)
         for d in orbit:
             # the component at d is the one at rep conjugated by u[d]
-            c = corrections.get(d)
-            by_construction = u[d].is_identity() or (c is not None and u[d] == c.inverse())
+            by_construction = u[d].is_identity() or (
+                phi is not None and reference.is_witness(phi[d], u[d].inverse())
+            )
             component_flags[d] = (rep_equal and by_construction) or same_group(
                 conjugated.component(d), reference
             )
@@ -261,7 +230,6 @@ def normalizing_element(
         component_flags=component_flags,
         common_components=common_components,
         fixes_point=fixes_point,
-        corrections=corrections,
     )
 
 
@@ -289,11 +257,11 @@ def sift_embedding(
     construction when it is the identity or one of G's generators, or when
     ``c[d]^-1 * b * c[g.top[d]]`` is, for corrections c that are members of
     G; then b is a product of members. A correction ``corrections[d]``
-    counts as a member only when it is the identity, one of G's generators
-    or G's BFS witness from ``phi[d]`` (``GenGroup.is_witness``), so the
-    certificate proves the corrections itself and trusts none it is given;
-    without ``phi`` only the first two count. Likewise a top that is the identity or one of
-    H's generators is in H, which is how ``embed_in_wreath`` and
+    counts as a member only when ``phi`` is given and it is G's BFS witness
+    from ``phi[d]`` (``GenGroup.is_witness``), so the certificate proves
+    the corrections itself and trusts none it is given; without ``phi``
+    none counts. Likewise a top that is the identity or one of H's
+    generators is in H, which is how ``embed_in_wreath`` and
     ``canonicalize`` build H. Only the entries and tops left over are
     sifted into G's or H's chain, so a tampered one still fails exactly,
     and an untampered embedding builds no chain.
@@ -303,7 +271,7 @@ def sift_embedding(
     known.add(tuple(range(q)))
     c = {
         d: p.images for d, p in (corrections or {}).items()
-        if p.images in known or (phi is not None and G.is_witness(phi[d], p))
+        if phi is not None and G.is_witness(phi[d], p)
     }
     c_inverse = {d: _invert(images) for d, images in c.items()}
     tops = frozenset(H.generators)
@@ -352,11 +320,12 @@ def embed_in_wreath(
     fixes ``phi``. x is a base element, so conjugation keeps each
     generator's top, and that top is a generator of H. With the
     corrections undone, each base entry of a conjugated generator is the
-    identity or a generator of G, and the corrections are G's BFS
-    witnesses from ``phi``, which ``sift_embedding`` finds in G's witness
-    table. So it reads every entry and top as a member by construction,
-    and sifts only a leftover one: no stabilizer chain is built, with
-    ``phi`` or without.
+    identity or a generator of G. With ``phi`` the corrections, read off
+    the conjugate's entry transversal at ``delta1`` as inverses, are G's
+    BFS witnesses, which ``sift_embedding`` finds in G's witness table
+    (without ``phi`` none is needed). So it reads every entry and top as a
+    member by construction, and sifts only a leftover one: no stabilizer
+    chain is built, with ``phi`` or without.
     """
     if not 0 <= delta1 < X.ctx.delta_size:
         raise ValueError(f"coordinate {delta1} out of range")
@@ -367,14 +336,15 @@ def embed_in_wreath(
     G = X.component(delta1)
     H = X.induced_group
     normalization = normalizing_element(X, phi, preferred_reps=(delta1,))
-    certificate = sift_embedding(
-        normalization.conjugated.generators, G, H, normalization.corrections, phi
-    )
+    conjugated = normalization.conjugated
+    u = conjugated.entry_transversal(delta1)
+    corrections = None if phi is None else {d: e.inverse() for d, e in u.items()}
+    certificate = sift_embedding(conjugated.generators, G, H, corrections, phi)
     return EmbedResult(
         G=G,
         H=H,
         x=normalization.x,
-        conjugated=normalization.conjugated,
+        conjugated=conjugated,
         delta1=delta1,
         normalization=normalization,
         certificate=certificate,

@@ -420,9 +420,13 @@ class TestParsing:
         assert "cap" in text
 
     def test_bad_cap_env(self, monkeypatch):
+        # only verify takes a cap, so only verify reads the variable
         monkeypatch.setenv("WREATHACT_CAP", "many")
+        status, text = run("verify", "--q", "2", "--m", "2", "--pairs", "1", "--samples", "1")
+        assert (status, text) == (2, "error: WREATHACT_CAP must be an integer, got 'many'\n")
         status, text = run("components", fixture("diag_swap_q2m2.group"))
-        assert status == 2
+        with open(os.path.join(GOLDEN, "components.txt"), encoding="ascii") as handle:
+            assert (status, text) == (0, handle.read())
 
 
 class TestParseGroupParity:

@@ -604,6 +604,12 @@ def dihedral_wreath(rng: random.Random, q: int, m: int) -> WreathSubgroup:
     return conjugate_subgroup(WreathSubgroup(ctx, tuple(gens)), y)
 
 
+def corrections_of(normalization, rep: int) -> dict[int, Permutation]:
+    """The corrections read off the conjugate: the inverses of its entry
+    transversal at ``rep``, as ``embed_in_wreath`` hands them on."""
+    return {d: e.inverse() for d, e in normalization.conjugated.entry_transversal(rep).items()}
+
+
 def repetition_q12() -> WreathSubgroup:
     """G = Sym(12), where ``--fix`` makes base entries that are neither the
     identity nor a generator (the ``embed_fix.txt`` golden)."""
@@ -656,7 +662,7 @@ class TestCertificateByConstruction:
             b for g in result.conjugated.generators for b in g.base if b.images not in known
         ]
         assert len(outside) == 10
-        corrections = result.normalization.corrections
+        corrections = corrections_of(result.normalization, 0)
         assert set(corrections) == set(range(4))
         assert any(not c.is_identity() for c in corrections.values())
         assert result.ok and result.G._chain is None
@@ -669,7 +675,7 @@ class TestCertificateByConstruction:
         closure = tuple_closure([g.images for g in G.generators], 7)
         assert len(closure) == 14
         outside = [b for b in sym_perms(7) if b.images not in closure]
-        c = result.normalization.corrections if corrections else None
+        c = corrections_of(result.normalization, 0) if corrections else None
         phi = self.phi(X) if corrections else None
         gens = [list(g.base) for g in result.conjugated.generators]
         tampered_at = [(0, 1), (2, 0), (2, 4), (3, 3)]
@@ -688,7 +694,7 @@ class TestCertificateByConstruction:
         phi = self.phi(X) if corrected else None
         result = embed_in_wreath(X, 0, phi)
         G, H = result.G, result.H
-        corrections = result.normalization.corrections
+        corrections = corrections_of(result.normalization, 0)
         known = self.known(G)
         closure = tuple_closure([g.images for g in G.generators], 7)
         gens = result.conjugated.generators
@@ -727,7 +733,7 @@ class TestCertificateByConstruction:
         def swapping(X, transversal, phi):
             t = adjust(X, transversal, phi)
             R = X.component(t.rep_of[1])
-            c = t.corrections[1]
+            c = t.entries[1] * transversal.entries[1].inverse()
             if kind == "member":
                 words = R.generators + tuple(g * h for g in R.generators for h in R.generators)
                 new = next(c * w for w in words if not R.is_witness(phi[1], c * w))
@@ -735,15 +741,17 @@ class TestCertificateByConstruction:
                 closure = tuple_closure([g.images for g in R.generators], R.degree)
                 new = next(b for b in sym_perms(R.degree) if b.images not in closure)
             swapped.append(new)
-            entries, corrections = dict(t.entries), dict(t.corrections)
-            entries[1] = new * c.inverse() * t.entries[1]
-            corrections[1] = new
-            return Transversal(t.orbits, t.reps, entries, t.rep_of, corrections)
+            entries = dict(t.entries)
+            entries[1] = new * transversal.entries[1]
+            return Transversal(t.orbits, t.reps, entries, t.rep_of)
 
         monkeypatch.setattr(normalize_module, "adjust_transversal", swapping)
         result = embed_in_wreath(X, 0, phi)
         normalization = result.normalization
-        assert swapped and 1 not in normalization.corrections
+        # the correction read off the conjugate is the swapped one, no witness
+        rep = normalization.transversal.rep_of[1]
+        swapped_in = corrections_of(normalization, rep)[1]
+        assert swapped == [swapped_in] and not X.component(rep).is_witness(phi[1], swapped_in)
         flags = chain_component_flags(X, normalization)
         oracle = chain_sift_embedding(result.conjugated.generators, result.G, result.H)
         assert normalization.component_flags == flags
@@ -788,7 +796,11 @@ class TestCertificateByConstruction:
         )
         spoiled_transversal(monkeypatch, 1, p(1, 2, 0, 3))
         result = normalizing_element(X, phi)
-        assert 1 in result.corrections and result.fixes_point
+        spoiled = normalize_module.build_transversal(X)  # the patched build
+        c = result.transversal.entries[1] * spoiled.entries[1].inverse()
+        u = result.conjugated.entry_transversal(0)
+        assert X.component(0).is_witness(phi[1], c) and u[1] != c.inverse()
+        assert result.fixes_point
         assert result.component_flags == chain_component_flags(X, result) == {0: True, 1: False}
         assert raw_components(result.conjugated)[1] != raw_components(X)[0]
 
@@ -850,13 +862,54 @@ class TestCertificateAgainstChainOracle:
                 base[d] = random_permutation(rng, q)
                 tampered = gens[:k] + (WreathElement(base, gens[k].top),) + gens[k + 1:]
                 certificate = sift_embedding(
-                    tampered, G, H, embedding.normalization.corrections, phi
+                    tampered, G, H, corrections_of(embedding.normalization, 0), phi
                 )
                 assert certificate == chain_sift_embedding(tampered, G, H)
                 counts["tampered_fail"] += not certificate.passed
         assert counts["instances"] >= 300
         assert counts["with_phi"] >= 100 and counts["embedded"] >= 150
         assert counts["corrected"] > 0 and counts["tampered_fail"] > 0
+
+    def test_corrections_are_the_conjugates_inverse_entries(self, monkeypatch):
+        """At every coordinate d of an orbit with representative r, the
+        inverse of the conjugate's ``entry_transversal(r)[d]`` is the
+        correction c_d that ``adjust_transversal`` premultiplied into the
+        entry, and R's BFS witness from ``phi[d]``: so the certificate reads
+        every flag by construction and calls ``same_group`` only at the
+        representatives."""
+        compared = []
+
+        def recording(a, b):
+            compared.append(a)
+            return same_group(a, b)
+
+        monkeypatch.setattr(normalize_module, "same_group", recording)
+        counts: Counter = Counter()
+        for rng, X in self.instances():
+            q, m = X.ctx.gamma_size, X.ctx.delta_size
+            if not all(X.component(orbit[0]).is_transitive() for orbit in X.delta_orbits):
+                continue
+            phi = tuple(rng.randrange(q) for _ in range(m))
+            built = build_transversal(X)
+            adjusted = adjust_transversal(X, built, phi)
+            compared.clear()
+            result = normalizing_element(X, phi)
+            assert result.transversal == adjusted and result.ok
+            conjugated = result.conjugated
+            for orbit, rep in zip(adjusted.orbits, adjusted.reps):
+                R = X.component(rep)
+                u = conjugated.entry_transversal(rep)
+                for d in orbit:
+                    c = u[d].inverse()
+                    assert c == adjusted.entries[d] * built.entries[d].inverse()
+                    assert R.is_witness(phi[d], c)
+                    counts["coordinates"] += 1
+                    counts["corrected"] += not c.is_identity()
+            assert len(compared) == len(adjusted.reps)
+            assert all(a is conjugated.component(rep) for a, rep in zip(compared, adjusted.reps))
+            counts["instances"] += 1
+        assert counts["instances"] >= 200
+        assert counts["coordinates"] >= 600 and counts["corrected"] >= 200
 
     def test_witnesses_lie_in_the_closure_of_the_generators(self):
         checked = 0

@@ -57,10 +57,10 @@ def build_records() -> dict[type, object]:
 RECORDS = build_records()
 
 FIELDS = {
-    Transversal: ("orbits", "reps", "entries", "rep_of", "corrections"),
+    Transversal: ("orbits", "reps", "entries", "rep_of"),
     NormalizationResult: (
         "x", "conjugated", "transversal", "component_flags", "common_components",
-        "fixes_point", "corrections",
+        "fixes_point",
     ),
     EmbedCertificate: ("passed", "failures"),
     EmbedResult: (
@@ -110,16 +110,6 @@ class TestRecordContract:
         assert getattr(changed, name) == "changed"
         assert getattr(record, name) is before
         assert changed != record
-
-
-def test_transversal_without_corrections_reads_empty():
-    t = RECORDS[Transversal]
-    bare = Transversal(t.orbits, t.reps, t.entries, t.rep_of)
-    assert bare.corrections == {}
-    assert len(bare.corrections) == 0
-    # the default is shared by every record built without corrections
-    with pytest.raises(TypeError):
-        bare.corrections[0] = None
 
 
 def test_records_keep_their_properties():
