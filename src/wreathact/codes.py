@@ -41,13 +41,10 @@ class Code:
     """A nonempty set of words of length m over {0..q-1}.
 
     ``columns`` is the word set transposed once: ``columns[d]`` holds entry
-    d of every word, in the iteration order of ``words``. The set is
-    validated on the columns: every word has length m (checked first,
-    since ``zip`` truncates) and the distinct entries of the columns are
-    ints in ``range(q)``. Only a set failing that is checked word by word
-    with ``check_point``, which raises its usual error or accepts what it
-    accepts. Words already known to be valid (a checked code file, the
-    images of a code) skip the check through ``_code_from_words``.
+    d of every word, in the iteration order of ``words``. Every word is
+    validated with ``check_point``. Words already known to be valid (a
+    checked code file, the images of a code) skip the check through
+    ``_code_from_words``.
     """
 
     __slots__ = ("ctx", "words", "columns", "_min_distance")
@@ -56,17 +53,11 @@ class Code:
         ws = frozenset(map(tuple, words))
         if not ws:
             raise ValueError("a code must contain at least one word")
-        q, m = ctx.gamma_size, ctx.delta_size
-        columns = tuple(zip(*ws))
-        if not (
-            set(map(len, ws)) == {m}
-            and all(type(e) is int and 0 <= e < q for e in set().union(*columns))
-        ):
-            for w in ws:
-                ctx.check_point(w)
+        for w in ws:
+            ctx.check_point(w)
         self.ctx = ctx
         self.words = ws
-        self.columns = columns
+        self.columns = tuple(zip(*ws))
         self._min_distance: int | None = None
 
     def __len__(self) -> int:

@@ -32,7 +32,6 @@ from .perm import (
     _invert,
     _times,
     orbit_with_witnesses,
-    same_group,
     schreier_generators,
 )
 from .wreath import Point, WreathContext, WreathElement, _from_parts
@@ -254,15 +253,17 @@ class WreathSubgroup:
         Restricting every generator to ``delta0`` and to its complement
         (coordinates renumbered in natural order) yields two subgroups
         whose product action reproduces the original one. The result
-        certifies this from generator data alone, with no cap and no
-        point applied, in time linear in m per generator: the point map is
-        a bijection because the two parts partition the coordinates; once
-        every generator reassembles from its two restrictions, the element
-        map is injective, because restriction to an invariant subset is a
-        homomorphism, and equivariant, because that restriction selects the
-        part's columns; every component is preserved (``same_group`` at
-        each orbit's representative, carried along the orbit by the entry
-        transversals).
+        certifies this from generator data alone, with no cap, no point
+        applied and no component or chain built, in time linear in m per
+        generator: the point map is a bijection because the two parts
+        partition the coordinates, and one reassembly check decides every
+        other flag. Once every generator reassembles from its two
+        restrictions, the halves are generated by the restrictions of X's
+        generators. Restriction to an invariant part is a homomorphism
+        that selects the part's columns and keeps every base entry, so the
+        element map is injective and equivariant, and it carries the
+        stabilizer of each coordinate onto that of its new position with
+        the same entries, so every component is preserved.
         """
         part0 = sorted(set(delta0))
         m = self.ctx.delta_size
@@ -292,70 +293,35 @@ class WreathSubgroup:
             )
             halves.append((WreathSubgroup(sub_ctx, restricted), position))
         (x0, pos0), (x1, pos1) = halves
-        gens0, gens1 = x0.generators, x1.generators
 
-        # (a) the restriction pair is a bijection Pi -> Omega0 x Omega1
-        # exactly when the two parts partition the coordinates
+        # the restriction pair is a bijection Pi -> Omega0 x Omega1 exactly
+        # when the two parts partition the coordinates
         theta_bijective = sorted(part0 + part1) == list(range(m))
 
-        # (b) injectivity and equivariance, both read off reassembly.
-        # Each part is invariant (checked above), and restriction to an
-        # invariant part picks out that part's columns, so a generator acts
-        # on a part exactly as its restriction does when it equals the
-        # reassembly of its two restrictions. For q >= 2 the converse holds
-        # too, since the action on Pi determines the element, so the flag is
-        # exact both ways; for q = 1, Pi is a single point and both hold.
-        # Restriction is a homomorphism on the stabilizer of the partition,
-        # so generators that reassemble make the element map injective
-        chi_injective = equivariant = all(
-            _reassemble((part0, part1), (g0, g1)) == g
-            for g, g0, g1 in zip(self.generators, gens0, gens1)
+        # every other flag is read off reassembly: each half generator's
+        # entry at i is g's entry at part[i], and its top, renumbered back,
+        # is g's top on the part. For q >= 2 the action on Pi determines the
+        # element, so a generator that does not reassemble does break
+        # equivariance; for q = 1, Pi is a single point
+        reassembles = all(
+            h.base[i] == g.base[d] and part[h.top[i]] == g.top[d]
+            for part, half in ((part0, x0), (part1, x1))
+            for g, h in zip(self.generators, half.generators)
+            for i, d in enumerate(part)
         )
-
-        # (c) components are preserved coordinate by coordinate, decided
-        # once per orbit: with r the orbit's representative and u, u' the
-        # entry transversals at r and pos[r], the components at d and pos[d]
-        # are those at r and pos[r] conjugated by u[d] and u'[pos[d]], so
-        # equal components at r and u[d] == u'[pos[d]] make them equal;
-        # any other coordinate is compared on its own
-        component_preserved: dict[int, bool] = {}
-        for orbit in self.delta_orbits:
-            r = orbit[0]
-            pos, half = (pos0, x0) if r in pos0 else (pos1, x1)
-            rep_equal = same_group(self.component(r), half.component(pos[r]))
-            u, u_half = self.entry_transversal(r), half.entry_transversal(pos[r])
-            for d in orbit:
-                component_preserved[d] = (
-                    rep_equal and u[d] == u_half.get(pos[d])
-                ) or same_group(self.component(d), half.component(pos[d]))
 
         return SplitResult(
             delta0=tuple(part0),
             delta1=tuple(part1),
             first=x0,
             second=x1,
-            position0={d: pos0[d] for d in part0},
-            position1={d: pos1[d] for d in part1},
+            position0=pos0,
+            position1=pos1,
             theta_bijective=theta_bijective,
-            chi_injective=chi_injective,
-            equivariant=equivariant,
-            component_preserved=component_preserved,
+            chi_injective=reassembles,
+            equivariant=reassembles,
+            component_preserved=dict.fromkeys(range(m), reassembles),
         )
-
-
-def _reassemble(
-    parts: tuple[list[int], list[int]], halves: tuple[WreathElement, WreathElement]
-) -> WreathElement:
-    """The element of the full wreath product acting as ``halves[i]`` on
-    the coordinates ``parts[i]`` (renumbered in natural order)."""
-    base: dict[int, Permutation] = {}
-    top: dict[int, int] = {}
-    for part, half in zip(parts, halves):
-        for i, d in enumerate(part):
-            base[d] = half.base[i]
-            top[d] = part[half.top[i]]
-    coordinates = range(len(base))
-    return WreathElement([base[d] for d in coordinates], Permutation(top[d] for d in coordinates))
 
 
 def _top_image(w: WreathElement, d: int) -> int:
@@ -375,8 +341,8 @@ class TransitivityReport(NamedTuple):
 class SplitResult(NamedTuple):
     """The two restricted subgroups plus the embedding certificate, checked
     on generator data with no cap: bijection by the partition of the
-    coordinates, injectivity and equivariance by reassembling every
-    generator from its restrictions (see ``split``)."""
+    coordinates, injectivity, equivariance and every preserved component
+    by reassembling every generator from its restrictions (see ``split``)."""
 
     delta0: tuple[int, ...]
     delta1: tuple[int, ...]

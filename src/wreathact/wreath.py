@@ -256,8 +256,6 @@ def parse_point(text: str, ctx: WreathContext | None = None) -> Point:
         point = tuple(map(int, text.strip().split(",")))
     except ValueError:
         raise ParseError(f"non-integer entry in point {text!r}") from None
-    if not point:
-        raise ParseError("empty point")
     if ctx is not None:
         try:
             ctx.check_point(point)

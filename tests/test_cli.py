@@ -428,6 +428,24 @@ class TestParsing:
         with open(os.path.join(GOLDEN, "components.txt"), encoding="ascii") as handle:
             assert (status, text) == (0, handle.read())
 
+    CODE_CANON = ("code-canon", fixture("even_weight.code"), fixture("even_weight_aut.group"))
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ("split", fixture("two_orbit_q2m3.group"), "--delta0", "a,b"),
+                "--delta0 expects a comma list of coordinates, got 'a,b'",
+            ),
+            (("embed", fixture("diag_swap_q2m2.group"), "--delta1", "5"), "coordinate 5 out of range"),
+            (("embed", fixture("diag_swap_q2m2.group"), "--delta1", "-1"), "coordinate -1 out of range"),
+            (CODE_CANON + ("--gamma", "0", "--nu", "9"), "pinned letters out of range"),
+            (CODE_CANON + ("--gamma", "-1", "--nu", "1"), "pinned letters out of range"),
+        ],
+    )
+    def test_input_error_is_one_line(self, argv, message):
+        assert run(*argv) == (2, f"error: {message}\n")
+
 
 class TestParseGroupParity:
     """``WreathElement.parse`` checks each image tuple once and builds the

@@ -473,8 +473,8 @@ class TestCanonicalizeAtScale:
 
 
 class TestCodeValidation:
-    """``Code`` validates on its columns and falls back to ``check_point``
-    word by word, so every rejected set gives the same message as before."""
+    """``Code`` validates every word with ``check_point``, so every rejected
+    set gives its message and every accepted one is accepted."""
 
     CTX = WreathContext(3, 4)
 

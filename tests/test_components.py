@@ -4,9 +4,9 @@ import time
 
 import pytest
 
+import wreathact.components as components_module
 from wreathact import (
     EnumerationOverflow,
-    GenGroup,
     Permutation,
     WreathContext,
     WreathElement,
@@ -318,7 +318,9 @@ class TestSplit:
             X, result._replace(component_preserved=broken)
         )
 
-    def test_one_component_build_per_coordinate_orbit_on_each_side(self, monkeypatch):
+    def test_builds_no_component_and_no_chain(self, monkeypatch):
+        # reassembly decides every flag, so no component of X or of either
+        # half and no stabilizer chain is built
         rng = random.Random(71)
         cases = [two_block_wreath_product(rng, 2, 2), two_block_wreath_product(rng, 2, 3)]
         while len(cases) < 10:
@@ -326,44 +328,44 @@ class TestSplit:
             if len(X.delta_orbits) >= 2:
                 cases.append(X)
         builds = record_component_builds(monkeypatch)
+        chains = []
+        chain_init = StabilizerChain.__init__
+
+        def recording(self, *args, **kwargs):
+            chains.append(self)
+            chain_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(StabilizerChain, "__init__", recording)
+        results = []
         for X in cases:
             orbits = X.delta_orbits
-            builds.clear()
-            result = X.split(orbits[rng.randrange(len(orbits))])
-            for Y in (X, result.first, result.second):
-                assert [delta for Z, delta in builds if Z is Y] == [orbit[0] for orbit in Y.delta_orbits]
-            assert len(builds) == 2 * len(orbits)
+            results.append((X, X.split(orbits[rng.randrange(len(orbits))])))
+        assert builds == []
+        assert chains == []
+        for X, result in results:
             assert result.ok
             assert split_oracle_agrees(X, result)
 
-    def test_mismatched_half_transversal_falls_back_per_coordinate(self, monkeypatch):
+    def test_broken_restriction_fails_every_reassembly_flag(self, monkeypatch):
+        # the first restricted top is reversed, so that half generator is
+        # not a restriction of X's: every flag but the partition test drops
         X = two_block_wreath_product(random.Random(73), 2, 2)
-        swap = p(1, 0)
-        entry_transversal = WreathSubgroup.entry_transversal
+        from_parts = components_module._from_parts
+        tops = []
 
-        def mismatched(self, delta):
-            u = entry_transversal(self, delta)
-            return u if self is X else {beta: entry * swap for beta, entry in u.items()}
+        def reversing_first(base, top):
+            tops.append(top)
+            if len(tops) == 1:
+                top = Permutation(reversed(top.images))
+            return from_parts(base, top)
 
-        monkeypatch.setattr(WreathSubgroup, "entry_transversal", mismatched)
-        builds = record_component_builds(monkeypatch)
+        monkeypatch.setattr(components_module, "_from_parts", reversing_first)
         result = X.split([0, 1])
-        assert sorted(delta for Y, delta in builds if Y is X) == [0, 1, 2, 3]
-        assert result.component_preserved == {0: True, 1: True, 2: True, 3: True}
-        assert split_oracle_agrees(X, result)
-        # the fallback decides: a wrong component at position 1 of each half,
-        # off the representatives (positions 0), is caught only because the
-        # transversals differ
-        component = WreathSubgroup.component
-
-        def wrong_at_1(self, delta):
-            return GenGroup(2) if self is not X and delta == 1 else component(self, delta)
-
-        monkeypatch.setattr(WreathSubgroup, "component", wrong_at_1)
-        result = X.split([0, 1])
-        assert result.component_preserved == {0: True, 1: False, 2: True, 3: False}
-        monkeypatch.setattr(WreathSubgroup, "entry_transversal", entry_transversal)
-        assert X.split([0, 1]).ok
+        assert result.theta_bijective
+        assert not result.chi_injective
+        assert not result.equivariant
+        assert result.component_preserved == {0: False, 1: False, 2: False, 3: False}
+        assert not result.ok
 
     def test_invalid_subsets_rejected(self):
         X = WreathSubgroup(
