@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import math
 import operator
 import os
@@ -236,7 +235,7 @@ def cmd_code_canon(args, out) -> int:
     _emit(out, "transformed-size", len(result.code))
     _emit(out, "transformed-min-distance", result.code.min_distance())
     words = format_words(result.code)
-    out.write("".join(map("transformed-word {}: {}\n".format, itertools.count(), words)))
+    out.write("".join([f"transformed-word {i}: {word}\n" for i, word in enumerate(words)]))
     _emit(out, "G-generators", _fmt_perm_list(result.component_group.generators))
     _emit(out, "K-generators", _fmt_perm_list(result.induced_group.generators))
     _emit_certificate(out, result.certificate, result.certificate.passed)

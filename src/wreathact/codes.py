@@ -89,9 +89,12 @@ class Code:
         once some r coordinates are deleted, so for r = 1, 2, ... every
         r-subset of coordinates is deleted in turn, zipping the kept
         ``columns`` back into shortened words; the first r at which two
-        words coincide is the distance. Once that would cost at least as
-        many word tests as the |C|(|C|-1)/2 pairs, or r reaches m, it scans
-        the pairs instead.
+        words coincide is the distance. By pigeonhole, once |C| > q^(m-r)
+        two words must coincide, so the answer is r with no test (at r = m
+        always). Once the deletions would cost at least as many word tests
+        as the |C|(|C|-1)/2 pairs, it scans the pairs instead. The result is
+        cached; ``canonicalize`` may fill the cache from a search that uses
+        the code's checked automorphism group.
         """
         if len(self.words) < 2:
             raise ValueError("minimum distance is undefined for a singleton code")
@@ -99,24 +102,34 @@ class Code:
             self._min_distance = self._search_min_distance()
         return self._min_distance
 
-    def _search_min_distance(self) -> int:
-        m = self.ctx.delta_size
+    def _search_min_distance(self, through: int | None = None) -> int:
+        """The search of ``min_distance``. With ``through`` set, only the
+        subsets containing that coordinate are deleted: exact when an
+        automorphism group of the code is transitive on the coordinates,
+        since deleting S collides exactly when deleting its image under any
+        automorphism's top does."""
+        q, m = self.ctx.gamma_size, self.ctx.delta_size
         columns = self.columns
         n = len(self.words)
         pairs = n * (n - 1) // 2
-        for r in range(1, m + 1):
-            if r == m or n * math.comb(m, r) >= pairs:
+        others = [i for i in range(m) if i != through]
+        for r in range(1, m):
+            if n > q ** (m - r):
+                return r
+            if n * math.comb(m, r) >= pairs:
                 ws = self.sorted_words()
                 return min(
                     hamming_distance(ws[i], ws[j])
                     for i in range(n)
                     for j in range(i + 1, n)
                 )
-            for deleted in itertools.combinations(range(m), r):
-                kept = [column for i, column in enumerate(columns) if i not in deleted]
-                if len(set(zip(*kept))) < n:
-                    return r
-        raise RuntimeError("internal invariant: distinct words at no distance")
+            if through is None:
+                subsets = itertools.combinations(others, r)
+            else:
+                subsets = ((through, *rest) for rest in itertools.combinations(others, r - 1))
+            if any(_collides(columns, deleted, n) for deleted in subsets):
+                return r
+        return m
 
     def transform(self, x: WreathElement) -> "Code":
         """The equivalent code: the images of all words under ``x``, computed
@@ -125,6 +138,11 @@ class Code:
         if x.ctx != self.ctx:
             raise DegreeMismatchError("element lives in a different context")
         return _code_from_words(self.ctx, zip(*x.apply_columns(self.columns)))
+
+
+def _collides(columns: tuple[Point, ...], deleted: tuple[int, ...], n: int) -> bool:
+    """Whether two of the n words agree once the coordinates ``deleted`` are removed."""
+    return len(set(zip(*[column for i, column in enumerate(columns) if i not in deleted]))) < n
 
 
 def _code_from_words(ctx: WreathContext, words: Iterable[Point]) -> Code:
@@ -260,6 +278,12 @@ def canonicalize(
     entries can occur for q >= 3), and every top is a generator of K by
     construction, sifted only as a fallback, so no chain of degree m is
     built.
+
+    Once those checks pass, the code's minimum distance d (unless already
+    cached) is searched through coordinate 0 only: the tops of X carry
+    every deleted coordinate subset onto one containing 0 and keep its
+    collisions. The transformed code's distance, the check that x is an
+    equivalence, is searched without X, so it does not rest on X^x.
     """
     ctx = code.ctx
     if X.ctx != ctx:
@@ -281,7 +305,11 @@ def canonicalize(
             "component at coordinate 0 is not 2-transitive", delta=0
         )
 
-    d = code.min_distance()
+    if code._min_distance is None:
+        # X passed the checks above: its tops map the code's collisions onto
+        # each other and move every coordinate to 0
+        code._min_distance = code._search_min_distance(through=0)
+    d = code._min_distance
     word_a, word_b = _first_pair_at_distance(code, d)
 
     # stage 1: move word_a to the constant word, one entry per coordinate,

@@ -569,6 +569,44 @@ def hamming_code_with_automorphisms() -> tuple[Code, WreathSubgroup]:
     return code, WreathSubgroup(ctx, tuple(gens))
 
 
+def linear_code_with_automorphisms(
+    p: int, basis: list[tuple[int, ...]], tops: list[Permutation]
+) -> tuple[Code, WreathSubgroup]:
+    """The span over Z_p (p prime) of ``basis`` with the automorphisms:
+    translations by the basis words, scaling by every unit, and the
+    coordinate permutations ``tops``, which must preserve the span."""
+    m = len(basis[0])
+    ctx = WreathContext(p, m)
+    words = {
+        tuple(sum(c * b[d] for c, b in zip(coefficients, basis)) % p for d in range(m))
+        for coefficients in itertools.product(range(p), repeat=len(basis))
+    }
+    id_p, id_m = Permutation.identity(p), Permutation.identity(m)
+    gens = [
+        WreathElement(tuple(Permutation([(a + b[d]) % p for a in range(p)]) for d in range(m)), id_m)
+        for b in basis
+    ]
+    gens += [WreathElement((Permutation([u * a % p for a in range(p)]),) * m, id_m) for u in range(2, p)]
+    gens += [WreathElement((id_p,) * m, top) for top in tops]
+    return Code(ctx, words), WreathSubgroup(ctx, tuple(gens))
+
+
+def reed_solomon_code(p: int, k: int) -> tuple[Code, WreathSubgroup]:
+    """The [p, k, p-k+1] code over Z_p of the polynomials of degree < k,
+    evaluated at the coordinates 0..p-1, with AGL(1, p) on the coordinates
+    (x -> x+1 and x -> u*x for every unit u)."""
+    basis = [tuple(pow(x, j, p) for x in range(p)) for j in range(k)]
+    tops = [cycle(p)] + [Permutation([u * x % p for x in range(p)]) for u in range(2, p)]
+    return linear_code_with_automorphisms(p, basis, tops)
+
+
+def parity_code_with_automorphisms(p: int, m: int) -> tuple[Code, WreathSubgroup]:
+    """The words over Z_p (p prime) of length m summing to 0, with Sym(m)
+    on the coordinates."""
+    basis = [tuple(1 if d == 0 else p - 1 if d == i else 0 for d in range(m)) for i in range(1, m)]
+    return linear_code_with_automorphisms(p, basis, list(symmetric_gens(m)))
+
+
 # ----- stabilizer chains pinned level by level -----
 
 CHAIN_LEVELS = Path(__file__).parent / "data" / "chain_levels.json"

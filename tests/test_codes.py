@@ -22,6 +22,7 @@ from wreathact import (
     hamming_distance,
     is_automorphism,
     parse_code,
+    symmetric_gens,
 )
 import wreathact.codes as codes_module
 import wreathact.normalize as normalize_module
@@ -29,13 +30,16 @@ from wreathact.perm import StabilizerChain
 from wreathact.cli import load_group
 from helpers import (
     conjugated_repetition_code,
+    cycle,
     hamming_code_with_automorphisms,
     p,
+    parity_code_with_automorphisms,
     raw_apply,
     raw_closure,
     raw_component,
     raw_wreath,
     record_component_builds,
+    reed_solomon_code,
     reference_parse_code,
     we,
 )
@@ -45,6 +49,24 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 S = p(1, 0)
 ID2 = Permutation.identity(2)
 ID3 = Permutation.identity(3)
+
+
+def record_deletions(monkeypatch) -> list[tuple[tuple, tuple[int, ...]]]:
+    """Record the ``columns`` and the deleted coordinates of every deletion
+    test of the distance search."""
+    tests = []
+    collides = codes_module._collides
+
+    def recorded(columns, deleted, n):
+        tests.append((columns, deleted))
+        return collides(columns, deleted, n)
+
+    monkeypatch.setattr(codes_module, "_collides", recorded)
+    return tests
+
+
+def deletions_of(tests, code: Code) -> list[tuple[int, ...]]:
+    return [deleted for columns, deleted in tests if columns is code.columns]
 
 
 def even_weight_code() -> tuple[Code, WreathSubgroup]:
@@ -170,6 +192,15 @@ class TestMinDistance:
         before = calls[0]
         assert Code(WreathContext(2, 6), even).min_distance() == 2
         assert calls[0] == before
+
+    def test_pigeonhole_ends_the_search_without_a_test(self, monkeypatch):
+        # parity over Z_5, m = 5: 625 = 5^4 words, so deleting one
+        # coordinate is injective (5 tests) and deleting two must collide,
+        # which pigeonhole says before any test
+        tests = record_deletions(monkeypatch)
+        code, _ = parity_code_with_automorphisms(5, 5)
+        assert code.min_distance() == 2
+        assert deletions_of(tests, code) == [(0,), (1,), (2,), (3,), (4,)]
 
 
 class TestIsAutomorphism:
@@ -470,6 +501,119 @@ class TestCanonicalizeAtScale:
         result = canonicalize(code, X, 0, 1)
         assert result.certificate.passed
         assert [delta for Y, delta in builds if Y is X] == [0]
+
+
+def orbit_union_code(rng: random.Random) -> tuple[Code, WreathSubgroup]:
+    """A union of orbits of random words under X: the diagonal Sym(q) on the
+    letters and the cyclic or dihedral group on the coordinates, so X is
+    transitive on the coordinates and its component at 0 is Sym(q)."""
+    q = rng.randint(2, 4)
+    m = rng.randint(3, 7 if q == 2 else 5)
+    ctx = WreathContext(q, m)
+    id_q, id_m = Permutation.identity(q), Permutation.identity(m)
+    tops = [cycle(m)]
+    if rng.random() < 0.5:
+        tops.append(Permutation([-d % m for d in range(m)]))
+    gens = [WreathElement((s,) * m, id_m) for s in symmetric_gens(q)]
+    gens += [WreathElement((id_q,) * m, top) for top in tops]
+    words = {tuple(rng.randrange(q) for _ in range(m)) for _ in range(rng.randint(1, 2))}
+    frontier = list(words)
+    while frontier:
+        word = frontier.pop()
+        for g in gens:
+            image = g.apply(word)
+            if image not in words:
+                words.add(image)
+                frontier.append(image)
+    return Code(ctx, words), WreathSubgroup(ctx, tuple(gens))
+
+
+class TestDistanceThroughOneCoordinate:
+    """``canonicalize`` searches the input code's distance deleting only
+    coordinate subsets through coordinate 0, after X is checked."""
+
+    def test_agrees_with_pair_scan_on_codes_closed_under_x(self, monkeypatch):
+        rng = random.Random(83)
+        cases = [orbit_union_code(rng) for _ in range(60)]
+        cases += [parity_code_with_automorphisms(3, m) for m in (3, 4, 5)]
+        cases += [parity_code_with_automorphisms(5, m) for m in (3, 4)]
+        cases += [parity_code_with_automorphisms(2, m) for m in (3, 4, 5, 6)]
+        cases += [hamming_code_with_automorphisms()]
+        cases += [conjugated_repetition_code(rng, q, m) for q, m in ((2, 3), (3, 5), (4, 6))]
+        cases += [reed_solomon_code(5, k) for k in (1, 2, 3, 4)] + [reed_solomon_code(7, 3)]
+        tests = record_deletions(monkeypatch)
+        distances, through = set(), []
+        for code, X in cases:
+            d = TestMinDistance.pair_scan(code.words)
+            result = canonicalize(code, X, 0, 1)
+            assert code._min_distance == d
+            assert hamming_distance(result.pinned_constant, result.pinned_mixed) == d
+            assert result.code.min_distance() == d
+            distances.add(d)
+            through += deletions_of(tests, code)
+        assert {1, 2, 3, 4, 5} <= distances
+        assert all(deleted[0] == 0 for deleted in through)
+        # rounds r >= 2 through coordinate 0 ran (the Reed-Solomon codes)
+        assert max(map(len, through)) == 4
+
+    def test_parity_z5_takes_one_input_test(self, monkeypatch):
+        code, X = parity_code_with_automorphisms(5, 5)
+        tests = record_deletions(monkeypatch)
+        result = canonicalize(code, X, 0, 1)
+        assert code.min_distance() == 2 and result.certificate.passed
+        assert deletions_of(tests, code) == [(0,)]
+        # the transformed code's check uses no group: every single
+        # coordinate, then pigeonhole
+        assert len(deletions_of(tests, result.code)) == 5
+
+    def test_mds_code_over_z7_needs_no_pair_scan(self, monkeypatch):
+        # the [7,5,3] Reed-Solomon code: 16807 words, 141M pairs; through
+        # coordinate 0 the search tests {0} and the 6 pairs {0, i}, then
+        # 16807 > 7^4 ends it at r = 3
+        code, X = reed_solomon_code(7, 5)
+        assert len(code) == 7 ** 5
+        tests = record_deletions(monkeypatch)
+        scanned = TestMinDistance.counting_distance(monkeypatch)
+        result = canonicalize(code, X, 0, 1)
+        assert result.certificate.passed
+        assert code._min_distance == 3 and result.pinned_mixed == (1, 1, 1, 0, 0, 0, 0)
+        assert deletions_of(tests, code) == [(0,)] + [(0, i) for i in range(1, 7)]
+        assert len(deletions_of(tests, result.code)) == 7 + 21
+        # only the search for the first pair at distance 3 compares words
+        assert scanned[0] < len(code)
+
+    def test_unchecked_group_leaves_the_distance_unsearched(self, tmp_path):
+        code, _ = parity_z3_fixture()
+        with open(os.path.join(DATA, "parity_z3_m4_aut.group"), encoding="ascii") as handle:
+            text = handle.read()
+        path = tmp_path / "bad.group"
+        path.write_text(text + "base=[[1,0,2];[0,1,2];[0,1,2];[0,1,2]] top=[0,1,2,3]\n")
+        X = load_group(str(path))
+        assert not is_automorphism(X.generators[-1], code)
+        with pytest.raises(HypothesisViolation, match="generator 4 is not an automorphism"):
+            canonicalize(code, X, 0, 1)
+        assert code._min_distance is None
+        # automorphisms, but not transitive on the coordinates
+        repetition = Code(WreathContext(2, 3), [(0, 0, 0), (1, 1, 1)])
+        flip = WreathSubgroup(repetition.ctx, (WreathElement((S, S, S), ID3),))
+        with pytest.raises(HypothesisViolation, match="not transitive"):
+            canonicalize(repetition, flip, 0, 1)
+        assert repetition._min_distance is None
+
+    def test_cached_distance_is_not_searched_again(self, monkeypatch):
+        code, X = parity_z3_fixture()
+        d = code.min_distance()
+        searched = []
+        search = Code._search_min_distance
+
+        def recorded(self, *args, **kwargs):
+            searched.append(self)
+            return search(self, *args, **kwargs)
+
+        monkeypatch.setattr(Code, "_search_min_distance", recorded)
+        result = canonicalize(code, X, 0, 1)
+        assert result.pinned_mixed[:d] == (1,) * d
+        assert len(searched) == 1 and searched[0] is result.code
 
 
 class TestCodeValidation:
