@@ -274,8 +274,8 @@ def canonicalize(
     must be 2-transitive. The containment of the conjugated group in
     G wr K is certified once, after the full product: a base entry that
     is the identity or a generator of G is a member, any other is sifted
-    into G's chain (x2's corrections and x4 are not passed on, so such
-    entries can occur for q >= 3), and every top is a generator of K by
+    into G's chain (x2's corrections and x4 make such entries for
+    q >= 3), and every top is a generator of K by
     construction, sifted only as a fallback, so no chain of degree m is
     built.
 

@@ -20,18 +20,20 @@ c_d^-1 at d, so the certificate reads each correction there and checks
 it against the component's witness table.
 
 When the induced coordinate action is transitive this conjugation lands X
-inside G wr H, where G is the component at a chosen coordinate and H is
+inside G wr H, where G is the component at a chosen coordinate r and H is
 the induced group; ``embed_in_wreath`` returns that embedding along with a
-membership certificate for every conjugated generator. Undo the
-corrections and every base entry of a conjugated generator is the
-identity or a Schreier entry at r, that is, one of G's generators; every
-top is one of H's. So the certificate builds no stabilizer chain on
-anything the construction made, and sifts only what it cannot read off.
+membership certificate for every conjugated generator. The conjugate's
+BFS at r visits every pair of a coordinate d and a generator, so each base
+entry is u'[d]^-1 * s * u'[d^h], with s the identity or a Schreier entry,
+that is, one of G's generators, and u'[d] carried into G as above; every
+top is one of H's. So the certificate is read off that BFS, with no
+stabilizer chain built on anything the construction made, and sifts only
+when the reading fails.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .errors import DegreeMismatchError, HypothesisViolation
 from .perm import GenGroup, Permutation, _compose, _from_images, _invert, same_group
@@ -180,6 +182,13 @@ def conjugate_subgroup(X: WreathSubgroup, x: WreathElement) -> WreathSubgroup:
     return WreathSubgroup(X.ctx, tuple(conjugates))
 
 
+def _carried(R: GenGroup, entry: Permutation, phi: Point | None, d: int) -> bool:
+    """Whether the conjugate's transversal entry at d lies in R by
+    construction: it is the identity or, with ``phi``, the inverse of R's
+    BFS witness from ``phi[d]``."""
+    return entry.is_identity() or (phi is not None and R.is_witness(phi[d], entry.inverse()))
+
+
 def normalizing_element(
     X: WreathSubgroup,
     phi: Point | None = None,
@@ -216,12 +225,8 @@ def normalizing_element(
         u = conjugated.entry_transversal(rep)
         for d in orbit:
             # the component at d is the one at rep conjugated by u[d]
-            by_construction = u[d].is_identity() or (
-                phi is not None and reference.is_witness(phi[d], u[d].inverse())
-            )
-            component_flags[d] = (rep_equal and by_construction) or same_group(
-                conjugated.component(d), reference
-            )
+            carried = rep_equal and _carried(reference, u[d], phi, d)
+            component_flags[d] = carried or same_group(conjugated.component(d), reference)
     fixes_point = None if phi is None else (x.apply(phi) == phi)
     return NormalizationResult(
         x=x,
@@ -234,10 +239,11 @@ def normalizing_element(
 
 
 class EmbedCertificate(NamedTuple):
-    """Sifting record for the containment of conjugated generators in G wr H.
+    """Membership record for the conjugated generators in G wr H.
 
     Each failure names the generator index, whether a base entry or the top
-    fell outside, and the offending coordinate for base entries.
+    fell outside, and the offending coordinate for base entries. A
+    certificate read off the conjugate by construction has no failures.
     """
 
     passed: bool
@@ -245,46 +251,22 @@ class EmbedCertificate(NamedTuple):
 
 
 def sift_embedding(
-    generators: tuple[WreathElement, ...],
-    G: GenGroup,
-    H: GenGroup,
-    corrections: Mapping[int, Permutation] | None = None,
-    phi: Point | None = None,
+    generators: tuple[WreathElement, ...], G: GenGroup, H: GenGroup
 ) -> EmbedCertificate:
-    """Check every base entry into G and every top into H.
+    """Check every base entry into G and every top into H, exactly.
 
-    A base entry b of a generator g at coordinate d is in G by
-    construction when it is the identity or one of G's generators, or when
-    ``c[d]^-1 * b * c[g.top[d]]`` is, for corrections c that are members of
-    G; then b is a product of members. A correction ``corrections[d]``
-    counts as a member only when ``phi`` is given and it is G's BFS witness
-    from ``phi[d]`` (``GenGroup.is_witness``), so the certificate proves
-    the corrections itself and trusts none it is given; without ``phi``
-    none counts. Likewise a top that is the identity or one of H's
-    generators is in H, which is how ``embed_in_wreath`` and
-    ``canonicalize`` build H. Only the entries and tops left over are
-    sifted into G's or H's chain, so a tampered one still fails exactly,
-    and an untampered embedding builds no chain.
+    A base entry that is the identity or one of G's generators is a member
+    as it stands, and so is a top that is the identity or one of H's
+    generators. Every other entry or top is sifted into G's or H's chain,
+    so a tampered one fails exactly.
     """
-    q = G.degree
     known = {g.images for g in G.generators}
-    known.add(tuple(range(q)))
-    c = {
-        d: p.images for d, p in (corrections or {}).items()
-        if phi is not None and G.is_witness(phi[d], p)
-    }
-    c_inverse = {d: _invert(images) for d, images in c.items()}
+    known.add(tuple(range(G.degree)))
     tops = frozenset(H.generators)
     failures: list[tuple[int, str, int | None]] = []
     for k, w in enumerate(generators):
-        for d, (p, e) in enumerate(zip(w.base, w.top.images)):
-            b = p.images
-            if b in known or (
-                len(b) == q and d in c and e in c
-                and _compose(_compose(c_inverse[d], b), c[e]) in known
-            ):
-                continue
-            if not G.contains(p):
+        for d, p in enumerate(w.base):
+            if not (p.images in known or G.contains(p)):
                 failures.append((k, "base", d))
         top = w.top
         if not (top in tops or top.is_identity() or H.contains(top)):
@@ -317,15 +299,17 @@ def embed_in_wreath(
 
     Requires the induced coordinate action to be transitive. With ``phi``
     supplied, G must additionally be transitive and the conjugating element
-    fixes ``phi``. x is a base element, so conjugation keeps each
-    generator's top, and that top is a generator of H. With the
-    corrections undone, each base entry of a conjugated generator is the
-    identity or a generator of G. With ``phi`` the corrections, read off
-    the conjugate's entry transversal at ``delta1`` as inverses, are G's
-    BFS witnesses, which ``sift_embedding`` finds in G's witness table
-    (without ``phi`` none is needed). So it reads every entry and top as a
-    member by construction, and sifts only a leftover one: no stabilizer
-    chain is built, with ``phi`` or without.
+    fixes ``phi``. The certificate is read off the conjugate with no
+    failures when three checks hold: its induced group has H's generators,
+    so every top is one of them; its component at ``delta1`` has G's
+    generators; and every entry of its ``entry_transversal(delta1)`` is
+    carried into G, as ``normalizing_element``'s flags read it. Then the
+    BFS behind that transversal, which visits every coordinate under every
+    generator, writes each base entry as ``u[d]^-1 * s * u[top[d]]`` with
+    s the identity or one of G's generators. The construction always
+    passes these checks, so no stabilizer chain is built, with ``phi`` or
+    without. Otherwise every entry and top goes to ``sift_embedding``,
+    which is exact.
     """
     if not 0 <= delta1 < X.ctx.delta_size:
         raise ValueError(f"coordinate {delta1} out of range")
@@ -338,8 +322,14 @@ def embed_in_wreath(
     normalization = normalizing_element(X, phi, preferred_reps=(delta1,))
     conjugated = normalization.conjugated
     u = conjugated.entry_transversal(delta1)
-    corrections = None if phi is None else {d: e.inverse() for d, e in u.items()}
-    certificate = sift_embedding(conjugated.generators, G, H, corrections, phi)
+    if (
+        conjugated.induced_group.generators == H.generators
+        and conjugated.component(delta1).generators == G.generators
+        and all(_carried(G, e, phi, d) for d, e in u.items())
+    ):
+        certificate = EmbedCertificate(passed=True, failures=())
+    else:
+        certificate = sift_embedding(conjugated.generators, G, H)
     return EmbedResult(
         G=G,
         H=H,

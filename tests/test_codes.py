@@ -582,6 +582,24 @@ class TestDistanceThroughOneCoordinate:
         # only the search for the first pair at distance 3 compares words
         assert scanned[0] < len(code)
 
+    @pytest.mark.parametrize("q, m, tests, through", [(12, 2, 2, 1), (20, 3, 6, 3)])
+    def test_repetition_code_runs_every_round_to_full_length(
+        self, q, m, tests, through, monkeypatch
+    ):
+        # q words of distance m: every round r < m stays under both the
+        # pigeonhole bound and the pair-scan switch and finds no collision,
+        # so the search ends after its last round with d = m
+        recorded = record_deletions(monkeypatch)
+        code = Code(WreathContext(q, m), [(a,) * m for a in range(q)])
+        assert code.min_distance() == TestMinDistance.pair_scan(code.words) == m
+        assert len(deletions_of(recorded, code)) == tests
+        code, X = conjugated_repetition_code(random.Random(89), q, m)
+        result = canonicalize(code, X, 0, 1)
+        assert code._min_distance == TestMinDistance.pair_scan(code.words) == m
+        assert result.code.min_distance() == m and result.certificate.passed
+        assert len(deletions_of(recorded, code)) == through
+        assert len(deletions_of(recorded, result.code)) == tests
+
     def test_unchecked_group_leaves_the_distance_unsearched(self, tmp_path):
         code, _ = parity_z3_fixture()
         with open(os.path.join(DATA, "parity_z3_m4_aut.group"), encoding="ascii") as handle:

@@ -572,6 +572,25 @@ class TestTopsByConstruction:
         assert not certificate.passed
         assert certificate.failures == ((1, "top", None), (3, "top", None))
 
+    def test_tampered_top_of_the_conjugate_is_sifted(self, monkeypatch):
+        # identity entries along the tampered top leave the conjugate's
+        # transversal and component as they were, so only its induced
+        # group shows the top outside H
+        ctx = WreathContext(3, 5)
+        id3, id5 = Permutation.identity(3), Permutation.identity(5)
+        X = WreathSubgroup(
+            ctx,
+            tuple(WreathElement((g,) + (id3,) * 4, id5) for g in self.G.generators)
+            + (WreathElement((id3,) * 5, self.ROTATION),),
+        )
+        other = p(1, 3, 4, 2, 0)
+        assert not self.cyclic_top_group().contains(other)
+        tamper_conjugate(monkeypatch, lambda gens: gens[:2] + (WreathElement(gens[2].base, other),))
+        sifts = count_sifts(monkeypatch)
+        result = embed_in_wreath(X)
+        assert len(sifts) == 1
+        assert result.certificate.failures == ((2, "top", None),)
+
     def test_tampered_top_of_an_embedding_fails_exactly(self):
         ctx = WreathContext(3, 5)
         id3, id5 = Permutation.identity(3), Permutation.identity(5)
@@ -606,8 +625,34 @@ def dihedral_wreath(rng: random.Random, q: int, m: int) -> WreathSubgroup:
 
 def corrections_of(normalization, rep: int) -> dict[int, Permutation]:
     """The corrections read off the conjugate: the inverses of its entry
-    transversal at ``rep``, as ``embed_in_wreath`` hands them on."""
+    transversal at ``rep``."""
     return {d: e.inverse() for d, e in normalization.conjugated.entry_transversal(rep).items()}
+
+
+def count_sifts(monkeypatch) -> list[tuple[WreathElement, ...]]:
+    """Record the generators of every ``sift_embedding`` call that
+    ``embed_in_wreath`` makes."""
+    sifts = []
+    sift = normalize_module.sift_embedding
+
+    def recorded(generators, *args):
+        sifts.append(generators)
+        return sift(generators, *args)
+
+    monkeypatch.setattr(normalize_module, "sift_embedding", recorded)
+    return sifts
+
+
+def tamper_conjugate(monkeypatch, change) -> None:
+    """Make the normal form's conjugate carry the generators ``change``
+    makes of its own."""
+    conjugate = normalize_module.conjugate_subgroup
+
+    def tampered(X, x):
+        Y = conjugate(X, x)
+        return WreathSubgroup(Y.ctx, change(Y.generators))
+
+    monkeypatch.setattr(normalize_module, "conjugate_subgroup", tampered)
 
 
 def repetition_q12() -> WreathSubgroup:
@@ -618,9 +663,10 @@ def repetition_q12() -> WreathSubgroup:
 
 
 class TestCertificateByConstruction:
-    """With the corrections undone, every base entry of a conjugated
-    generator is the identity or a generator of G, and every correction is
-    a BFS witness of G; only what is neither is sifted."""
+    """The conjugate's BFS at delta1 carries every base entry into G: its
+    transversal entries are the identity or inverses of G's BFS witnesses,
+    and its Schreier entries are G's generators. Only when that reading
+    fails is anything sifted, and ``sift_embedding`` is exact."""
 
     INSTANCES = {
         "full-sym7-m4": lambda: conjugated_full_wreath_product(random.Random(211), 7, 4),
@@ -653,6 +699,22 @@ class TestCertificateByConstruction:
         if with_phi:
             assert normalization.fixes_point and embedding.normalization.fixes_point
 
+    @pytest.mark.parametrize("with_phi", [False, True])
+    @pytest.mark.parametrize("name", INSTANCES)
+    def test_untampered_embedding_is_read_with_no_sift(self, name, with_phi, monkeypatch):
+        # the conjugate's BFS at delta1 carries every entry into G, so
+        # sift_embedding is not called and no chain is built
+        X = self.INSTANCES[name]()
+        phi = self.phi(X) if with_phi else None
+        chains, _ = TestCertificateCost.count_builds(monkeypatch)
+        sifts = count_sifts(monkeypatch)
+        result = embed_in_wreath(X, 0, phi)
+        assert result.ok and result.certificate == (True, ())
+        assert sifts == [] and chains == []
+        assert result.certificate == chain_sift_embedding(
+            result.conjugated.generators, result.G, result.H
+        )
+
     def test_corrected_entries_are_read_off_the_corrections(self):
         # the golden's instance: entries outside G's generators, which the
         # corrections carry back to generators
@@ -667,16 +729,13 @@ class TestCertificateByConstruction:
         assert any(not c.is_identity() for c in corrections.values())
         assert result.ok and result.G._chain is None
 
-    @pytest.mark.parametrize("corrections", [False, True])
-    def test_each_tampered_entry_outside_G_gives_one_base_failure(self, corrections):
+    def test_each_tampered_entry_outside_G_gives_one_base_failure(self):
         X = dihedral_wreath(random.Random(229), 7, 5)
         result = embed_in_wreath(X, 0, self.phi(X))
         G, H = result.G, result.H
         closure = tuple_closure([g.images for g in G.generators], 7)
         assert len(closure) == 14
         outside = [b for b in sym_perms(7) if b.images not in closure]
-        c = corrections_of(result.normalization, 0) if corrections else None
-        phi = self.phi(X) if corrections else None
         gens = [list(g.base) for g in result.conjugated.generators]
         tampered_at = [(0, 1), (2, 0), (2, 4), (3, 3)]
         for i, (k, d) in enumerate(tampered_at):
@@ -684,37 +743,23 @@ class TestCertificateByConstruction:
         tampered = tuple(
             WreathElement(base, g.top) for base, g in zip(gens, result.conjugated.generators)
         )
-        certificate = sift_embedding(tampered, G, H, c, phi)
+        certificate = sift_embedding(tampered, G, H)
         assert certificate.failures == tuple((k, "base", d) for k, d in tampered_at)
         assert certificate == chain_sift_embedding(tampered, G, H)
 
-    @pytest.mark.parametrize("corrected", [False, True])
-    def test_tampered_entry_inside_G_is_sifted_and_passes(self, corrected):
+    def test_tampered_entry_inside_G_is_sifted_and_passes(self):
         X = dihedral_wreath(random.Random(233), 7, 5)
-        phi = self.phi(X) if corrected else None
-        result = embed_in_wreath(X, 0, phi)
+        result = embed_in_wreath(X, 0, self.phi(X))
         G, H = result.G, result.H
-        corrections = corrections_of(result.normalization, 0)
         known = self.known(G)
         closure = tuple_closure([g.images for g in G.generators], 7)
         gens = result.conjugated.generators
-        top = gens[0].top
-
-        def c(e: int) -> Permutation:
-            return corrections.get(e, Permutation.identity(7))
-
-        d = 1
-        if corrected:  # corrections on the two sides of d that are not both the identity
-            d = next(d for d in range(5) if not (c(d).is_identity() and c(top[d]).is_identity()))
-        b = next(
-            Permutation(e) for e in sorted(closure)
-            if e not in known and (c(d).inverse() * Permutation(e) * c(top[d])).images not in known
-        )
+        b = next(Permutation(e) for e in sorted(closure) if e not in known)
         base = list(gens[0].base)
-        base[d] = b
-        tampered = (WreathElement(base, top),) + gens[1:]
+        base[1] = b
+        tampered = (WreathElement(base, gens[0].top),) + gens[1:]
         assert G._chain is None
-        certificate = sift_embedding(tampered, G, H, corrections, phi)
+        certificate = sift_embedding(tampered, G, H)
         assert certificate.passed and certificate.failures == ()
         assert G._chain is not None
 
@@ -746,7 +791,9 @@ class TestCertificateByConstruction:
             return Transversal(t.orbits, t.reps, entries, t.rep_of)
 
         monkeypatch.setattr(normalize_module, "adjust_transversal", swapping)
+        sifts = count_sifts(monkeypatch)
         result = embed_in_wreath(X, 0, phi)
+        assert sifts == [result.conjugated.generators]
         normalization = result.normalization
         # the correction read off the conjugate is the swapped one, no witness
         rep = normalization.transversal.rep_of[1]
@@ -759,29 +806,32 @@ class TestCertificateByConstruction:
         assert result.certificate.passed is (kind == "member")
         assert all(flags.values()) is (kind == "member")
 
-    @pytest.mark.parametrize("with_phi", [False, True])
-    def test_bogus_corrections_do_not_certify_a_non_member(self, with_phi):
-        # c[d] = b and c[top[d]] = 1 would read any b at d as the identity;
-        # b is no BFS witness of G, so it is not taken as a correction and
-        # the entry is sifted
+    def test_tampered_schreier_entry_of_the_conjugate_is_sifted(self, monkeypatch):
+        # a non-member at a pair that is no edge of the BFS tree keeps every
+        # transversal entry, so only the component's generators show it
         X = dihedral_wreath(random.Random(229), 7, 5)
         phi = self.phi(X)
         result = embed_in_wreath(X, 0, phi)
-        G, H = result.G, result.H
-        closure = tuple_closure([g.images for g in G.generators], 7)
+        closure = tuple_closure([g.images for g in result.G.generators], 7)
         b = next(b for b in sym_perms(7) if b.images not in closure)
         gens = result.conjugated.generators
-        k = next(k for k, g in enumerate(gens) if not g.top.is_identity())
-        top = gens[k].top
-        d = next(d for d in range(5) if top[d] != d)
-        base = list(gens[k].base)
-        base[d] = b
-        tampered = gens[:k] + (WreathElement(base, top),) + gens[k + 1:]
-        bogus = {e: Permutation.identity(7) for e in range(5)}
-        bogus[d] = b
-        certificate = sift_embedding(tampered, G, H, bogus, phi if with_phi else None)
-        assert certificate.failures == ((k, "base", d),)
-        assert certificate == chain_sift_embedding(tampered, G, H)
+        u = dict(result.conjugated.entry_transversal(0))
+
+        def replaced(generators, k, d):
+            base = list(generators[k].base)
+            base[d] = b
+            return generators[:k] + (WreathElement(base, generators[k].top),) + generators[k + 1:]
+
+        k, d = next(
+            (k, d) for k in range(len(gens)) for d in range(5)
+            if dict(WreathSubgroup(X.ctx, replaced(gens, k, d)).entry_transversal(0)) == u
+        )
+        tamper_conjugate(monkeypatch, lambda generators: replaced(generators, k, d))
+        sifts = count_sifts(monkeypatch)
+        tampered = embed_in_wreath(X, 0, phi)
+        assert dict(tampered.conjugated.entry_transversal(0)) == u
+        assert len(sifts) == 1
+        assert tampered.certificate.failures == ((k, "base", d),)
 
     @pytest.mark.parametrize("phi", [(0, 0), (0, 3)])
     def test_spoiled_entry_under_certified_corrections_gives_the_chain_verdict(
@@ -829,7 +879,8 @@ class TestCertificateAgainstChainOracle:
                     delta_transitive=rng.random() < 0.5,
                 )[1]
 
-    def test_flags_and_certificates_equal_the_chain_verdict(self):
+    def test_flags_and_certificates_equal_the_chain_verdict(self, monkeypatch):
+        sifts = count_sifts(monkeypatch)
         counts: Counter = Counter()
         for rng, X in self.instances():
             q, m = X.ctx.gamma_size, X.ctx.delta_size
@@ -851,6 +902,8 @@ class TestCertificateAgainstChainOracle:
                 gens = embedding.conjugated.generators
                 oracle = chain_sift_embedding(gens, G, H)
                 assert embedding.certificate == oracle
+                # every untampered embedding is read by construction
+                assert sifts == []
                 assert embedding.normalization.component_flags == chain_component_flags(
                     X, embedding.normalization
                 )
@@ -861,9 +914,7 @@ class TestCertificateAgainstChainOracle:
                 base = list(gens[k].base)
                 base[d] = random_permutation(rng, q)
                 tampered = gens[:k] + (WreathElement(base, gens[k].top),) + gens[k + 1:]
-                certificate = sift_embedding(
-                    tampered, G, H, corrections_of(embedding.normalization, 0), phi
-                )
+                certificate = sift_embedding(tampered, G, H)
                 assert certificate == chain_sift_embedding(tampered, G, H)
                 counts["tampered_fail"] += not certificate.passed
         assert counts["instances"] >= 300
