@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import operator
 import os
@@ -37,10 +38,13 @@ import sys
 from typing import Sequence
 
 from .errors import EnumerationOverflow, HypothesisViolation, ParseError
-from .perm import DEFAULT_CAP
+from .perm import DEFAULT_CAP, Permutation, _from_images
 from .wreath import (
     WreathContext,
     WreathElement,
+    _entries,
+    _from_parts,
+    _header_and_body,
     format_point,
     parse_point,
     parse_with_header,
@@ -79,9 +83,59 @@ def _read_generator(line: str, ctx: WreathContext) -> WreathElement:
     return element
 
 
+def _permutations(entries: tuple[int, ...], n: int) -> list[Permutation]:
+    """``entries`` cut into image tuples of length n, built unchecked once
+    each is known to be a bijection; entries must lie in 0..n-1.
+    Raises ``ValueError`` on a tuple with a repeated entry."""
+    images = list(zip(*[iter(entries)] * n))
+    if set(map(len, map(set, images))) != {n}:
+        raise ValueError("not a permutation")
+    return list(map(_from_images, images))
+
+
+def _read_group(text: str) -> tuple[WreathContext, list[WreathElement]]:
+    """The generators of a group file in the plain serialization, in one pass.
+
+    Every generator line must be ``base=[[...];...;[...]] top=[...]``
+    spelled as ``str`` writes it: m - 1 ``];[`` separators, q - 1 commas
+    in each base list and m - 1 in the top. Any other ``;`` or bracket
+    ends up inside an entry, which ``int`` refuses. The base lists of all
+    lines are joined and converted at once, the tops likewise
+    (``_entries``), and every image tuple must be a bijection. Text in any
+    other spelling, or that fails a check, raises ``ValueError``.
+    """
+    ctx, body = _header_and_body(text)
+    q, m = ctx.gamma_size, ctx.delta_size
+    bases, tops = [], []
+    for line in body:
+        head, sep, top = line.partition("]] top=[")
+        base = head[7:]
+        if not (sep and head.startswith("base=[[") and top.endswith("]")
+                and base.count("];[") == m - 1):
+            raise ValueError("not in the plain serialization")
+        bases.append(base)
+        tops.append(top[:-1])
+    lists = "];[".join(bases).split("];[")
+    commas = itertools.repeat(",")
+    if set(map(str.count, lists, commas)) != {q - 1} or set(map(str.count, tops, commas)) != {m - 1}:
+        raise ValueError("wrong list lengths")
+    base_perms = _permutations(_entries(",".join(lists).split(","), q), q)
+    top_perms = _permutations(_entries(",".join(tops).split(","), m), m)
+    return ctx, list(map(_from_parts, zip(*[iter(base_perms)] * m), top_perms))
+
+
 def parse_group_text(text: str) -> WreathSubgroup:
-    """Parse a group file: header ``q m`` then one wreath element per line."""
-    return WreathSubgroup(*parse_with_header(text, _read_generator))
+    """Parse a group file: header ``q m`` then one wreath element per line.
+
+    Files in the plain serialization are read in one pass
+    (``_read_group``); any other text is parsed line by line with
+    ``WreathElement.parse``, so every error names its line.
+    """
+    try:
+        ctx, generators = _read_group(text)
+    except ValueError:
+        ctx, generators = parse_with_header(text, _read_generator)
+    return WreathSubgroup(ctx, generators)
 
 
 def load_group(path: str) -> WreathSubgroup:

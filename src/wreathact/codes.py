@@ -29,6 +29,7 @@ from .normalize import (
     sift_embedding,
 )
 from .wreath import Point, WreathContext, WreathElement, parse_point, parse_with_header
+from .wreath import _entries, _header_and_body
 
 
 def hamming_distance(a: Point, b: Point) -> int:
@@ -186,19 +187,14 @@ def parse_code(text: str) -> Code:
     parsed again line by line with ``parse_point``, so the error names the
     first bad line.
     """
-    lines = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
-    if len(lines) > 1:
-        body = lines[1:]
-        try:
-            q, m = map(int, lines[0].split())
-            ctx = WreathContext(q, m)
-            if set(map(str.count, body, itertools.repeat(","))) == {m - 1}:
-                entries = ",".join(body).split(",")
-                table = {entry: int(entry) for entry in set(entries)}
-                if all(0 <= e < q for e in table.values()):
-                    return _code_from_words(ctx, zip(*[map(table.__getitem__, entries)] * m))
-        except ValueError:
-            pass
+    try:
+        ctx, body = _header_and_body(text)
+        m = ctx.delta_size
+        if set(map(str.count, body, itertools.repeat(","))) == {m - 1}:
+            entries = _entries(",".join(body).split(","), ctx.gamma_size)
+            return _code_from_words(ctx, zip(*[iter(entries)] * m))
+    except ValueError:
+        pass
     ctx, words = parse_with_header(text, parse_point)
     if not words:
         raise ParseError("code file contains no words")

@@ -105,7 +105,7 @@ class Permutation:
 
     def __str__(self) -> str:
         """Serialize as a bracketed image list, e.g. ``[1,0,2]``."""
-        return "[" + ",".join(map(str, self.images)) + "]"
+        return "[" + _format_images(self.images) + "]"
 
     @classmethod
     def parse(cls, text: str) -> "Permutation":
@@ -120,10 +120,6 @@ class Permutation:
             images = tuple(map(int, inner.split(",")))
         except ValueError:
             raise ParseError(f"non-integer entry in image list {text!r}") from None
-        # text yields ints only, so one sorted check is all of __init__'s;
-        # a list that fails it goes through __init__ for its error
-        if sorted(images) == list(range(len(images))):
-            return _from_images(images)
         return cls(images)
 
 
@@ -132,8 +128,8 @@ def _from_images(images: tuple[int, ...]) -> Permutation:
 
     Only for images built from valid permutations (products, inverses,
     restrictions to an invariant part) or that passed ``Permutation``'s
-    check (``Permutation.parse``, after its sorted check); other lists go
-    through ``Permutation(...)``.
+    check (the group-file reader, after its bijection check); other lists
+    go through ``Permutation(...)``.
     """
     p = object.__new__(Permutation)
     p.images = images
@@ -202,7 +198,8 @@ def _compose(a: Sequence[int], b: Sequence[T]) -> tuple[T, ...]:
     """Raw image tuples composed left to right: ``a`` first, then ``b``.
 
     This is the gather ``(b[a[0]], b[a[1]], ...)``, so it also picks the
-    entries of any sequence ``b`` at the indices ``a``. Every product in
+    entries of any sequence or mapping ``b`` at the indices or keys ``a``
+    (the file readers' ``_entries`` gathers from a dict). Every product in
     the package is this gather (the chain's sift loops spell it inline),
     so it runs as ``itemgetter(*a)(b)``: the gather happens in C, 3-5x
     faster than ``tuple(map(b.__getitem__, a))`` from degree 12 to 1000.
@@ -212,6 +209,29 @@ def _compose(a: Sequence[int], b: Sequence[T]) -> tuple[T, ...]:
     if len(a) > 1:
         return itemgetter(*a)(b)
     return tuple(b[i] for i in a)
+
+
+# str(0..n-1) for ``_format_images``: built on first use, rebuilt at twice
+# the size when a longer tuple comes, never longer than _STRINGS_CAP
+_STRINGS: tuple[str, ...] = ()
+_STRINGS_CAP = 4096
+
+
+def _format_images(images: Images) -> str:
+    """A raw image tuple as the bare comma list ``1,0,2``.
+
+    Its entries lie in 0..len(images)-1, so their strings are gathered from
+    the kept table of ``str(0..n-1)`` in one call, as ``format_words``
+    gathers a code's; a tuple longer than the cap converts its own entries.
+    """
+    global _STRINGS
+    strings = _STRINGS
+    n = len(images)
+    if n > len(strings):
+        if n > _STRINGS_CAP:
+            return ",".join(map(str, images))
+        strings = _STRINGS = tuple(map(str, range(min(max(n, 2 * len(strings)), _STRINGS_CAP))))
+    return ",".join(_compose(images, strings))
 
 
 def _invert(images: Images) -> Images:

@@ -16,6 +16,7 @@ scale.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import random
@@ -24,7 +25,7 @@ import sys
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import DegreeMismatchError, EnumerationOverflow, ParseError
-from .perm import DEFAULT_CAP, Permutation, _compose, random_permutation
+from .perm import DEFAULT_CAP, Permutation, _compose, _format_images, random_permutation
 
 Point = tuple[int, ...]
 T = TypeVar("T")
@@ -213,32 +214,32 @@ class WreathElement:
 
     def __str__(self) -> str:
         """Serialize as ``base=[p0;p1;...] top=p`` with bracketed image lists."""
-        base = ";".join(map(str, self.base))
-        return f"base=[{base}] top={self.top}"
+        base = "];[".join([_format_images(p.images) for p in self.base])
+        return f"base=[[{base}]] top=[{_format_images(self.top.images)}]"
 
-    _PARSE_RE = re.compile(r"base=\[(.*)\]\s+top=(\[[^\[\]]*\])\s*$")
+    @staticmethod
+    @functools.cache
+    def _parse_re() -> re.Pattern:
+        """The line pattern of ``parse``, compiled on first use: group files
+        in the plain serialization never reach it."""
+        return re.compile(r"base=\[(.*)\]\s+top=(\[[^\[\]]*\])\s*$")
 
     @classmethod
     def parse(cls, text: str) -> "WreathElement":
-        match = cls._PARSE_RE.match(text.strip())
+        match = cls._parse_re().match(text.strip())
         if match is None:
             raise ParseError(f"expected 'base=[...;...] top=[...]', got {text!r}")
         base_blob, top_text = match.groups()
         base = tuple(map(Permutation.parse, base_blob.split(";")))
-        top = Permutation.parse(top_text)
-        # parts whose degrees disagree go through __init__ for its error
-        q = len(base[0].images)
-        if len(top.images) == len(base) and all(len(p.images) == q for p in base):
-            return _from_parts(base, top)
-        return cls(base, top)
+        return cls(base, Permutation.parse(top_text))
 
 
 def _from_parts(base: tuple[Permutation, ...], top: Permutation) -> WreathElement:
     """A ``WreathElement`` on parts known to agree in degrees, unchecked.
 
     Only for products, inverses and restrictions of elements that passed
-    the checks, or for parts whose degrees were just compared
-    (``WreathElement.parse``).
+    the checks, or for parts cut to the header's degrees (the group-file
+    reader).
     """
     w = object.__new__(WreathElement)
     w.base = base
@@ -292,6 +293,27 @@ def parse_with_header(
     if ctx is None:
         raise ParseError("missing header line 'q m'")
     return ctx, items
+
+
+def _header_and_body(text: str) -> tuple[WreathContext, list[str]]:
+    """The header context and the later lines of a group or code file, for
+    the one-pass readers: lines stripped, blank and ``#`` lines dropped.
+    Raises ``ValueError`` on a bad header or on no line after it."""
+    lines = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
+    if len(lines) < 2:
+        raise ValueError("no line after the header")
+    q, m = map(int, lines[0].split())
+    return WreathContext(q, m), lines[1:]
+
+
+def _entries(texts: Sequence[str], bound: int) -> tuple[int, ...]:
+    """The integers of ``texts``, each distinct text converted with ``int``
+    once, for the one-pass readers. Raises ``ValueError`` on a text that is
+    not an integer or on a value outside 0..bound-1."""
+    table = {text: int(text) for text in set(texts)}
+    if min(table.values()) < 0 or max(table.values()) >= bound:
+        raise ValueError("entry out of range")
+    return _compose(texts, table)
 
 
 def stabilizer_order_oracle(

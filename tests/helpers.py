@@ -328,7 +328,7 @@ def reference_parse_group_text(text: str) -> WreathSubgroup:
     is compared with the header as a context, so the first bad line raises."""
 
     def read_line(line: str, ctx: WreathContext) -> WreathElement:
-        match = WreathElement._PARSE_RE.match(line.strip())
+        match = WreathElement._parse_re().match(line.strip())
         if match is None:
             raise ParseError(f"expected 'base=[...;...] top=[...]', got {line!r}")
         base_blob, top_text = match.groups()

@@ -450,11 +450,41 @@ class TestParsing:
         assert run(*argv) == (2, f"error: {message}\n")
 
 
+# characters that one-character mutations of a group file insert or write
+MUTATION_ALPHABET = "0123456789,;[] \t\r-+_"
+
+
+@st.composite
+def mutated_group_files(draw):
+    """A group file of up to three elements as ``str`` writes them, over q
+    in 1..12 and m in 1..5, with one mutation: a character deleted,
+    inserted or replaced, or one base list moved to the next line."""
+    q, m = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    ctx = WreathContext(q, m)
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(["delete", "insert", "replace", "move"]))
+    lines = [str(ctx.random_element(rng)) for _ in range(draw(st.integers(1 + (kind == "move"), 3)))]
+    if kind == "move":
+        k = draw(st.integers(0, len(lines) - 2))
+        parts = [line[len("base=["):].split("] top=") for line in lines[k:k + 2]]
+        (source, _), (target, _) = pair = [(base.split(";"), top) for base, top in parts]
+        moved = source.pop(draw(st.integers(0, len(source) - 1)))
+        target.insert(draw(st.integers(0, len(target))), moved)
+        lines[k:k + 2] = [f"base=[{';'.join(base)}] top={top}" for base, top in pair]
+    text = "\n".join([f"{q} {m}", *lines]) + "\n"
+    if kind != "move":
+        at = draw(st.integers(0, len(text) - 1))
+        char = draw(st.sampled_from(MUTATION_ALPHABET))
+        kept = {"delete": "", "insert": char + text[at], "replace": char}[kind]
+        text = text[:at] + kept + text[at + 1:]
+    return text
+
+
 class TestParseGroupParity:
-    """``WreathElement.parse`` checks each image tuple once and builds the
-    element unchecked, calling the constructors' checks only on a list or
-    degree that fails. ``parse_group_text`` must give the generators of the
-    checked reference parse, or the same error."""
+    """``parse_group_text`` reads a file in the plain serialization in one
+    pass, checking each image tuple once and building unchecked, and any
+    other text line by line with ``WreathElement.parse``. It must give the
+    generators of the checked reference parse, or the same error."""
 
     @staticmethod
     def outcome(parse, text):
@@ -515,6 +545,7 @@ class TestParseGroupParity:
         "empty-entry": "base=[[1,0,2];[];[2,0,1]] top=[1,2,0]",
         "unbracketed-entry": "base=[[1,0,2];0,2,1;[2,0,1]] top=[1,2,0]",
         "non-permutation-top": "base=[[1,0,2];[0,2,1];[2,0,1]] top=[1,1,0]",
+        "non-integer-base-and-top": "base=[[1,0,2];[0,x,1];[2,0,1]] top=[1,y,0]",
     }
 
     @pytest.mark.parametrize("kind", sorted(BAD_LINES))
@@ -525,6 +556,48 @@ class TestParseGroupParity:
         text = "\n".join(["3 3", *good, self.BAD_LINES[kind], *good[:20]]) + "\n"
         expected = self.assert_parity(text)
         assert expected[0] is ParseError and expected[1].startswith("line 302: ")
+
+    @staticmethod
+    def count_parse_calls(monkeypatch):
+        calls = []
+        parse = WreathElement.parse
+
+        def counting(text):
+            calls.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(WreathElement, "parse", counting)
+        return calls
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_plain_files_are_read_in_one_pass(self, monkeypatch, newline):
+        # q = 12: two-digit entries; the comment and blank line are skipped
+        rng = random.Random(12)
+        ctx = WreathContext(12, 4)
+        lines = ["# two-digit entries", "12 4", "", *(str(ctx.random_element(rng)) for _ in range(6))]
+        text = newline.join(lines) + newline
+        calls = self.count_parse_calls(monkeypatch)
+        assert self.assert_parity(text)[0] == ctx
+        assert calls == []
+
+    def test_a_spaced_line_falls_back_to_parsing_line_by_line(self, monkeypatch):
+        good = "base=[[1,0];[0,1]] top=[0,1]"
+        text = f"2 2\n{good}\n{self.SPACED_LINES[0]}\n"
+        calls = self.count_parse_calls(monkeypatch)
+        ctx, generators = self.assert_parity(text)
+        assert calls == [good, self.SPACED_LINES[0]]
+        assert generators[1] == WreathElement.parse("base=[[0,1];[1,0]] top=[1,0]")
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(text=mutated_group_files())
+    # a bare ";" inside a base list
+    @example(text="2 2\nbase=[[1,0;0,1];[0,1]] top=[1,0]\n")
+    # three base lists on one line and one on the next: the totals balance
+    @example(text="2 2\nbase=[[1,0];[0,1];[1,0]] top=[0,1]\nbase=[[0,1]] top=[1,0]\n")
+    # three entries in one base list and one in the next: the line's total is right
+    @example(text="2 2\nbase=[[1,0,0];[1]] top=[0,1]\n")
+    def test_mutated_files_parse_as_the_reference(self, text):
+        self.assert_parity(text)
 
     def test_header_without_generators_is_linear_in_m(self, tmp_path):
         start = time.perf_counter()

@@ -295,6 +295,20 @@ class TestSerialization:
         w = WreathElement((S, ID2), S)
         assert str(w) == "base=[[1,0];[0,1]] top=[1,0]"
 
+    # degree 5000 is past the cap of the kept string table, so its
+    # entries are converted one by one
+    @pytest.mark.parametrize("q,m", [(1, 1), (1, 4), (4, 1), (300, 3), (2, 300), (1000, 2), (5000, 1)])
+    def test_round_trips_match_the_plain_join(self, q, m):
+        def plain(perm):
+            return "[" + ",".join(map(str, perm.images)) + "]"
+
+        w = WreathContext(q, m).random_element(random.Random(q * m))
+        assert str(w) == f"base=[{';'.join(map(plain, w.base))}] top={plain(w.top)}"
+        assert WreathElement.parse(str(w)) == w
+        for perm in (*w.base, w.top):
+            assert str(perm) == plain(perm)
+            assert Permutation.parse(str(perm)) == perm
+
     def test_point_round_trip(self):
         ctx = WreathContext(3, 4)
         for phi in [(0, 1, 2, 0), (2, 2, 2, 2)]:
