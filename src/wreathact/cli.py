@@ -9,7 +9,11 @@ byte-identical reports.
 Group files: a header line ``q m`` followed by one wreath element per
 line, serialized as ``base=[[...];...] top=[...]``. Code files: the same
 header followed by one word per line as a bare comma list. Blank lines and
-``#`` comments are allowed in both.
+``#`` comments are allowed in both. ``parse_with_header`` frames both
+formats: it reads the header once and the later lines in one pass. Only
+lines that pass refuses, a spaced generator line or a malformed line of
+either format, are read again one at a time, so a spaced generator
+parses and an error names its line.
 
 Exit status: 0 on success, 1 when a hypothesis of the requested
 construction fails (reported, expected), 2 on parse or internal errors.
@@ -29,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import math
 import operator
 import os
@@ -38,13 +41,12 @@ import sys
 from typing import Sequence
 
 from .errors import EnumerationOverflow, HypothesisViolation, ParseError
-from .perm import DEFAULT_CAP, Permutation, _from_images
+from .perm import DEFAULT_CAP, _from_images
 from .wreath import (
     WreathContext,
     WreathElement,
-    _entries,
+    _entry_tuples,
     _from_parts,
-    _header_and_body,
     format_point,
     parse_point,
     parse_with_header,
@@ -83,28 +85,18 @@ def _read_generator(line: str, ctx: WreathContext) -> WreathElement:
     return element
 
 
-def _permutations(entries: tuple[int, ...], n: int) -> list[Permutation]:
-    """``entries`` cut into image tuples of length n, built unchecked once
-    each is known to be a bijection; entries must lie in 0..n-1.
-    Raises ``ValueError`` on a tuple with a repeated entry."""
-    images = list(zip(*[iter(entries)] * n))
-    if set(map(len, map(set, images))) != {n}:
-        raise ValueError("not a permutation")
-    return list(map(_from_images, images))
-
-
-def _read_group(text: str) -> tuple[WreathContext, list[WreathElement]]:
-    """The generators of a group file in the plain serialization, in one pass.
+def _read_group(body: list[str], ctx: WreathContext) -> list[WreathElement]:
+    """The generators on the body lines of a group file in the plain
+    serialization, in one pass.
 
     Every generator line must be ``base=[[...];...;[...]] top=[...]``
     spelled as ``str`` writes it: m - 1 ``];[`` separators, q - 1 commas
     in each base list and m - 1 in the top. Any other ``;`` or bracket
     ends up inside an entry, which ``int`` refuses. The base lists of all
-    lines are joined and converted at once, the tops likewise
-    (``_entries``), and every image tuple must be a bijection. Text in any
-    other spelling, or that fails a check, raises ``ValueError``.
+    lines are converted at once, the tops likewise (``_entry_tuples``),
+    and every image tuple must be a bijection. Text in any other spelling,
+    or that fails a check, raises ``ValueError``.
     """
-    ctx, body = _header_and_body(text)
     q, m = ctx.gamma_size, ctx.delta_size
     bases, tops = [], []
     for line in body:
@@ -115,27 +107,23 @@ def _read_group(text: str) -> tuple[WreathContext, list[WreathElement]]:
             raise ValueError("not in the plain serialization")
         bases.append(base)
         tops.append(top[:-1])
-    lists = "];[".join(bases).split("];[")
-    commas = itertools.repeat(",")
-    if set(map(str.count, lists, commas)) != {q - 1} or set(map(str.count, tops, commas)) != {m - 1}:
-        raise ValueError("wrong list lengths")
-    base_perms = _permutations(_entries(",".join(lists).split(","), q), q)
-    top_perms = _permutations(_entries(",".join(tops).split(","), m), m)
-    return ctx, list(map(_from_parts, zip(*[iter(base_perms)] * m), top_perms))
+    base_images = _entry_tuples("];[".join(bases).split("];["), q, q)
+    top_images = _entry_tuples(tops, m, m)
+    if set(map(len, map(set, base_images))) != {q} or set(map(len, map(set, top_images))) != {m}:
+        raise ValueError("not a permutation")
+    base_perms = map(_from_images, base_images)
+    return list(map(_from_parts, zip(*[base_perms] * m), map(_from_images, top_images)))
 
 
 def parse_group_text(text: str) -> WreathSubgroup:
     """Parse a group file: header ``q m`` then one wreath element per line.
 
-    Files in the plain serialization are read in one pass
-    (``_read_group``); any other text is parsed line by line with
-    ``WreathElement.parse``, so every error names its line.
+    ``parse_with_header`` frames the file and hands the generator lines to
+    ``_read_group`` for one pass; only if that fails are they parsed one
+    by one with ``WreathElement.parse``, which reads spaced lines too and
+    names the first bad line.
     """
-    try:
-        ctx, generators = _read_group(text)
-    except ValueError:
-        ctx, generators = parse_with_header(text, _read_generator)
-    return WreathSubgroup(ctx, generators)
+    return WreathSubgroup(*parse_with_header(text, _read_generator, _read_group))
 
 
 def load_group(path: str) -> WreathSubgroup:

@@ -29,7 +29,7 @@ from .normalize import (
     sift_embedding,
 )
 from .wreath import Point, WreathContext, WreathElement, parse_point, parse_with_header
-from .wreath import _entries, _header_and_body
+from .wreath import _entry_tuples
 
 
 def hamming_distance(a: Point, b: Point) -> int:
@@ -178,27 +178,21 @@ def is_automorphism(w: WreathElement, code: Code) -> bool:
 def parse_code(text: str) -> Code:
     """Parse the code file format: header ``q m``, then one word per line.
 
-    Words are bare comma lists; blank lines and ``#`` comments are skipped.
-    The word lines are read in one pass: every line must hold m - 1 commas,
-    the joined lines are split into entries once, each distinct entry is
-    converted with ``int`` once and range-checked, and the words are cut
-    from the converted entries, so the checks are those of ``parse_point``
-    and the code is built unchecked. Only text that fails any of them is
-    parsed again line by line with ``parse_point``, so the error names the
-    first bad line.
+    Words are bare comma lists; ``parse_with_header`` frames the file and
+    hands the word lines to ``_entry_tuples`` for one pass: every line must
+    hold m - 1 commas, and each distinct entry is converted with ``int``
+    once and range-checked, so the checks are those of ``parse_point``.
+    Only if that fails are the lines parsed one by one with
+    ``parse_point``, so the error names the first bad line. Either way
+    every word is checked once, and the code is built without a second
+    check.
     """
-    try:
-        ctx, body = _header_and_body(text)
-        m = ctx.delta_size
-        if set(map(str.count, body, itertools.repeat(","))) == {m - 1}:
-            entries = _entries(",".join(body).split(","), ctx.gamma_size)
-            return _code_from_words(ctx, zip(*[iter(entries)] * m))
-    except ValueError:
-        pass
-    ctx, words = parse_with_header(text, parse_point)
+    ctx, words = parse_with_header(
+        text, parse_point, lambda body, ctx: _entry_tuples(body, ctx.delta_size, ctx.gamma_size)
+    )
     if not words:
         raise ParseError("code file contains no words")
-    return Code(ctx, words)
+    return _code_from_words(ctx, words)
 
 
 def format_words(code: Code) -> Iterator[str]:

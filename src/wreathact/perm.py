@@ -199,10 +199,11 @@ def _compose(a: Sequence[int], b: Sequence[T]) -> tuple[T, ...]:
 
     This is the gather ``(b[a[0]], b[a[1]], ...)``, so it also picks the
     entries of any sequence or mapping ``b`` at the indices or keys ``a``
-    (the file readers' ``_entries`` gathers from a dict). Every product in
-    the package is this gather (the chain's sift loops spell it inline),
-    so it runs as ``itemgetter(*a)(b)``: the gather happens in C, 3-5x
-    faster than ``tuple(map(b.__getitem__, a))`` from degree 12 to 1000.
+    (the file readers' ``_entry_tuples`` gathers from a dict). Every
+    product in the package is this gather (the chain's sift loops spell it
+    inline), so it runs as ``itemgetter(*a)(b)``: the gather happens in C,
+    3-5x faster than ``tuple(map(b.__getitem__, a))`` from degree 12 to
+    1000.
     ``itemgetter`` of one index returns the bare item, and of no index
     raises ``TypeError``, so tuples of length 0 and 1 take the plain loop.
     """

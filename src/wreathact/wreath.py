@@ -16,6 +16,7 @@ scale.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import operator
@@ -176,6 +177,10 @@ class WreathElement:
             raise ValueError(
                 f"point has length {len(point)}, expected {len(self.base)}"
             )
+        q = self.base[0].degree
+        if min(point) < 0 or max(point) >= q:
+            entry = next(entry for entry in point if not 0 <= entry < q)
+            raise ValueError(f"point entry {entry} out of range 0..{q - 1}")
         image = [0] * len(point)
         for p, d, entry in zip(self.base, self.top.images, point):
             image[d] = p.images[entry]
@@ -187,7 +192,10 @@ class WreathElement:
         ``columns[d]`` holds entry d of every point, in one fixed order;
         mapped by ``base[d]`` it becomes column ``top[d]`` of the images,
         the rule of ``apply`` with one gather per coordinate. Point k of
-        the result is the image of point k of the input.
+        the result is the image of point k of the input. Unlike ``apply``,
+        it does not check the entries: callers pass the columns of a
+        validated code or of all of Pi, and a check would cost a pass over
+        every word.
         """
         if len(columns) != len(self.base):
             raise ValueError(f"got {len(columns)} columns, expected {len(self.base)}")
@@ -266,54 +274,54 @@ def parse_point(text: str, ctx: WreathContext | None = None) -> Point:
 
 
 def parse_with_header(
-    text: str, read_line: Callable[[str, WreathContext], T]
+    text: str,
+    read_line: Callable[[str, WreathContext], T],
+    read_body: Callable[[list[str], WreathContext], list[T]],
 ) -> tuple[WreathContext, list[T]]:
     """Parse the file format shared by group and code files.
 
     The first line that is neither blank nor a ``#`` comment is the header
-    ``q m``; every later such line is passed to ``read_line`` with the
-    context. A ``ValueError`` from any line becomes a ``ParseError``
-    prefixed with the line number.
+    ``q m``; every later such line, stripped, is a body line. ``read_body``
+    reads all body lines in one pass with the context. Only if it raises
+    ``ValueError`` is each body line passed to ``read_line`` instead, so
+    that the first bad line is found. A ``ValueError`` from the header or
+    from ``read_line`` becomes a ``ParseError`` prefixed with the line
+    number, which is counted only then.
     """
-    ctx: WreathContext | None = None
-    items: list[T] = []
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            if ctx is not None:
-                items.append(read_line(line, ctx))
-            elif len(parts := line.split()) != 2:
-                raise ParseError("expected header 'q m'")
-            else:
-                ctx = WreathContext(int(parts[0]), int(parts[1]))
-        except ValueError as exc:
-            raise ParseError(f"line {number}: {exc}") from None
-    if ctx is None:
+    lines = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
+    if not lines:
         raise ParseError("missing header line 'q m'")
+    k = 0
+    try:
+        if len(parts := lines[0].split()) != 2:
+            raise ParseError("expected header 'q m'")
+        ctx = WreathContext(int(parts[0]), int(parts[1]))
+        with contextlib.suppress(ValueError):
+            return ctx, read_body(lines[1:], ctx)
+        items = []
+        for k in range(1, len(lines)):
+            items.append(read_line(lines[k], ctx))
+    except ValueError as exc:
+        raw = map(str.strip, text.splitlines())
+        numbers = [number for number, line in enumerate(raw, start=1) if line and line[0] != "#"]
+        raise ParseError(f"line {numbers[k]}: {exc}") from None
     return ctx, items
 
 
-def _header_and_body(text: str) -> tuple[WreathContext, list[str]]:
-    """The header context and the later lines of a group or code file, for
-    the one-pass readers: lines stripped, blank and ``#`` lines dropped.
-    Raises ``ValueError`` on a bad header or on no line after it."""
-    lines = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
-    if len(lines) < 2:
-        raise ValueError("no line after the header")
-    q, m = map(int, lines[0].split())
-    return WreathContext(q, m), lines[1:]
-
-
-def _entries(texts: Sequence[str], bound: int) -> tuple[int, ...]:
-    """The integers of ``texts``, each distinct text converted with ``int``
-    once, for the one-pass readers. Raises ``ValueError`` on a text that is
-    not an integer or on a value outside 0..bound-1."""
+def _entry_tuples(lists: Sequence[str], n: int, bound: int) -> list[tuple[int, ...]]:
+    """The comma lists ``lists`` as tuples of n integers in 0..bound-1, for
+    the one-pass readers. Every list must hold n - 1 commas; the lists are
+    joined and split once, and each distinct entry is converted with
+    ``int`` once and range-checked. Raises ``ValueError`` on an empty
+    ``lists``, on a list of another length, on an entry that is not an
+    integer and on a value out of range."""
+    if set(map(str.count, lists, itertools.repeat(","))) != {n - 1}:
+        raise ValueError("wrong list lengths")
+    texts = ",".join(lists).split(",")
     table = {text: int(text) for text in set(texts)}
     if min(table.values()) < 0 or max(table.values()) >= bound:
         raise ValueError("entry out of range")
-    return _compose(texts, table)
+    return list(zip(*[iter(_compose(texts, table))] * n))
 
 
 def stabilizer_order_oracle(

@@ -28,7 +28,6 @@ from wreathact import (
     symmetric_gens,
 )
 from wreathact.perm import StabilizerChain, orbit_with_witnesses
-from wreathact.wreath import parse_with_header
 
 
 def p(*images: int) -> Permutation:
@@ -297,10 +296,34 @@ def chain_component_flags(X: WreathSubgroup, result) -> dict[int, bool]:
     return flags
 
 
+def reference_parse_lines(text: str, read_line) -> tuple[WreathContext, list]:
+    """The per-line framing of group and code files, kept apart from the
+    library's reader: the first line that is neither blank nor a ``#``
+    comment is the header ``q m``, every later one goes to ``read_line``,
+    and a ``ValueError`` on any line becomes a ``ParseError`` naming it."""
+    ctx, items = None, []
+    for number, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            if ctx is not None:
+                items.append(read_line(line, ctx))
+            elif len(parts := line.split()) != 2:
+                raise ParseError("expected header 'q m'")
+            else:
+                ctx = WreathContext(int(parts[0]), int(parts[1]))
+        except ValueError as exc:
+            raise ParseError(f"line {number}: {exc}") from None
+    if ctx is None:
+        raise ParseError("missing header line 'q m'")
+    return ctx, items
+
+
 def reference_parse_code(text: str) -> Code:
     """The per-line code parse: ``parse_point`` checks every word as it is
     read, so the first bad line raises, and ``Code`` gets a valid set."""
-    ctx, words = parse_with_header(text, parse_point)
+    ctx, words = reference_parse_lines(text, parse_point)
     if not words:
         raise ParseError("code file contains no words")
     return Code(ctx, words)
@@ -340,7 +363,7 @@ def reference_parse_group_text(text: str) -> WreathSubgroup:
             raise ParseError(f"element context {element.ctx!r} does not match header {ctx!r}")
         return element
 
-    return WreathSubgroup(*parse_with_header(text, read_line))
+    return WreathSubgroup(*reference_parse_lines(text, read_line))
 
 
 def record_component_builds(monkeypatch) -> list[tuple[WreathSubgroup, int]]:

@@ -76,6 +76,15 @@ CASES = {
         lambda: WreathElement((), ID2),
         ValueError, "base must have at least one coordinate",
     ),
+    # Python's negative indexing would read -1 as entry 2
+    "apply-negative-entry": (
+        lambda: WreathElement([Permutation([1, 2, 0])] * 2, Permutation([1, 0])).apply((-1, 0)),
+        ValueError, "point entry -1 out of range 0..2",
+    ),
+    "apply-entry-out-of-range": (
+        lambda: WreathElement([Permutation([1, 2, 0])] * 2, Permutation([1, 0])).apply((0, 3)),
+        ValueError, "point entry 3 out of range 0..2",
+    ),
 }
 
 

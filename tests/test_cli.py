@@ -569,6 +569,24 @@ class TestParseGroupParity:
         monkeypatch.setattr(WreathElement, "parse", counting)
         return calls
 
+    def test_a_fallback_reads_the_header_once(self, monkeypatch):
+        # the line-by-line route reuses the context of the one header parse
+        built = []
+        init = WreathContext.__init__
+
+        def counting(self, gamma_size, delta_size):
+            built.append((gamma_size, delta_size))
+            init(self, gamma_size, delta_size)
+
+        monkeypatch.setattr(WreathContext, "__init__", counting)
+        good = "base=[[1,0];[0,1]] top=[0,1]"
+        X = parse_group_text(f"2 2\n{good}\n{self.SPACED_LINES[0]}\n")
+        assert len(X.generators) == 2 and built == [(2, 2)]
+        built.clear()
+        with pytest.raises(ParseError, match="^line 3: point entry 2 out of range 0..1$"):
+            parse_code("2 3\n0,0,0\n0,2,0\n")
+        assert built == [(2, 3)]
+
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
     def test_plain_files_are_read_in_one_pass(self, monkeypatch, newline):
         # q = 12: two-digit entries; the comment and blank line are skipped
