@@ -23,8 +23,8 @@ from .perm import GenGroup, Permutation, TWO_TRANSITIVE, _compose
 from .components import WreathSubgroup
 from .normalize import (
     EmbedCertificate,
-    adjust_transversal,
-    build_transversal,
+    _carried,
+    _corrected,
     conjugate_subgroup,
     sift_embedding,
 )
@@ -95,7 +95,8 @@ class Code:
         always). Once the deletions would cost at least as many word tests
         as the |C|(|C|-1)/2 pairs, it scans the pairs instead. The result is
         cached; ``canonicalize`` may fill the cache from a search that uses
-        the code's checked automorphism group.
+        the code's checked automorphism group, and fills the transformed
+        code's with the same distance, since its x is an isometry.
         """
         if len(self.words) < 2:
             raise ValueError("minimum distance is undefined for a singleton code")
@@ -249,11 +250,13 @@ def canonicalize(
        So the entry at delta is ``t^-1 * w * t``, w the BFS witness in C0
        from ``t^-1[a[delta]]`` to ``t^-1[gamma]``, and only the component
        at 0 is built;
-    2. the normal form of X1 = X^x1 fixing the constant word: ``x2``, the
-       ``Transversal.x`` of X1 at representative 0 adjusted to fix it, makes
-       every component equal G, the one at 0, so X1^x2 <= G wr H. X1^x2 is
-       not built: the final certificate implies this, as X1^x2 =
-       (X^x)^((x3*x4)^-1) with x4 in G^m and x3 only permuting coordinates;
+    2. the normal form of X1 = X^x1 fixing the constant word, read off X's
+       BFS at 0 with X1 never built. x1 is a base element with entries
+       a_d, so X1 has X's tops and X's BFS order: its component at 0, G,
+       is C0 with each generator conjugated by a_0, and its entry
+       transversal at 0 is ``a_0^-1 * u[d] * a_d``. ``x2`` has at d the
+       inverse of that entry, corrected by a BFS witness of G to fix
+       gamma as ``adjust_transversal`` corrects it, so X1^x2 <= G wr H;
     3. a coordinate permutation ``x3`` moving the d mismatched positions of
        the second codeword to the front, preserving relative order;
     4. a base element ``x4`` with entries in the stabilizer of gamma inside
@@ -261,19 +264,18 @@ def canonicalize(
 
     The supplied generators must be automorphisms of the code, the induced
     coordinate action must be transitive, and the component at coordinate 0
-    must be 2-transitive. The containment of the conjugated group in
-    G wr K is certified once, after the full product: a base entry that
-    is the identity or a generator of G is a member, any other is sifted
-    into G's chain (x2's corrections and x4 make such entries for
-    q >= 3), and every top is a generator of K by
-    construction, sifted only as a fallback, so no chain of degree m is
-    built.
+    must be 2-transitive. Once they are checked, the code's minimum
+    distance d (unless already cached) is searched through coordinate 0
+    only: the tops of X carry every deleted coordinate subset onto one
+    containing 0 and keep its collisions.
 
-    Once those checks pass, the code's minimum distance d (unless already
-    cached) is searched through coordinate 0 only: the tops of X carry
-    every deleted coordinate subset onto one containing 0 and keep its
-    collisions. The transformed code's distance, the check that x is an
-    equivalence, is searched without X, so it does not rest on X^x.
+    x permutes Gamma at each coordinate and permutes the coordinates, so it
+    is an isometry of the Hamming graph: once ``Code.transform`` is seen to
+    have applied x (as many words, and ``x.apply``, a separate path from
+    ``apply_columns``, sends the pair to the pinned words), the transformed
+    code keeps d. X^x, the one conjugate built, is certified inside G wr K,
+    K its induced group, by ``_embedding_certificate``, with no stabilizer
+    chain unless the reading fails.
     """
     ctx = code.ctx
     if X.ctx != ctx:
@@ -317,10 +319,16 @@ def canonicalize(
     if x1.apply(word_a) != constant:
         raise RuntimeError("internal invariant: stage 1 missed the constant word")
 
-    # stage 2: the normal form fixing the constant word
-    X1 = conjugate_subgroup(X, x1)
-    x2 = adjust_transversal(X1, build_transversal(X1, (0,)), constant).x
-    G = X1.component(0)
+    # stage 2: the normal form of X^x1 fixing the constant word, from X's
+    # component and entry transversal at 0
+    a0 = x1_base[0]
+    a0_inverse = a0.inverse()
+    G = GenGroup(q, [a0_inverse * c * a0 for c in component.generators])
+    x2_base = [
+        _corrected(G, a0_inverse * transversal[delta] * a, gamma).inverse()
+        for delta, a in enumerate(x1_base)
+    ]
+    x2 = WreathElement(x2_base, Permutation.identity(m))
 
     # stage 3: move the mismatched coordinates to the front
     x12 = x1 * x2
@@ -344,12 +352,12 @@ def canonicalize(
     mixed = (nu,) * d + (gamma,) * (m - d)
     if constant not in transformed or mixed not in transformed:
         raise RuntimeError("internal invariant: pinned words missing")
-    if len(transformed) != len(code) or transformed.min_distance() != d:
+    if len(transformed) != len(code) or x.apply(word_a) != constant or x.apply(word_b) != mixed:
         raise RuntimeError("internal invariant: equivalence broke the code")
+    # x is a Hamming isometry, so the transformed code's distance is d
+    transformed._min_distance = d
 
     conjugated = conjugate_subgroup(X, x)
-    K = conjugated.induced_group
-    certificate = sift_embedding(conjugated.generators, G, K)
     return CanonicalizationResult(
         x1=x1,
         x2=x2,
@@ -359,11 +367,50 @@ def canonicalize(
         code=transformed,
         conjugated=conjugated,
         component_group=G,
-        induced_group=K,
+        induced_group=conjugated.induced_group,
         pinned_constant=constant,
         pinned_mixed=mixed,
-        certificate=certificate,
+        certificate=_embedding_certificate(conjugated, G, stabilizer, x3, x4, constant, nu),
     )
+
+
+def _embedding_certificate(
+    conjugated: WreathSubgroup,
+    G: GenGroup,
+    stabilizer: GenGroup,
+    x3: WreathElement,
+    x4: WreathElement,
+    constant: Point,
+    nu: int,
+) -> EmbedCertificate:
+    """The certificate of ``conjugated`` = X^x <= G wr K, K its induced
+    group, read off its BFS at ``j0 = x3.top[0]``, where x3 moves X^(x1*x2)'s
+    coordinate 0.
+
+    With ``y = x4[j0]`` it passes with no failures when the BFS reaches
+    every coordinate and three checks hold: each generator of the
+    component at j0 is ``y^-1 * g * y`` for a generator g of G; each entry
+    ``v[j]`` of the entry transversal at j0 makes ``y * v[j] * x4[j]^-1``
+    carried into G (``_carried``, with the constant word); and each entry
+    of x4 is the identity or a BFS witness of ``stabilizer``, whose
+    generators are G's Schreier generators at gamma. The BFS writes each
+    base entry as ``v[j]^-1 * s * v[j^h]`` with s in ``y^-1 * G * y``, so
+    it lies in ``x4[j]^-1 * G * x4[j^h]``, which is G; each top is one of
+    K's generators. Otherwise ``sift_embedding`` decides, exactly.
+    """
+    j0 = x3.top[0]
+    y = x4.base[j0]
+    y_inverse = y.inverse()
+    conjugates = {(y_inverse * g * y).images for g in G.generators}
+    v = conjugated.entry_transversal(j0)
+    if (
+        len(v) == len(constant)
+        and all(c.images in conjugates for c in conjugated.component(j0).generators)
+        and all(_carried(G, y * e * x4.base[j].inverse(), constant, j) for j, e in v.items())
+        and all(e.is_identity() or stabilizer.is_witness(e.inverse()[nu], e) for e in x4.base)
+    ):
+        return EmbedCertificate(passed=True, failures=())
+    return sift_embedding(conjugated.generators, G, conjugated.induced_group)
 
 
 def _first_pair_at_distance(code: Code, d: int) -> tuple[Point, Point]:

@@ -116,15 +116,20 @@ def adjust_transversal(
                 delta=rep,
             )
         for d in orbit:
-            entry = transversal.entries[d]
-            p = phi[d]
-            if d == rep or entry[p] == p:
-                continue
-            corrected = component.witness(p, entry.inverse()[p]) * entry
-            if corrected[p] != p:
-                raise RuntimeError("internal invariant: corrected entry moves point")
-            new_entries[d] = corrected
+            if d != rep:
+                new_entries[d] = _corrected(component, transversal.entries[d], phi[d])
     return Transversal(transversal.orbits, transversal.reps, new_entries, transversal.rep_of)
+
+
+def _corrected(R: GenGroup, entry: Permutation, p: int) -> Permutation:
+    """``entry`` premultiplied by R's BFS witness from p to ``entry^-1[p]``,
+    so that it fixes p; an entry that already fixes p is kept."""
+    if entry[p] == p:
+        return entry
+    corrected = R.witness(p, entry.inverse()[p]) * entry
+    if corrected[p] != p:
+        raise RuntimeError("internal invariant: corrected entry moves point")
+    return corrected
 
 
 class NormalizationResult(NamedTuple):

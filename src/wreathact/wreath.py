@@ -172,18 +172,24 @@ class WreathElement:
         return _from_parts(base, tinv)
 
     def apply(self, point: Point) -> Point:
-        """Image of a point of Pi under the product action."""
+        """Image of a point of Pi under the product action. A point that
+        fails ``min`` and ``max``, or makes them or the lookup raise
+        ``TypeError``, gets the ``ValueError`` of ``check_point``; a valid
+        point is not passed to it."""
         if len(point) != len(self.base):
             raise ValueError(
                 f"point has length {len(point)}, expected {len(self.base)}"
             )
         q = self.base[0].degree
-        if min(point) < 0 or max(point) >= q:
-            entry = next(entry for entry in point if not 0 <= entry < q)
-            raise ValueError(f"point entry {entry} out of range 0..{q - 1}")
-        image = [0] * len(point)
-        for p, d, entry in zip(self.base, self.top.images, point):
-            image[d] = p.images[entry]
+        try:
+            if min(point) < 0 or max(point) >= q:
+                self.ctx.check_point(point)
+            image = [0] * len(point)
+            for p, d, entry in zip(self.base, self.top.images, point):
+                image[d] = p.images[entry]
+        except TypeError:
+            self.ctx.check_point(point)
+            raise
         return tuple(image)
 
     def apply_columns(self, columns: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:

@@ -280,6 +280,20 @@ def chain_sift_embedding(
     return EmbedCertificate(passed=not failures, failures=tuple(failures))
 
 
+def base_entries_outside_closure(
+    conjugated: WreathSubgroup, G: GenGroup
+) -> list[tuple[int, int]]:
+    """The (generator, coordinate) of every base entry of ``conjugated``
+    outside the closure of G's generators, computed on raw image tuples."""
+    closure = tuple_closure([g.images for g in G.generators], G.degree)
+    return [
+        (k, d)
+        for k, g in enumerate(conjugated.generators)
+        for d, entry in enumerate(g.base)
+        if entry.images not in closure
+    ]
+
+
 def chain_component_flags(X: WreathSubgroup, result) -> dict[int, bool]:
     """``component_flags`` of a ``NormalizationResult`` with every entry
     of the conjugate's transversal that is not the identity sifted into

@@ -85,6 +85,19 @@ CASES = {
         lambda: WreathElement([Permutation([1, 2, 0])] * 2, Permutation([1, 0])).apply((0, 3)),
         ValueError, "point entry 3 out of range 0..2",
     ),
+    # a float index and a string under min used to raise bare TypeErrors
+    "apply-float-entry": (
+        lambda: WreathElement([Permutation([1, 2, 0])] * 2, Permutation([1, 0])).apply((0.0, 1)),
+        ValueError, "point entry 0.0 is not an integer",
+    ),
+    "apply-float-entry-out-of-range": (
+        lambda: WreathElement([Permutation([1, 2, 0])] * 2, Permutation([1, 0])).apply((3.0, 0)),
+        ValueError, "point entry 3.0 is not an integer",
+    ),
+    "apply-string-entry": (
+        lambda: WreathElement([Permutation([1, 2, 0])] * 2, Permutation([1, 0])).apply(("a", 0)),
+        ValueError, "point entry 'a' is not an integer",
+    ),
 }
 
 

@@ -80,16 +80,18 @@ class TestNormalizeCommand:
 def tamper_certificates(monkeypatch, module) -> None:
     """Make ``module`` sift into trivial groups, so that every non-identity
     base entry and top is reported as a failure. No transversal entry
-    counts as carried into G either, so ``embed`` cannot read its
-    certificate off the conjugate and sifts; the component flags fall back
-    to ``same_group``, which is exact."""
+    counts as carried into G either, so neither ``embed`` nor
+    ``code-canon`` can read its certificate off the conjugate, and both
+    sift; the component flags fall back to ``same_group``, which is
+    exact."""
     sift = wreathact.normalize.sift_embedding
 
     def into_trivial_groups(generators, G, H):
         return sift(generators, GenGroup(G.degree), GenGroup(H.degree))
 
     monkeypatch.setattr(module, "sift_embedding", into_trivial_groups)
-    monkeypatch.setattr(wreathact.normalize, "_carried", lambda *args: False)
+    for holder in (wreathact.normalize, module):
+        monkeypatch.setattr(holder, "_carried", lambda *args: False)
 
 
 class TestEmbedCommand:

@@ -8,6 +8,7 @@ import pytest
 
 from wreathact import (
     Code,
+    GenGroup,
     HypothesisViolation,
     ParseError,
     Permutation,
@@ -22,6 +23,7 @@ from wreathact import (
     hamming_distance,
     is_automorphism,
     parse_code,
+    random_permutation,
     symmetric_gens,
 )
 import wreathact.codes as codes_module
@@ -29,6 +31,8 @@ import wreathact.normalize as normalize_module
 from wreathact.perm import StabilizerChain
 from wreathact.cli import load_group
 from helpers import (
+    base_entries_outside_closure,
+    chain_sift_embedding,
     conjugated_repetition_code,
     cycle,
     hamming_code_with_automorphisms,
@@ -41,6 +45,8 @@ from helpers import (
     record_component_builds,
     reed_solomon_code,
     reference_parse_code,
+    sym_perms,
+    tuple_closure,
     we,
 )
 
@@ -380,13 +386,16 @@ STAGE_TWO_INSTANCES = {
     "repetition-q3-m3": lambda: conjugated_repetition_code(random.Random(5), 3, 3),
     "repetition-q3-m4": lambda: conjugated_repetition_code(random.Random(6), 3, 4),
     "repetition-q5-m7": lambda: conjugated_repetition_code(random.Random(7), 5, 7),
+    "hamming-q2-m7": hamming_code_with_automorphisms,
+    "repetition-q12-m4": lambda: code_fixture("repetition_q12_m4.code", "repetition_q12_m4_aut.group"),
 }
 
 
 class TestStageTwo:
     """Stage 2 is the normal form of X^x1 fixing the constant word, with
-    G its component at 0: what ``embed_in_wreath`` computes, without its
-    certificate, which the final one implies."""
+    G its component at 0: what ``embed_in_wreath`` computes, read off X's
+    BFS at 0 with X^x1 never built. ``test_equals_the_embedding`` builds
+    X^x1 and embeds it, an independent path to the same x2 and G."""
 
     @pytest.mark.parametrize("name", STAGE_TWO_INSTANCES)
     def test_equals_the_embedding(self, name):
@@ -399,20 +408,14 @@ class TestStageTwo:
         assert result.x2 == embedding.x
         assert result.component_group.generators == embedding.G.generators
 
-    # chains that the one sift builds: G's, and only where a base entry of
-    # the conjugate is neither the identity nor a generator of G; at
-    # q = 2 every non-identity entry is G's one generator
-    CHAINS = {
-        "even-weight": 0,
-        "parity-z3": 1,
-        "repetition-q3-m3": 0,
-        "repetition-q3-m4": 0,
-        "repetition-q5-m7": 0,
-    }
+    # chains built on the way: the certificate is read off the BFS of X^x,
+    # so none, even where base entries of the conjugate are neither the
+    # identity nor a generator of G (five of them on parity-z3)
+    CHAINS = dict.fromkeys(STAGE_TWO_INSTANCES, 0)
 
     @pytest.mark.parametrize("name", STAGE_TWO_INSTANCES)
     def test_one_sift_and_one_chain(self, name, monkeypatch):
-        """One sift, and at most one chain: exactly ``CHAINS[name]``."""
+        """No ``sift_embedding`` call, and exactly ``CHAINS[name]`` chains."""
         code, X = STAGE_TWO_INSTANCES[name]()
         calls: Counter = Counter()
 
@@ -429,12 +432,12 @@ class TestStageTwo:
         monkeypatch.setattr(StabilizerChain, "__init__", counted("chain", StabilizerChain.__init__))
         result = canonicalize(code, X, 0, 1)
         assert result.certificate.passed
-        assert calls == Counter(sift_embedding=1, chain=self.CHAINS[name])
+        assert calls == Counter(sift_embedding=0, chain=self.CHAINS[name])
         assert (result.component_group._chain is not None) is (self.CHAINS[name] == 1)
 
     @pytest.mark.parametrize("name", ["even-weight", "parity-z3", "repetition-q5-m7"])
     def test_two_conjugates_and_no_normalization_certificate(self, name, monkeypatch):
-        # X^x1 and X^x are built; X1^x2 and its component certificate are not
+        # only X^x is built; X^x1, X1^x2 and a component certificate are not
         code, X = STAGE_TWO_INSTANCES[name]()
         calls: Counter = Counter()
 
@@ -450,7 +453,161 @@ class TestStageTwo:
                     monkeypatch.setattr(module, key, counted(key, getattr(module, key)))
         result = canonicalize(code, X, 0, 1)
         assert result.certificate.passed
-        assert calls == {"conjugate_subgroup": 2}
+        assert calls == {"conjugate_subgroup": 1}
+
+
+def conjugated_code(code: Code, X: WreathSubgroup, rng: random.Random) -> tuple[Code, WreathSubgroup]:
+    """``code`` and ``X`` moved by one random base element, so that stage 2's
+    corrections are not all the identity."""
+    q, m = code.ctx.gamma_size, code.ctx.delta_size
+    y = WreathElement(tuple(random_permutation(rng, q) for _ in range(m)), Permutation.identity(m))
+    return code.transform(y), conjugate_subgroup(X, y)
+
+
+class TestCertificateReading:
+    """``canonicalize`` reads its G wr K certificate off the BFS of X^x
+    (``_embedding_certificate``). Each test below tampers with the reading's
+    inputs: the reading refuses them, and ``sift_embedding`` decides, as
+    the chain does."""
+
+    @staticmethod
+    def read(monkeypatch, result, conjugated, x4, gamma=0, nu=1):
+        """The reading on ``conjugated`` and ``x4`` with the rest of
+        ``result``, and the ``sift_embedding`` calls it made."""
+        sifts = []
+        sift = codes_module.sift_embedding
+
+        def recorded(generators, *args):
+            sifts.append(generators)
+            return sift(generators, *args)
+
+        monkeypatch.setattr(codes_module, "sift_embedding", recorded)
+        G = result.component_group
+        stabilizer = GenGroup(G.degree, G.schreier_generators(gamma))
+        certificate = codes_module._embedding_certificate(
+            conjugated, G, stabilizer, result.x3, x4, result.pinned_constant, nu
+        )
+        assert certificate == chain_sift_embedding(
+            conjugated.generators, G, conjugated.induced_group
+        )
+        return certificate, sifts
+
+    def test_untampered_input_is_read_with_no_sift(self, monkeypatch):
+        code, X = conjugated_code(*parity_code_with_automorphisms(5, 4), random.Random(1))
+        result = canonicalize(code, X, 0, 1)
+        certificate, sifts = self.read(monkeypatch, result, result.conjugated, result.x4)
+        assert certificate == (True, ()) and sifts == []
+
+    def test_entry_outside_G_gives_one_base_failure(self, monkeypatch):
+        # G is AGL(1, 5), 20 of the 120 permutations of Z_5
+        code, X = conjugated_code(*parity_code_with_automorphisms(5, 4), random.Random(1))
+        result = canonicalize(code, X, 0, 1)
+        G = result.component_group
+        closure = tuple_closure([g.images for g in G.generators], 5)
+        assert len(closure) == 20
+        outside = next(b for b in sym_perms(5) if b.images not in closure)
+        gens = result.conjugated.generators
+        k, d = 2, 3
+        base = list(gens[k].base)
+        base[d] = outside
+        tampered = gens[:k] + (WreathElement(base, gens[k].top),) + gens[k + 1:]
+        certificate, sifts = self.read(
+            monkeypatch, result, WreathSubgroup(code.ctx, tampered), result.x4
+        )
+        assert len(sifts) == 1
+        assert certificate.failures == ((k, "base", d),)
+
+    def test_coordinates_the_bfs_misses_are_sifted(self, monkeypatch):
+        # a generator with the identity top, the identity at j0 and an
+        # entry outside G elsewhere: alone, it leaves the BFS at j0 with no
+        # other coordinate and no component generator to check
+        code, X = conjugated_code(*parity_code_with_automorphisms(5, 4), random.Random(1))
+        result = canonicalize(code, X, 0, 1)
+        closure = tuple_closure([g.images for g in result.component_group.generators], 5)
+        outside = next(b for b in sym_perms(5) if b.images not in closure)
+        j0 = result.x3.top[0]
+        d = (j0 + 1) % 4
+        base = [Permutation.identity(5)] * 4
+        base[d] = outside
+        lone = WreathSubgroup(code.ctx, (WreathElement(base, Permutation.identity(4)),))
+        certificate, sifts = self.read(monkeypatch, result, lone, result.x4)
+        assert len(sifts) == 1
+        assert certificate.failures == ((0, "base", d),)
+
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_transversal_entries_off_the_witnesses_are_sifted(self, inside, monkeypatch):
+        # X^(x*z) read as X^x, z a base element that is the identity at j0:
+        # the component at j0 keeps its generators, and the transversal
+        # entry at j1 = j0 + 1 is no longer the identity or a witness
+        # inverse of G
+        code, X = conjugated_code(*parity_code_with_automorphisms(5, 4), random.Random(1))
+        result = canonicalize(code, X, 0, 1)
+        closure = tuple_closure([g.images for g in result.component_group.generators], 5)
+        j0 = result.x3.top[0]
+        z = [Permutation.identity(5)] * 4
+        z[(j0 + 1) % 4] = next(
+            b for b in sym_perms(5) if not b.is_identity() and (b.images in closure) is inside
+        )
+        tampered = conjugate_subgroup(X, result.x * WreathElement(z, Permutation.identity(4)))
+        assert tampered.component(j0).generators == result.conjugated.component(j0).generators
+        certificate, sifts = self.read(monkeypatch, result, tampered, result.x4)
+        assert len(sifts) == 1
+        assert certificate.passed is inside
+
+    @pytest.mark.parametrize("p, seed, passes", [(5, 1, False), (3, 3, True)])
+    def test_swapped_corrections_are_sifted(self, p, seed, passes, monkeypatch):
+        # x2's entries at coordinates 0 and 1 traded: both still fix gamma,
+        # but the transversal of X^x no longer holds G's witnesses
+        code, X = conjugated_code(*parity_code_with_automorphisms(p, 4), random.Random(seed))
+        result = canonicalize(code, X, 0, 1)
+        base = list(result.x2.base)
+        assert base[0] != base[1]
+        base[0], base[1] = base[1], base[0]
+        x = result.x1 * WreathElement(base, result.x2.top) * result.x3 * result.x4
+        certificate, sifts = self.read(monkeypatch, result, conjugate_subgroup(X, x), result.x4)
+        assert len(sifts) == 1
+        assert certificate.passed is passes
+
+    def test_x4_entry_that_is_no_witness_is_sifted_and_passes(self, monkeypatch):
+        # G is Sym(5), so the stabilizer of gamma holds 6 entries sending a
+        # letter to nu, only one of them its BFS witness
+        code, X = conjugated_repetition_code(random.Random(7), 5, 7)
+        gamma, nu = 0, 2
+        result = canonicalize(code, X, gamma, nu)
+        G = result.component_group
+        stabilizer = GenGroup(5, G.schreier_generators(gamma))
+        i = next(i for i, e in enumerate(result.x4.base) if not e.is_identity())
+        entry = result.x4.base[i]
+        start = entry.inverse()[nu]
+        members = tuple_closure([s.images for s in stabilizer.generators], 5)
+        other = next(
+            Permutation(e) for e in sorted(members) if e[start] == nu and e != entry.images
+        )
+        assert not stabilizer.is_witness(start, other)
+        x4_base = list(result.x4.base)
+        x4_base[i] = other
+        x4 = WreathElement(x4_base, result.x4.top)
+        x = result.x1 * result.x2 * result.x3 * x4
+        # still a canonicalization: word_a and word_b land on the pinned words
+        word_a, word_b = sorted(code.words)[:2]
+        assert (x.apply(word_a), x.apply(word_b)) == (result.pinned_constant, result.pinned_mixed)
+        certificate, sifts = self.read(
+            monkeypatch, result, conjugate_subgroup(X, x), x4, gamma, nu
+        )
+        assert len(sifts) == 1 and certificate == (True, ())
+
+    @pytest.mark.parametrize("gamma, nu", [(0, 1), (1, 0)])
+    def test_every_base_entry_lies_in_G(self, gamma, nu):
+        # the raw closure of G's generators holds every base entry of X^x
+        rng = random.Random(97)
+        cases = [orbit_union_code(rng) for _ in range(12)]
+        cases += [parity_code_with_automorphisms(3, 4), hamming_code_with_automorphisms()]
+        cases += [conjugated_code(*parity_code_with_automorphisms(5, 3), rng)]
+        cases += [conjugated_repetition_code(rng, q, m) for q, m in ((3, 4), (4, 3), (6, 3))]
+        for code, X in cases:
+            result = canonicalize(code, X, gamma, nu)
+            assert result.certificate == (True, ())
+            assert base_entries_outside_closure(result.conjugated, result.component_group) == []
 
 
 class TestCanonicalizeAtScale:
@@ -549,6 +706,9 @@ class TestDistanceThroughOneCoordinate:
             assert code._min_distance == d
             assert hamming_distance(result.pinned_constant, result.pinned_mixed) == d
             assert result.code.min_distance() == d
+            # the library keeps d for the transformed code by isometry; the
+            # pair scan checks it without the library's search
+            assert TestMinDistance.pair_scan(result.code.words) == d
             distances.add(d)
             through += deletions_of(tests, code)
         assert {1, 2, 3, 4, 5} <= distances
@@ -562,9 +722,8 @@ class TestDistanceThroughOneCoordinate:
         result = canonicalize(code, X, 0, 1)
         assert code.min_distance() == 2 and result.certificate.passed
         assert deletions_of(tests, code) == [(0,)]
-        # the transformed code's check uses no group: every single
-        # coordinate, then pigeonhole
-        assert len(deletions_of(tests, result.code)) == 5
+        # x is a Hamming isometry, so the transformed code keeps d unsearched
+        assert len(deletions_of(tests, result.code)) == 0
 
     def test_mds_code_over_z7_needs_no_pair_scan(self, monkeypatch):
         # the [7,5,3] Reed-Solomon code: 16807 words, 141M pairs; through
@@ -578,9 +737,11 @@ class TestDistanceThroughOneCoordinate:
         assert result.certificate.passed
         assert code._min_distance == 3 and result.pinned_mixed == (1, 1, 1, 0, 0, 0, 0)
         assert deletions_of(tests, code) == [(0,)] + [(0, i) for i in range(1, 7)]
-        assert len(deletions_of(tests, result.code)) == 7 + 21
+        assert len(deletions_of(tests, result.code)) == 0
         # only the search for the first pair at distance 3 compares words
         assert scanned[0] < len(code)
+        # a fresh code of the same words, searched with no group
+        assert Code(code.ctx, result.code.words).min_distance() == 3
 
     @pytest.mark.parametrize("q, m, tests, through", [(12, 2, 2, 1), (20, 3, 6, 3)])
     def test_repetition_code_runs_every_round_to_full_length(
@@ -598,7 +759,7 @@ class TestDistanceThroughOneCoordinate:
         assert code._min_distance == TestMinDistance.pair_scan(code.words) == m
         assert result.code.min_distance() == m and result.certificate.passed
         assert len(deletions_of(recorded, code)) == through
-        assert len(deletions_of(recorded, result.code)) == tests
+        assert len(deletions_of(recorded, result.code)) == 0
 
     def test_unchecked_group_leaves_the_distance_unsearched(self, tmp_path):
         code, _ = parity_z3_fixture()
@@ -631,7 +792,7 @@ class TestDistanceThroughOneCoordinate:
         monkeypatch.setattr(Code, "_search_min_distance", recorded)
         result = canonicalize(code, X, 0, 1)
         assert result.pinned_mixed[:d] == (1,) * d
-        assert len(searched) == 1 and searched[0] is result.code
+        assert searched == []
 
 
 class TestCodeValidation:
