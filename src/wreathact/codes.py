@@ -16,7 +16,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import Iterable, Iterator, NamedTuple
+from collections import namedtuple
+from typing import Iterable, Iterator
 
 from .errors import DegreeMismatchError, HypothesisViolation, ParseError
 from .perm import GenGroup, Permutation, TWO_TRANSITIVE, _compose
@@ -215,21 +216,20 @@ def format_code(code: Code) -> str:
     return "\n".join([header, *format_words(code)]) + "\n"
 
 
-class CanonicalizationResult(NamedTuple):
-    """The four factors, their product, and the transformed code and group."""
+class CanonicalizationResult(namedtuple(
+    "CanonicalizationResult",
+    "x1 x2 x3 x4 x code conjugated component_group induced_group"
+    " pinned_constant pinned_mixed certificate",
+)):
+    """The four factors, their product, and the transformed code and group.
 
-    x1: WreathElement
-    x2: WreathElement
-    x3: WreathElement
-    x4: WreathElement
-    x: WreathElement
-    code: Code
-    conjugated: WreathSubgroup
-    component_group: GenGroup
-    induced_group: GenGroup
-    pinned_constant: Point
-    pinned_mixed: Point
-    certificate: EmbedCertificate
+    Fields: ``x1``, ``x2``, ``x3``, ``x4`` and their product ``x``
+    (WreathElement), ``code`` (Code), ``conjugated`` (WreathSubgroup),
+    ``component_group`` and ``induced_group`` (GenGroup), ``pinned_constant``
+    and ``pinned_mixed`` (Point) and ``certificate`` (EmbedCertificate).
+    """
+
+    __slots__ = ()
 
 
 def canonicalize(

@@ -17,8 +17,9 @@ oracles list points or elements, under a cap.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 from .errors import DegreeMismatchError, EnumerationOverflow
 from .perm import (
@@ -328,32 +329,39 @@ def _top_image(w: WreathElement, d: int) -> int:
     return w.top[d]
 
 
-class TransitivityReport(NamedTuple):
-    """Outcome of the transitive-components scan for one subgroup."""
+class TransitivityReport(namedtuple(
+    "TransitivityReport",
+    "transitive_on_points component_transitive delta_transitive"
+    " base_component_transitive violation",
+)):
+    """Outcome of the transitive-components scan for one subgroup.
 
-    transitive_on_points: bool
-    component_transitive: tuple[bool, ...]
-    delta_transitive: bool
-    base_component_transitive: tuple[bool, ...] | None
-    violation: bool
+    Fields: ``transitive_on_points`` (bool), ``component_transitive``
+    (tuple[bool, ...]), ``delta_transitive`` (bool),
+    ``base_component_transitive`` (tuple[bool, ...] | None) and
+    ``violation`` (bool).
+    """
+
+    __slots__ = ()
 
 
-class SplitResult(NamedTuple):
+class SplitResult(namedtuple(
+    "SplitResult",
+    "delta0 delta1 first second position0 position1 theta_bijective"
+    " chi_injective equivariant component_preserved",
+)):
     """The two restricted subgroups plus the embedding certificate, checked
     on generator data with no cap: bijection by the partition of the
     coordinates, injectivity, equivariance and every preserved component
-    by reassembling every generator from its restrictions (see ``split``)."""
+    by reassembling every generator from its restrictions (see ``split``).
 
-    delta0: tuple[int, ...]
-    delta1: tuple[int, ...]
-    first: WreathSubgroup
-    second: WreathSubgroup
-    position0: dict[int, int]
-    position1: dict[int, int]
-    theta_bijective: bool
-    chi_injective: bool
-    equivariant: bool
-    component_preserved: dict[int, bool]
+    Fields: ``delta0`` and ``delta1`` (tuple[int, ...]), ``first`` and
+    ``second`` (WreathSubgroup), ``position0`` and ``position1``
+    (dict[int, int]), ``theta_bijective``, ``chi_injective`` and
+    ``equivariant`` (bool), and ``component_preserved`` (dict[int, bool]).
+    """
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -33,7 +33,7 @@ when the reading fails.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import DegreeMismatchError, HypothesisViolation
 from .perm import GenGroup, Permutation, _compose, _from_images, _invert, same_group
@@ -41,18 +41,19 @@ from .components import WreathSubgroup
 from .wreath import Point, WreathElement, _from_parts
 
 
-class Transversal(NamedTuple):
+class Transversal(namedtuple("Transversal", "orbits reps entries rep_of")):
     """Per-orbit representatives with a base entry for each coordinate.
 
     ``entries[d]`` is the entry, at the representative r of d's orbit, of
     an element of X whose top maps r to d; the representative itself gets
     the identity.
+
+    Fields: ``orbits`` (tuple[tuple[int, ...], ...]), ``reps``
+    (tuple[int, ...]), ``entries`` (dict[int, Permutation]) and ``rep_of``
+    (dict[int, int]).
     """
 
-    orbits: tuple[tuple[int, ...], ...]
-    reps: tuple[int, ...]
-    entries: dict[int, Permutation]
-    rep_of: dict[int, int]
+    __slots__ = ()
 
     @property
     def x(self) -> WreathElement:
@@ -132,7 +133,10 @@ def _corrected(R: GenGroup, entry: Permutation, p: int) -> Permutation:
     return corrected
 
 
-class NormalizationResult(NamedTuple):
+class NormalizationResult(namedtuple(
+    "NormalizationResult",
+    "x conjugated transversal component_flags common_components fixes_point",
+)):
     """Base element x with the conjugate X^x and its per-orbit certificate.
 
     ``component_flags[d]`` records that the component of X^x at d equals,
@@ -145,14 +149,14 @@ class NormalizationResult(NamedTuple):
     ``common_components`` maps each representative to that common value,
     presented by the conjugate's component generators at the
     representative.
+
+    Fields: ``x`` (WreathElement), ``conjugated`` (WreathSubgroup),
+    ``transversal`` (Transversal), ``component_flags`` (dict[int, bool]),
+    ``common_components`` (dict[int, GenGroup]) and ``fixes_point``
+    (bool | None).
     """
 
-    x: WreathElement
-    conjugated: WreathSubgroup
-    transversal: Transversal
-    component_flags: dict[int, bool]
-    common_components: dict[int, GenGroup]
-    fixes_point: bool | None
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -243,16 +247,18 @@ def normalizing_element(
     )
 
 
-class EmbedCertificate(NamedTuple):
+class EmbedCertificate(namedtuple("EmbedCertificate", "passed failures")):
     """Membership record for the conjugated generators in G wr H.
 
     Each failure names the generator index, whether a base entry or the top
     fell outside, and the offending coordinate for base entries. A
     certificate read off the conjugate by construction has no failures.
+
+    Fields: ``passed`` (bool) and ``failures``
+    (tuple[tuple[int, str, int | None], ...]).
     """
 
-    passed: bool
-    failures: tuple[tuple[int, str, int | None], ...]
+    __slots__ = ()
 
 
 def sift_embedding(
@@ -279,16 +285,17 @@ def sift_embedding(
     return EmbedCertificate(passed=not failures, failures=tuple(failures))
 
 
-class EmbedResult(NamedTuple):
-    """Certified embedding X^x <= G wr H for a coordinate-transitive X."""
+class EmbedResult(namedtuple(
+    "EmbedResult", "G H x conjugated delta1 normalization certificate"
+)):
+    """Certified embedding X^x <= G wr H for a coordinate-transitive X.
 
-    G: GenGroup
-    H: GenGroup
-    x: WreathElement
-    conjugated: WreathSubgroup
-    delta1: int
-    normalization: NormalizationResult
-    certificate: EmbedCertificate
+    Fields: ``G`` and ``H`` (GenGroup), ``x`` (WreathElement),
+    ``conjugated`` (WreathSubgroup), ``delta1`` (int), ``normalization``
+    (NormalizationResult) and ``certificate`` (EmbedCertificate).
+    """
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

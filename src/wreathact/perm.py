@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+from itertools import islice
 from operator import itemgetter
 from typing import Callable, Iterable, Literal, Sequence, TypeVar
 
@@ -391,16 +392,22 @@ class _ChainLevel:
         self.gen_inverses.append(g_inverse)
         self.cursor = 0
         orbit, transversal, inverse = self.orbit, self.transversal, self.inverse
-        pairs = list(zip(self.gens, self.gen_inverses))
-        steps = [(beta, g, g_inverse) for beta in orbit]
-        for beta, s, s_inverse in steps:  # grows while it is read
-            gamma = s[beta]
+        old = len(orbit)
+        for beta in orbit[:old]:
+            gamma = g[beta]
             if transversal[gamma] is None:
-                transversal[gamma] = _compose(transversal[beta], s)
-                inverse[gamma] = _compose(s_inverse, inverse[beta])
+                transversal[gamma] = _compose(transversal[beta], g)
+                inverse[gamma] = _compose(g_inverse, inverse[beta])
                 orbit.append(gamma)
-                self.done.append(0)
-                steps.extend((gamma, t, t_inverse) for t, t_inverse in pairs)
+        pairs = tuple(zip(self.gens, self.gen_inverses))
+        for beta in islice(orbit, old, None):  # grows while it is read
+            for s, s_inverse in pairs:
+                gamma = s[beta]
+                if transversal[gamma] is None:
+                    transversal[gamma] = _compose(transversal[beta], s)
+                    inverse[gamma] = _compose(s_inverse, inverse[beta])
+                    orbit.append(gamma)
+        self.done.extend([0] * (len(orbit) - old))
 
 
 class StabilizerChain:
