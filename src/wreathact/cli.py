@@ -10,10 +10,11 @@ Group files: a header line ``q m`` followed by one wreath element per
 line, serialized as ``base=[[...];...] top=[...]``. Code files: the same
 header followed by one word per line as a bare comma list. Blank lines and
 ``#`` comments are allowed in both. ``parse_with_header`` frames both
-formats: it reads the header once and the later lines in one pass. Only
-lines that pass refuses, a spaced generator line or a malformed line of
-either format, are read again one at a time, so a spaced generator
-parses and an error names its line.
+formats: it reads the header once and the later lines in one pass. When
+that pass refuses the file (a spaced generator line or a malformed line
+of either format), every body line is read again one at a time, up to
+the first bad one, so a spaced generator parses and an error names its
+line.
 
 Exit status: 0 on success, 1 when a hypothesis of the requested
 construction fails (reported, expected), 2 on parse or internal errors.

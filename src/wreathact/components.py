@@ -43,10 +43,10 @@ class WreathSubgroup:
 
     The induced coordinate action and its orbit partition are built at
     construction. The component of each coordinate, with its entry
-    transversal, the stabilizer chain and the element set of
-    ``enumerate_elements`` are lazy caches built on first use; build the
-    ones a thread will need before sharing an instance across threads,
-    after which all reads are pure.
+    transversal, and the stabilizer chain are lazy caches built on first
+    use; build the ones a thread will need before sharing an instance
+    across threads, after which all reads are pure. The oracle
+    ``enumerate_elements`` lists the elements afresh on each call.
     """
 
     def __init__(self, ctx: WreathContext, generators: Iterable[WreathElement]):
@@ -67,7 +67,6 @@ class WreathSubgroup:
         )
         self._components: dict[int, tuple[GenGroup, Mapping[int, Permutation]]] = {}
         self._chain: StabilizerChain | None = None
-        self._closure: frozenset[WreathElement] | None = None
 
     def __repr__(self) -> str:
         return f"WreathSubgroup({self.ctx!r}, generators={len(self.generators)})"
@@ -185,10 +184,7 @@ class WreathSubgroup:
         order = self.order()
         if order > cap:
             raise EnumerationOverflow(f"subgroup order {order} exceeds cap {cap}")
-        if self._closure is None:
-            elements = orbit_with_witnesses(self.identity(), self.generators, _times)[0]
-            self._closure = frozenset(elements)
-        return self._closure
+        return frozenset(orbit_with_witnesses(self.identity(), self.generators, _times)[0])
 
     def orbit_of_point(self, start: Point, cap: int = DEFAULT_CAP) -> list[Point]:
         """BFS orbit of a point of Pi under the generators."""

@@ -16,7 +16,7 @@ import functools
 import math
 import random
 from itertools import islice
-from operator import itemgetter
+from operator import getitem, itemgetter
 from typing import Callable, Iterable, Literal, Sequence, TypeVar
 
 from .errors import (
@@ -563,14 +563,15 @@ class GenGroup:
     imprimitive, so it goes to the chain at once. A walk that finds no
     such element proves nothing: that group goes to the chain too.
 
-    ``enumerate_elements`` lists the elements, as the orbit of the
-    identity, for the oracle tests, refused by the exact order when over
-    its cap; ``witness`` and ``schreier_generators`` share one kept BFS
-    per start point. The caches are built lazily, so construct a group on
-    one thread before sharing it; afterwards all reads are pure.
+    ``enumerate_elements`` lists the elements afresh on each call, as the
+    orbit of the identity, for the oracle tests, refused by the exact order
+    when over its cap. ``witness`` and ``schreier_generators`` share one
+    kept BFS per start point. That table, the chain and the giant test are
+    caches built lazily, so construct a group on one thread before sharing
+    it; afterwards all reads are pure.
     """
 
-    __slots__ = ("degree", "generators", "_chain", "_closure", "_witnesses", "_giant")
+    __slots__ = ("degree", "generators", "_chain", "_witnesses", "_giant")
 
     def __init__(self, degree: int, generators: Iterable[Permutation] = ()):
         if degree < 1:
@@ -584,7 +585,6 @@ class GenGroup:
         self.degree = degree
         self.generators = gens
         self._chain: StabilizerChain | None = None
-        self._closure: frozenset[Permutation] | None = None
         self._witnesses: dict[int, dict[int, Permutation]] | None = None
         self._giant: int | None = None
 
@@ -629,25 +629,10 @@ class GenGroup:
 
     def orbit(self, point: int) -> list[int]:
         """The orbit of ``point`` in the BFS order of
-        ``orbit_with_transversal``, found on the image tuples alone.
-
-        Every ``WreathSubgroup`` build runs this for its coordinate orbits,
-        so it keeps its own loop: through ``orbit_with_witnesses`` and its
-        image callback, ``orbits`` of two random generators took 2.3 -> 3.3
-        us at m = 6 and 55 -> 71 us at m = 200 (CPython 3.11, Xeon).
-        """
+        ``orbit_with_transversal``, found on the image tuples alone."""
         if not 0 <= point < self.degree:
             raise ValueError(f"point {point} out of range for degree {self.degree}")
-        images = [g.images for g in self.generators]
-        orbit = [point]
-        seen = {point}
-        for beta in orbit:
-            for s in images:
-                gamma = s[beta]
-                if gamma not in seen:
-                    seen.add(gamma)
-                    orbit.append(gamma)
-        return orbit
+        return orbit_with_witnesses(point, [g.images for g in self.generators], getitem)[0]
 
     def orbits(self) -> list[list[int]]:
         """The orbit partition of {0..degree-1}, each orbit sorted, ordered by minimum."""
@@ -718,10 +703,8 @@ class GenGroup:
         order = self.order()
         if order > cap:
             raise EnumerationOverflow(f"group order {order} exceeds cap {cap}")
-        if self._closure is None:
-            identity = Permutation.identity(self.degree)
-            self._closure = frozenset(orbit_with_witnesses(identity, self.generators, _times)[0])
-        return self._closure
+        identity = Permutation.identity(self.degree)
+        return frozenset(orbit_with_witnesses(identity, self.generators, _times)[0])
 
     # ----- transitivity -----
 

@@ -12,6 +12,8 @@ import random
 from pathlib import Path
 from types import SimpleNamespace
 
+import wreathact.components
+import wreathact.perm
 from wreathact import (
     Code,
     EmbedCertificate,
@@ -393,6 +395,23 @@ def record_component_builds(monkeypatch) -> list[tuple[WreathSubgroup, int]]:
 
     monkeypatch.setattr(WreathSubgroup, "_component_data", recording)
     return builds
+
+
+def record_enumeration_steps(monkeypatch) -> list:
+    """Patch ``_times``, the right multiplication that both
+    ``enumerate_elements`` methods run their BFS with, in ``perm`` and in
+    ``components``, to log each step; an empty log shows that no element
+    set was listed."""
+    steps: list = []
+    times = wreathact.perm._times
+
+    def recording(s, e):
+        steps.append(s)
+        return times(s, e)
+
+    monkeypatch.setattr(wreathact.perm, "_times", recording)
+    monkeypatch.setattr(wreathact.components, "_times", recording)
+    return steps
 
 
 # ----- random instance families -----

@@ -6,6 +6,7 @@ are exact equality throughout, and the random families are seeded so the
 suite is reproducible.
 """
 
+import io
 import itertools
 import math
 import os
@@ -30,6 +31,7 @@ from wreathact import (
     sift_embedding,
     stabilizer_order_oracle,
 )
+from wreathact.cli import main
 from helpers import (
     block_intransitive_subgroup,
     diagonal_instance,
@@ -344,14 +346,14 @@ GOLDEN_COMMANDS = {
 }
 
 
+def _data_argv(argv: list[str]) -> list[str]:
+    return [os.path.join(DATA, arg) if arg.endswith((".group", ".code")) else arg for arg in argv]
+
+
 def _run_cli(argv: list[str], hash_seed: str) -> bytes:
-    argv = [
-        os.path.join(DATA, arg) if arg.endswith((".group", ".code")) else arg
-        for arg in argv
-    ]
     env = dict(os.environ, PYTHONHASHSEED=hash_seed)
     proc = subprocess.run(
-        [sys.executable, "-m", "wreathact", *argv],
+        [sys.executable, "-m", "wreathact", *_data_argv(argv)],
         capture_output=True,
         env=env,
         check=False,
@@ -370,3 +372,20 @@ def test_criterion_9_cli_reports_are_byte_stable():
             if runs[0] != handle.read():
                 ok = False
     _report("9 CLI reports byte-stable across 3 runs and match golden files", ok)
+
+
+def test_no_subcommand_enumerates_a_group(monkeypatch):
+    """Every golden report comes out unchanged, in process, with both
+    brute-force ``enumerate_elements`` oracles patched to raise: no
+    subcommand lists the elements of a group."""
+
+    def refuse(self, cap=None):
+        raise AssertionError(f"enumerate_elements called on {self!r}")
+
+    monkeypatch.setattr(GenGroup, "enumerate_elements", refuse)
+    monkeypatch.setattr(WreathSubgroup, "enumerate_elements", refuse)
+    for name, argv in GOLDEN_COMMANDS.items():
+        out = io.StringIO()
+        assert main(_data_argv(argv), out=out) == 0, out.getvalue()
+        with open(os.path.join(GOLDEN, name), "rb") as handle:
+            assert out.getvalue().encode() == handle.read(), name

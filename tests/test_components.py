@@ -28,6 +28,7 @@ from helpers import (
     raw_closure,
     raw_wreath,
     record_component_builds,
+    record_enumeration_steps,
     split_oracle_agrees,
     sym_perms,
     tuple_closure,
@@ -591,9 +592,10 @@ class TestTransitivityReport:
             assert not report.violation
         assert transitive > 0
 
-    def test_full_sym4_wr_sym4_without_a_closure(self):
+    def test_full_sym4_wr_sym4_without_a_closure(self, monkeypatch):
         # enumerating X would need 7962624 elements, over the default cap
         X = full_wreath_product(4, 4)
+        steps = record_enumeration_steps(monkeypatch)
         start = time.perf_counter()
         report = X.transitivity_report()
         elapsed = time.perf_counter() - start
@@ -601,7 +603,7 @@ class TestTransitivityReport:
         assert report.component_transitive == (True,) * 4
         assert report.base_component_transitive == (True,) * 4
         assert not report.violation
-        assert X._closure is None
+        assert steps == []
         assert elapsed < 1.0
 
     def test_one_component_build_per_coordinate_orbit(self, monkeypatch):
@@ -671,6 +673,7 @@ class TestChainOfX:
         non_full_kernels = transitive_non_full = intransitive_flags = 0
         instances = sym3_wr_sym3_instances(random.Random(73))
         assert len(instances) >= 40
+        steps = record_enumeration_steps(monkeypatch)
         for X in instances:
             elements = raw_closure([raw_wreath(g) for g in X.generators], q, m)
             kernel = [base for base, top in elements if top == identity_top]
@@ -697,7 +700,7 @@ class TestChainOfX:
                 assert X.transitivity_report().base_component_transitive == flags
                 intransitive_flags += not all(flags)
             non_full_kernels += 1 < len(kernel) < 6**m
-            assert X._closure is None
+            assert steps == []
         assert non_full_kernels >= 10 and transitive_non_full >= 5 and intransitive_flags >= 3
 
     def test_order_agrees_with_sympy_on_the_faithful_images(self):
@@ -746,13 +749,14 @@ class TestChainOfX:
 
 
 class TestOrderRefusal:
-    def test_full_sym4_wr_sym4_is_refused_by_order(self):
+    def test_full_sym4_wr_sym4_is_refused_by_order(self, monkeypatch):
         X = full_wreath_product(4, 4)
+        steps = record_enumeration_steps(monkeypatch)
         start = time.perf_counter()
         with pytest.raises(EnumerationOverflow, match="subgroup order 7962624 exceeds cap 1000000"):
             X.enumerate_elements()
         assert time.perf_counter() - start < 1.0
-        assert X._closure is None
+        assert steps == []
         assert X.order() == 7962624
 
     def test_cap_is_checked_against_the_order_after_a_closure(self):

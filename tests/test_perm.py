@@ -182,21 +182,31 @@ class TestOrbits:
             assert sorted(flat) == list(range(degree))
 
     def test_orbit_is_the_transversal_orbit_in_bfs_order(self):
+        """Both orbits run ``orbit_with_witnesses``, so up to degree 6 each
+        is also checked, as a set, against the images of the point under
+        the raw-tuple closure of the generators."""
         rng = random.Random(17)
         groups = [GenGroup(1, ()), GenGroup(4, ())]
         for _ in range(25):
             degree = rng.randint(1, 8)
             gens = (random_permutation(rng, degree) for _ in range(rng.randint(0, 3)))
             groups.append(GenGroup(degree, gens))
+        closures = 0
         for g in groups:
             for point in range(g.degree):
                 assert g.orbit(point) == g.orbit_with_transversal(point)[0]
+            if g.degree <= 6:
+                closure = tuple_closure([s.images for s in g.generators], g.degree)
+                for point in range(g.degree):
+                    assert set(g.orbit(point)) == {e[point] for e in closure}
+                closures += 1
             for point in (-1, g.degree):
                 with pytest.raises(ValueError, match=f"point {point} out of range"):
                     g.orbit(point)
             orbits = g.orbits()
             assert orbits == [sorted(g.orbit(orbit[0])) for orbit in orbits]
             assert [orbit[0] for orbit in orbits] == sorted(orbit[0] for orbit in orbits)
+        assert closures >= 15
 
     def test_search_without_identity_forms_no_product(self, monkeypatch):
         rng = random.Random(19)
