@@ -20,7 +20,7 @@ from collections import namedtuple
 from typing import Iterable, Iterator
 
 from .errors import DegreeMismatchError, HypothesisViolation, ParseError
-from .perm import GenGroup, Permutation, TWO_TRANSITIVE, _compose
+from .perm import GenGroup, Permutation, TWO_TRANSITIVE, _compose, _strings
 from .components import WreathSubgroup
 from .normalize import (
     EmbedCertificate,
@@ -30,7 +30,7 @@ from .normalize import (
     sift_embedding,
 )
 from .wreath import Point, WreathContext, WreathElement, parse_point, parse_with_header
-from .wreath import _entry_tuples
+from .wreath import _entry_tuples, format_point
 
 
 def hamming_distance(a: Point, b: Point) -> int:
@@ -42,14 +42,14 @@ def hamming_distance(a: Point, b: Point) -> int:
 class Code:
     """A nonempty set of words of length m over {0..q-1}.
 
-    ``columns`` is the word set transposed once: ``columns[d]`` holds entry
-    d of every word, in the iteration order of ``words``. Every word is
-    validated with ``check_point``. Words already known to be valid (a
-    checked code file, the images of a code) skip the check through
+    ``columns`` is the word set transposed on first read: ``columns[d]``
+    holds entry d of every word, in the iteration order of ``words``. Every
+    word is validated with ``check_point``. Words already known to be valid
+    (a checked code file, the images of a code) skip the check through
     ``_code_from_words``.
     """
 
-    __slots__ = ("ctx", "words", "columns", "_min_distance")
+    __slots__ = ("ctx", "words", "_columns", "_sorted", "_min_distance")
 
     def __init__(self, ctx: WreathContext, words: Iterable[Point]):
         ws = frozenset(map(tuple, words))
@@ -59,8 +59,15 @@ class Code:
             ctx.check_point(w)
         self.ctx = ctx
         self.words = ws
-        self.columns = tuple(zip(*ws))
+        self._columns: tuple[Point, ...] | None = None
+        self._sorted: list[Point] | None = None
         self._min_distance: int | None = None
+
+    @property
+    def columns(self) -> tuple[Point, ...]:
+        if self._columns is None:
+            self._columns = tuple(zip(*self.words))
+        return self._columns
 
     def __len__(self) -> int:
         return len(self.words)
@@ -82,7 +89,11 @@ class Code:
         return f"Code({self.ctx!r}, {len(self.words)} words)"
 
     def sorted_words(self) -> list[Point]:
-        return sorted(self.words)
+        """The words in numeric sort order, as a new list; sorted at most
+        once per code, and a code file in that order never (``parse_code``)."""
+        if self._sorted is None:
+            self._sorted = sorted(self.words)
+        return self._sorted[:]
 
     def min_distance(self) -> int:
         """Exact minimum Hamming distance; undefined for singletons.
@@ -159,7 +170,8 @@ def _code_from_words(ctx: WreathContext, words: Iterable[Point]) -> Code:
     code = object.__new__(Code)
     code.ctx = ctx
     code.words = frozenset(words)
-    code.columns = tuple(zip(*code.words))
+    code._columns = None
+    code._sorted = None
     code._min_distance = None
     return code
 
@@ -173,8 +185,7 @@ def is_automorphism(w: WreathElement, code: Code) -> bool:
     """
     if w.ctx != code.ctx:
         raise DegreeMismatchError("element lives in a different context")
-    images = w.apply_columns(code.columns)
-    return all(map(code.words.__contains__, zip(*images)))
+    return code.words.issuperset(zip(*w.apply_columns(code.columns)))
 
 
 def parse_code(text: str) -> Code:
@@ -187,25 +198,33 @@ def parse_code(text: str) -> Code:
     Only if that fails are the lines parsed one by one with
     ``parse_point``, so the error names the first bad line. Either way
     every word is checked once, and the code is built without a second
-    check.
+    check. Words strictly increasing, as ``format_code`` writes them, are
+    distinct and sorted, so one linear pass spares such a file the sort.
     """
     ctx, words = parse_with_header(
         text, parse_point, lambda body, ctx: _entry_tuples(body, ctx.delta_size, ctx.gamma_size)
     )
     if not words:
         raise ParseError("code file contains no words")
-    return _code_from_words(ctx, words)
+    code = _code_from_words(ctx, words)
+    if all(map(operator.lt, words, itertools.islice(words, 1, None))):
+        code._sorted = words
+    return code
 
 
 def format_words(code: Code) -> Iterator[str]:
     """The words of ``code`` as bare comma lists (``format_point``), in
     numeric sort order.
 
-    The sorted words are transposed once, each distinct entry is converted
-    with ``str`` once, and every column gathers its strings in one call.
+    The sorted words are transposed once, and every column gathers its
+    strings in one call from the kept table of ``str(0..q-1)``
+    (``_strings``); past that table's cap each word is written with
+    ``format_point``.
     """
-    columns = tuple(zip(*code.sorted_words()))
-    strings = {e: str(e) for e in set().union(*columns)}
+    strings = _strings(code.ctx.gamma_size)
+    if strings is None:
+        return map(format_point, code.sorted_words())
+    columns = zip(*code.sorted_words())
     return map(",".join, zip(*(_compose(column, strings) for column in columns)))
 
 

@@ -213,26 +213,31 @@ def _compose(a: Sequence[int], b: Sequence[T]) -> tuple[T, ...]:
     return tuple(b[i] for i in a)
 
 
-# str(0..n-1) for ``_format_images``: built on first use, rebuilt at twice
-# the size when a longer tuple comes, never longer than _STRINGS_CAP
 _STRINGS: tuple[str, ...] = ()
 _STRINGS_CAP = 4096
+
+
+def _strings(n: int) -> tuple[str, ...] | None:
+    """The kept table of ``str(0..k-1)``, k >= n, for writers that gather
+    the strings of entries in 0..n-1 in one call (``_format_images``,
+    ``codes.format_words``), or ``None`` for n over the cap. Built on first
+    use, rebuilt at twice the size when a longer one is asked for."""
+    global _STRINGS
+    if len(_STRINGS) < n <= _STRINGS_CAP:
+        _STRINGS = tuple(map(str, range(min(max(n, 2 * len(_STRINGS)), _STRINGS_CAP))))
+    return _STRINGS if n <= len(_STRINGS) else None
 
 
 def _format_images(images: Images) -> str:
     """A raw image tuple as the bare comma list ``1,0,2``.
 
     Its entries lie in 0..len(images)-1, so their strings are gathered from
-    the kept table of ``str(0..n-1)`` in one call, as ``format_words``
-    gathers a code's; a tuple longer than the cap converts its own entries.
+    the kept table (``_strings``) in one call; a tuple longer than the cap
+    converts its own entries.
     """
-    global _STRINGS
-    strings = _STRINGS
-    n = len(images)
-    if n > len(strings):
-        if n > _STRINGS_CAP:
-            return ",".join(map(str, images))
-        strings = _STRINGS = tuple(map(str, range(min(max(n, 2 * len(strings)), _STRINGS_CAP))))
+    strings = _strings(len(images))
+    if strings is None:
+        return ",".join(map(str, images))
     return ",".join(_compose(images, strings))
 
 

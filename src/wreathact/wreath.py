@@ -197,17 +197,18 @@ class WreathElement:
 
         ``columns[d]`` holds entry d of every point, in one fixed order;
         mapped by ``base[d]`` it becomes column ``top[d]`` of the images,
-        the rule of ``apply`` with one gather per coordinate. Point k of
-        the result is the image of point k of the input. Unlike ``apply``,
-        it does not check the entries: callers pass the columns of a
-        validated code or of all of Pi, and a check would cost a pass over
-        every word.
+        the rule of ``apply`` with one gather per coordinate. A column
+        whose base entry is the identity is not gathered: it is the given
+        column object itself. Point k of the result is the image of point k
+        of the input. Unlike ``apply``, it does not check the entries:
+        callers pass the columns of a validated code or of all of Pi, and a
+        check would cost a pass over every word.
         """
         if len(columns) != len(self.base):
             raise ValueError(f"got {len(columns)} columns, expected {len(self.base)}")
         image: list[tuple[int, ...]] = [()] * len(columns)
         for p, d, column in zip(self.base, self.top.images, columns):
-            image[d] = _compose(column, p.images)
+            image[d] = column if p.is_identity() else _compose(column, p.images)
         return image
 
     def is_identity(self) -> bool:

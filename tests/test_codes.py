@@ -1,3 +1,4 @@
+import io
 import itertools
 import os
 import random
@@ -29,7 +30,7 @@ from wreathact import (
 import wreathact.codes as codes_module
 import wreathact.normalize as normalize_module
 from wreathact.perm import StabilizerChain
-from wreathact.cli import load_group
+from wreathact.cli import load_group, main
 from helpers import (
     base_entries_outside_closure,
     chain_sift_embedding,
@@ -49,6 +50,7 @@ from helpers import (
     tuple_closure,
     we,
 )
+from test_acceptance import GOLDEN, GOLDEN_COMMANDS
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -839,6 +841,14 @@ class TestCodeValidation:
         assert list(zip(*code.columns)) == list(code.words)
         transformed = code.transform(self.CTX.random_element(rng))
         assert list(zip(*transformed.columns)) == list(transformed.words)
+        # parsed codes, from a file in sort order and from a shuffled one
+        lines = [format_point(w) for w in sorted(words)]
+        for order in (lines, rng.sample(lines, len(lines))):
+            parsed = parse_code("3 4\n" + "\n".join(order) + "\n")
+            assert parsed == code
+            assert len(parsed.columns) == 4
+            assert list(zip(*parsed.columns)) == list(parsed.words)
+            assert parsed.columns is parsed.columns
 
 
 class TestCodeFiles:
@@ -857,6 +867,14 @@ class TestCodeFiles:
         code = Code(WreathContext(q, m), [[rng.randrange(q) for _ in range(m)] for _ in range(size)])
         text = format_code(code)
         assert text == f"{q} {m}\n" + "".join(format_point(w) + "\n" for w in sorted(code.words))
+        assert parse_code(text) == code
+
+    def test_format_past_the_string_table(self):
+        # q over the kept str table of perm._strings: each word is written
+        # by format_point
+        code = Code(WreathContext(10**9 + 7, 3), [(0, 1, 2), (10**9 + 6, 5, 7), (3, 3, 3)])
+        text = format_code(code)
+        assert text == "1000000007 3\n0,1,2\n3,3,3\n1000000006,5,7\n"
         assert parse_code(text) == code
 
     def test_parse_reports_line_numbers(self):
@@ -880,6 +898,94 @@ class TestCodeFiles:
     def test_header_required(self):
         with pytest.raises(ValueError):
             parse_code("0,0,0\n")
+
+
+def line_orders(text: str, rng: random.Random) -> dict[str, str]:
+    """A code file's word lines sorted, reversed, shuffled, and with some
+    lines repeated, sorted or shuffled; the comments and the header stay in
+    front."""
+
+    def numeric(line: str) -> tuple[int, ...]:
+        return tuple(map(int, line.split(",")))
+
+    lines = text.splitlines()
+    k = next(i for i, line in enumerate(lines) if line and line[0] != "#") + 1
+    head, words = lines[:k], lines[k:]
+    repeated = words + rng.choices(words, k=max(1, len(words) // 3))
+    orders = {
+        "sorted": sorted(words, key=numeric),
+        "reversed": words[::-1],
+        "shuffled": rng.sample(words, len(words)),
+        "repeated-sorted": sorted(repeated, key=numeric),
+        "repeated-shuffled": rng.sample(repeated, len(repeated)),
+    }
+    return {name: "\n".join(head + order) + "\n" for name, order in orders.items()}
+
+
+class TestLineOrder:
+    """A code file's words may come in any order and repeat: every order
+    reads as the same code, with the same sort and distance, and gives the
+    same ``code-canon`` report. A file in sort order is taken as sorted; any
+    other is sorted once."""
+
+    GOLDEN_FILES = {"code_canon.txt", "code_canon_z3.txt", "code_canon_q12.txt"}
+
+    @staticmethod
+    def report(code_path: str, group_path: str, gamma: str, nu: str) -> str:
+        out = io.StringIO()
+        assert main(["code-canon", code_path, group_path, "--gamma", gamma, "--nu", nu], out=out) == 0
+        return out.getvalue()
+
+    def check_orders(self, text, seed, tmp_path, monkeypatch, group_path, gamma, nu):
+        reference = parse_code(text)
+        sorts = []
+        monkeypatch.setattr(codes_module, "sorted", lambda ws: sorts.append(len(ws)) or sorted(ws),
+                            raising=False)
+        reports = set()
+        for name, variant in line_orders(text, random.Random(seed)).items():
+            code = parse_code(variant)
+            assert code == reference, name
+            assert code.sorted_words() == sorted(code.words), name
+            assert code.min_distance() == reference.min_distance(), name
+            path = tmp_path / f"{name}.code"
+            path.write_text(variant, encoding="ascii")
+            sorts.clear()
+            reports.add(self.report(str(path), group_path, gamma, nu))
+            # the transformed code is sorted once to be written; the input
+            # once, unless its file is in sort order
+            assert sorts == [len(code)] * (1 if name == "sorted" else 2), name
+        assert len(reports) == 1
+        return reports.pop()
+
+    @pytest.mark.parametrize("golden", sorted(GOLDEN_FILES))
+    def test_golden_code_files_in_any_order(self, golden, tmp_path, monkeypatch):
+        argv = GOLDEN_COMMANDS[golden]
+        code_file, group_file, gamma, nu = argv[1], argv[2], argv[4], argv[6]
+        with open(os.path.join(DATA, code_file), encoding="ascii") as handle:
+            text = handle.read()
+        group_path = os.path.join(DATA, group_file)
+        report = self.check_orders(text, len(text), tmp_path, monkeypatch, group_path, gamma, nu)
+        with open(os.path.join(GOLDEN, golden), encoding="ascii") as handle:
+            assert report == handle.read()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_parity_code_in_any_order(self, seed, tmp_path, monkeypatch):
+        rng = random.Random(seed)
+        code, X = conjugated_code(*parity_code_with_automorphisms(3, 4), rng)
+        group_path = tmp_path / "aut.group"
+        group_path.write_text("3 4\n" + "".join(f"{g}\n" for g in X.generators), encoding="ascii")
+        report = self.check_orders(
+            format_code(code), seed, tmp_path, monkeypatch, str(group_path), "0", "1"
+        )
+        assert "transformed-min-distance: 2\n" in report
+
+    def test_sorted_words_returns_a_new_list(self):
+        for code in (parse_code("2 2\n0,0\n1,1\n"), parse_code("2 2\n1,1\n0,0\n1,1\n")):
+            first = code.sorted_words()
+            first.append((1, 0))
+            first[0] = (0, 1)
+            assert code.sorted_words() == [(0, 0), (1, 1)]
+            assert code.sorted_words() is not code.sorted_words()
 
 
 class TestParseParity:

@@ -181,6 +181,40 @@ class TestApplyColumns:
                     assert len(images) == m
                     assert list(zip(*images)) == [w.apply(phi) for phi in points]
 
+    @staticmethod
+    def elements_with_identity_entries(ctx: WreathContext, rng: random.Random) -> list[WreathElement]:
+        """Seeded elements with some base entries forced to the identity:
+        none of them, about 30% and 70%, and all of them (a top-only
+        element); and the identity element."""
+        q, m = ctx.gamma_size, ctx.delta_size
+        identity = Permutation.identity(q)
+        elements = [ctx.identity_element()]
+        for share in (0.0, 0.3, 0.7, 1.0):
+            w = ctx.random_element(rng)
+            base = [identity if rng.random() < share else entry for entry in w.base]
+            elements.append(WreathElement(base, w.top))
+        return elements
+
+    def test_identity_entries_on_all_of_pi(self):
+        rng = random.Random(15)
+        for q in range(1, 5):
+            for m in range(1, 5):
+                ctx = WreathContext(q, m)
+                points = list(ctx.all_points())
+                columns = list(zip(*points))
+                for w in self.elements_with_identity_entries(ctx, rng):
+                    images = w.apply_columns(columns)
+                    assert list(zip(*images)) == [w.apply(phi) for phi in points]
+
+    def test_identity_entries_on_a_code(self):
+        rng = random.Random(16)
+        ctx = WreathContext(5, 5)
+        code = Code(ctx, [w for w in ctx.all_points() if sum(w) % 5 == 0])
+        for w in self.elements_with_identity_entries(ctx, rng):
+            images = w.apply_columns(code.columns)
+            assert list(zip(*images)) == [w.apply(phi) for phi in code.words]
+            assert is_automorphism(w, code) is (code.transform(w) == code)
+
     @pytest.mark.parametrize("points", [[(1, 0, 2)], []], ids=["one-point", "zero-points"])
     def test_one_and_zero_point_columns(self, points):
         ctx = WreathContext(3, 3)
