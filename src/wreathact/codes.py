@@ -105,10 +105,12 @@ class Code:
         words coincide is the distance. By pigeonhole, once |C| > q^(m-r)
         two words must coincide, so the answer is r with no test (at r = m
         always). Once the deletions would cost at least as many word tests
-        as the |C|(|C|-1)/2 pairs, it scans the pairs instead. The result is
-        cached; ``canonicalize`` may fill the cache from a search that uses
-        the code's checked automorphism group, and fills the transformed
-        code's with the same distance, since its x is an isometry.
+        as the |C|(|C|-1)/2 pairs, it scans the pairs instead, up to the
+        first pair at distance r, since the rounds before proved d >= r.
+        The result is cached; ``canonicalize`` may fill the cache from a
+        search that uses the code's checked automorphism group, and fills
+        the transformed code's with the same distance, since its x is an
+        isometry.
         """
         if len(self.words) < 2:
             raise ValueError("minimum distance is undefined for a singleton code")
@@ -118,10 +120,10 @@ class Code:
 
     def _search_min_distance(self, through: int | None = None) -> int:
         """The search of ``min_distance``. With ``through`` set, only the
-        subsets containing that coordinate are deleted: exact when an
-        automorphism group of the code is transitive on the coordinates,
-        since deleting S collides exactly when deleting its image under any
-        automorphism's top does."""
+        subsets containing that coordinate are deleted, C(m-1, r-1) in
+        round r: exact when an automorphism group of the code is transitive
+        on the coordinates, since deleting S collides exactly when deleting
+        its image under any automorphism's top does."""
         q, m = self.ctx.gamma_size, self.ctx.delta_size
         columns = self.columns
         n = len(self.words)
@@ -130,13 +132,14 @@ class Code:
         for r in range(1, m):
             if n > q ** (m - r):
                 return r
-            if n * math.comb(m, r) >= pairs:
-                ws = self.sorted_words()
-                return min(
-                    hamming_distance(ws[i], ws[j])
-                    for i in range(n)
-                    for j in range(i + 1, n)
-                )
+            deletions = math.comb(m, r) if through is None else math.comb(m - 1, r - 1)
+            if n * deletions >= pairs:
+                d = m
+                for a, b in itertools.combinations(self.sorted_words(), 2):
+                    d = min(d, hamming_distance(a, b))
+                    if d == r:
+                        return r
+                return d
             if through is None:
                 subsets = itertools.combinations(others, r)
             else:

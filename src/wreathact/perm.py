@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import random
 from itertools import islice
 from operator import getitem, itemgetter
@@ -40,11 +41,28 @@ E = TypeVar("E")
 T = TypeVar("T")
 
 
+_IDENTITY_BOUND = 256  # degrees kept by ``_identity``: about 1 MB at most
+_IDENTITIES: dict[int, tuple[tuple[int, ...], list[int]]] = {}
+
+
+def _identity(n: int) -> tuple[tuple[int, ...], list[int]]:
+    """``range(n)`` as a tuple and as a list, kept below ``_IDENTITY_BOUND``.
+    Neither is mutated and only the tuple is handed out, so threads that
+    fill one degree at once store equal values: no lock is needed."""
+    kept = _IDENTITIES.get(n)
+    if kept is None:
+        kept = (tuple(range(n)), list(range(n)))
+        if n < _IDENTITY_BOUND:
+            _IDENTITIES[n] = kept
+    return kept
+
+
 class Permutation:
     """A bijection of {0..n-1}, stored as its image tuple.
 
     Immutable and hashable; safe to share between threads and to use as a
-    set element or dict key.
+    set element or dict key. The constructor checks for at least one image,
+    then ``int`` images, then sorted images equal to the kept ``range(n)``.
     """
 
     __slots__ = ("images",)
@@ -56,7 +74,7 @@ class Permutation:
         for i in imgs:
             if not isinstance(i, int):
                 raise InvalidPermutationError(f"image {i!r} is not an integer: {list(imgs)}")
-        if sorted(imgs) != list(range(len(imgs))):
+        if sorted(imgs) != _identity(len(imgs))[1]:
             raise InvalidPermutationError(
                 f"not a permutation of 0..{len(imgs) - 1}: {list(imgs)}"
             )
@@ -64,7 +82,11 @@ class Permutation:
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
-        return cls(range(degree))
+        """The identity on the kept ``range(degree)`` tuple, unchecked; the
+        degree is refused as ``Permutation(range(degree))`` would refuse it."""
+        if operator.index(degree) < 1:
+            raise InvalidPermutationError("degree must be at least 1")
+        return _from_images(_identity(degree)[0])
 
     @property
     def degree(self) -> int:
@@ -93,7 +115,8 @@ class Permutation:
         return g.inverse() * self * g
 
     def is_identity(self) -> bool:
-        return self.images == tuple(range(len(self.images)))
+        """Whether the images equal the kept ``range(n)`` tuple."""
+        return self.images == _identity(len(self.images))[0]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
@@ -266,9 +289,18 @@ def _cycle_lengths(images: Images) -> list[int]:
 
 
 def _is_odd(images: Images) -> bool:
-    """Whether a raw image tuple is an odd permutation: degree minus the
-    number of cycles is odd."""
-    return (len(images) - len(_cycle_lengths(images))) % 2 == 1
+    """Whether a raw image tuple is an odd permutation. A k-cycle is k - 1
+    transpositions, so one pass walks each cycle from its smallest point and
+    flips the parity at every step back to it, with no list of lengths."""
+    seen = [False] * len(images)
+    odd = False
+    for i, j in enumerate(images):
+        if not seen[i]:
+            while j != i:
+                seen[j] = True
+                j = images[j]
+                odd = not odd
+    return odd
 
 
 # ----- giant groups: Alt(n) and Sym(n) certified by Jordan's theorem -----
@@ -340,7 +372,7 @@ def _walk_finds_jordan_element(images: Sequence[Images], primes: frozenset[int])
     else:
         slots = []
         for _ in range(_GIANT_SLOTS):
-            subproduct = tuple(range(len(images[0])))
+            subproduct = _identity(len(images[0]))[0]
             for g in images:
                 if rng.random() < 0.5:
                     subproduct = _compose(subproduct, g)
@@ -457,7 +489,7 @@ class StabilizerChain:
 
     def __init__(self, degree: int, generators: Iterable[Permutation], base: Iterable[int] = ()):
         self.degree = degree
-        self.identity: Images = tuple(range(degree))
+        self.identity: Images = _identity(degree)[0]
         self.levels = [_ChainLevel(point, self.identity) for point in base]
         for g in generators:
             self._insert(g.images, 0)
@@ -682,13 +714,14 @@ class GenGroup:
         return self._giant
 
     def contains(self, p: Permutation) -> bool:
-        """Whether ``p`` is a product of the generators: true in Sym(n), a
-        parity test in Alt(n), a stabilizer-chain sift otherwise."""
-        if p.degree != self.degree:
+        """Whether ``p`` is a product of the generators: true in Sym(n), one
+        parity pass in Alt(n) (the giant test runs once and is kept), a
+        stabilizer-chain sift otherwise."""
+        if len(p.images) != self.degree:
             raise DegreeMismatchError(
-                f"element degree {p.degree} != group degree {self.degree}"
+                f"element degree {len(p.images)} != group degree {self.degree}"
             )
-        index = self._giant_index()
+        index = self._giant or self._giant_index()
         if index:
             return index == 1 or not _is_odd(p.images)
         return self._get_chain().contains(p)
@@ -751,6 +784,8 @@ def same_group(a: GenGroup, b: GenGroup) -> bool:
 
 def symmetric_gens(degree: int) -> tuple[Permutation, ...]:
     """Standard generators of the full symmetric group on ``degree`` points."""
+    if degree < 1:
+        raise ValueError("degree must be at least 1")
     if degree == 1:
         return ()
     transposition = Permutation([1, 0] + list(range(2, degree)))

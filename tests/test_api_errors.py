@@ -7,6 +7,7 @@ from wreathact import (
     Code,
     DegreeMismatchError,
     GenGroup,
+    InvalidPermutationError,
     Permutation,
     WreathContext,
     WreathElement,
@@ -14,6 +15,7 @@ from wreathact import (
     conjugate_subgroup,
     hamming_distance,
     is_automorphism,
+    symmetric_gens,
 )
 
 CTX22, CTX32 = WreathContext(2, 2), WreathContext(3, 2)
@@ -67,6 +69,19 @@ CASES = {
     "group-degree-zero": (
         lambda: GenGroup(0, ()),
         ValueError, "degree must be at least 1",
+    ),
+    "symmetric-gens-degree-zero": (
+        lambda: symmetric_gens(0),
+        ValueError, "degree must be at least 1",
+    ),
+    "symmetric-gens-negative-degree": (
+        lambda: symmetric_gens(-3),
+        ValueError, "degree must be at least 1",
+    ),
+    # identity wraps the kept range tuple unchecked, so it refuses on its own
+    "identity-degree-zero": (
+        lambda: Permutation.identity(0),
+        InvalidPermutationError, "degree must be at least 1",
     ),
     "group-generator-degree": (
         lambda: GenGroup(3, (ID2,)),

@@ -745,6 +745,25 @@ class TestDistanceThroughOneCoordinate:
         # a fresh code of the same words, searched with no group
         assert Code(code.ctx, result.code.words).min_distance() == 3
 
+    def test_hamming_code_deletes_through_0_before_the_pair_scan(self, monkeypatch):
+        # the [7,4,3] code: 16 words, 120 pairs. Through coordinate 0 round
+        # 2 deletes 6 subsets, 96 word tests, so the search runs it; at
+        # r = 3 it scans the pairs and stops at the first at distance 3
+        code, X = hamming_code_with_automorphisms()
+        tests = record_deletions(monkeypatch)
+        scanned = TestMinDistance.counting_distance(monkeypatch)
+        result = canonicalize(code, X, 0, 1)
+        assert code._min_distance == 3 and result.certificate.passed
+        assert deletions_of(tests, code) == [(0,)] + [(0, i) for i in range(1, 7)]
+        assert len(deletions_of(tests, result.code)) == 0
+        # the search and _first_pair_at_distance together, against the
+        # 120 pairs of a scan from r = 2
+        assert scanned[0] < 10
+        assert result.pinned_constant == (0,) * 7
+        assert result.pinned_mixed == (1, 1, 1, 0, 0, 0, 0)
+        assert str(result.x) == "base=[[0,1];[0,1];[0,1];[0,1];[0,1];[0,1];[0,1]] top=[3,4,0,5,1,2,6]"
+        assert Code(code.ctx, result.code.words).min_distance() == 3
+
     @pytest.mark.parametrize("q, m, tests, through", [(12, 2, 2, 1), (20, 3, 6, 3)])
     def test_repetition_code_runs_every_round_to_full_length(
         self, q, m, tests, through, monkeypatch

@@ -1,7 +1,9 @@
+import itertools
 import json
 import math
 import random
 import sys
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,10 +21,14 @@ from wreathact import (
     same_group,
     symmetric_gens,
 )
+import wreathact.perm as perm_module
 from wreathact.perm import (
     StabilizerChain,
+    _IDENTITY_BOUND,
     _compose,
+    _cycle_lengths,
     _invert,
+    _is_odd,
     orbit_with_witnesses,
     schreier_generators,
 )
@@ -369,6 +375,121 @@ class TestRawKernels:
         assert type(got) is tuple
         assert got == tuple(map(b.__getitem__, indices))
 
+    def test_parity_is_the_cycle_count_parity(self):
+        def reference(images):
+            return (len(images) - len(_cycle_lengths(images))) % 2 == 1
+
+        for degree in range(1, 8):
+            for images in itertools.permutations(range(degree)):
+                assert _is_odd(images) is reference(images)
+        rng = random.Random(35)
+        for degree in [*range(8, 40), 255, 256, 257, 300]:
+            for _ in range(5):
+                images = random_permutation(rng, degree).images
+                assert _is_odd(images) is reference(images)
+
+
+def _reference_check(images) -> str | tuple:
+    """The reference for the constructor's check, with a fresh ``range`` per
+    call: the message ``Permutation`` must raise, or the images it keeps."""
+    imgs = tuple(images)
+    if not imgs:
+        return "degree must be at least 1"
+    for i in imgs:
+        if not isinstance(i, int):
+            return f"image {i!r} is not an integer: {list(imgs)}"
+    if sorted(imgs) != list(range(len(imgs))):
+        return f"not a permutation of 0..{len(imgs) - 1}: {list(imgs)}"
+    return imgs
+
+
+def _built(images) -> str | tuple:
+    try:
+        return Permutation(images).images
+    except InvalidPermutationError as error:
+        return str(error)
+
+
+def _constructor_cases(rng: random.Random, degree: int) -> list[list]:
+    """A valid image list of ``degree`` and its spoiled copies: a float, a
+    string, None, a negative, a duplicate and an out-of-range entry, and
+    with bools for 0 and 1."""
+    valid = random_permutation(rng, degree).images
+    cases = [list(valid)]
+    k = rng.randrange(degree)
+    for bad in (1.0, float(valid[k]), "a", None, -1, valid[k - 1], degree, degree + 7):
+        spoiled = list(valid)
+        spoiled[k] = bad
+        cases.append(spoiled)
+    cases.append([bool(x) if x < 2 else x for x in valid])
+    return cases
+
+
+class TestKeptIdentities:
+    DEGREES = [1, 2, 3, 12, _IDENTITY_BOUND - 1, _IDENTITY_BOUND, _IDENTITY_BOUND + 1, 300]
+
+    @pytest.mark.parametrize("degree", DEGREES)
+    def test_constructor_accepts_and_rejects_as_before(self, degree):
+        rng = random.Random(degree)
+        for images in _constructor_cases(rng, degree):
+            assert _built(images) == _reference_check(images)
+            assert _built(iter(images)) == _reference_check(images)
+        for images in ([], (), [True], [False], [True, False], [1.0], ["a"], [None], [-1], [1]):
+            assert _built(images) == _reference_check(images)
+
+    def test_identity_and_is_identity(self):
+        for degree in self.DEGREES:
+            one = Permutation.identity(degree)
+            assert one.images == tuple(range(degree)) and type(one.images) is tuple
+            assert one.is_identity() and Permutation(range(degree)).is_identity()
+            if degree > 1:
+                assert not Permutation([1, 0] + list(range(2, degree))).is_identity()
+        for degree in (0, -1):
+            with pytest.raises(InvalidPermutationError, match="degree must be at least 1"):
+                Permutation.identity(degree)
+        # a float degree is refused as range refuses it, kept degree or not
+        for degree in (2.0, 300.0):
+            with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+                Permutation.identity(degree)
+
+    def test_only_degrees_below_the_bound_are_kept(self):
+        for degree in range(1, 1001):
+            perm = Permutation(range(degree))
+            assert perm.is_identity() and perm == Permutation.identity(degree)
+        kept = perm_module._IDENTITIES
+        assert set(kept) == set(range(1, _IDENTITY_BOUND))
+        for degree, (images, as_list) in kept.items():
+            assert images == tuple(range(degree)) and as_list == list(range(degree))
+
+    def test_threads_filling_the_keep_get_the_single_threaded_answers(self, monkeypatch):
+        def answers(seed: int) -> list:
+            rng = random.Random(seed)
+            out = []
+            for _ in range(60):
+                degree = rng.randint(1, 2 * _IDENTITY_BOUND)
+                out += [_built(images) for images in _constructor_cases(rng, degree)]
+                out.append(Permutation.identity(degree).is_identity())
+            return out
+
+        seeds = range(8)
+        monkeypatch.setattr(perm_module, "_IDENTITIES", {})
+        expected = [answers(seed) for seed in seeds]
+        monkeypatch.setattr(perm_module, "_IDENTITIES", {})
+        got: dict[int, list] = {}
+        threads = [threading.Thread(target=lambda s=seed: got.update({s: answers(s)})) for seed in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [got[seed] for seed in seeds] == expected
+        assert max(perm_module._IDENTITIES) < _IDENTITY_BOUND
+
 
 @pytest.mark.parametrize("name", list(pinned_chain_cases()))
 def test_chain_levels_match_the_recorded_chains(name):
@@ -495,6 +616,31 @@ def test_chain_at_degree_30(alternating):
         assert g.contains(word) and chain.contains(word)
     odd = Permutation([1, 0] + list(range(2, n)))
     assert g.contains(odd) is chain.contains(odd) is not alternating
+
+
+def test_giant_membership_agrees_with_sympy():
+    """Alt(n) and Sym(n), n = 8..30, answer membership from the giant
+    certificate with no chain: one parity pass per query, checked against
+    sympy on seeded random permutations and words in the generators."""
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    SympyPerm, SympyGroup = combinatorics.Permutation, combinatorics.PermutationGroup
+    rng = random.Random(20261020)
+    for n in range(8, 31):
+        for gens, index in ((symmetric_gens(n), 1), (_alternating_gens(n), 2)):
+            g = GenGroup(n, gens)
+            reference = SympyGroup([SympyPerm(list(x.images)) for x in gens])
+            queries = [random_permutation(rng, n) for _ in range(8)]
+            for _ in range(4):
+                word = Permutation.identity(n)
+                for _ in range(n):
+                    word = word * rng.choice(gens)
+                queries.append(word)
+            for w in queries:
+                assert g.contains(w) == reference.contains(SympyPerm(list(w.images)))
+            assert g._giant == index and g._chain is None
+            for degree in (n - 1, n + 1):
+                with pytest.raises(DegreeMismatchError, match=f"element degree {degree} != group degree {n}"):
+                    g.contains(Permutation.identity(degree))
 
 
 def _disjoint_transpositions(count: int) -> list[Permutation]:
