@@ -16,8 +16,18 @@ of either format), every body line is read again one at a time, up to
 the first bad one, so a spaced generator parses and an error names its
 line.
 
+The command line is read against one table, ``COMMANDS``, without
+``argparse``: options are spelled ``--name value`` or ``--name=value``,
+exactly (no abbreviations), the last one given wins, and every token after
+a bare ``--`` is a positional. ``-h`` or ``--help`` anywhere prints the
+usage of every subcommand and exits 0. A usage error (an unknown
+subcommand or option, a missing or extra positional, a missing required
+option, a value missing, ``--`` or not an integer where one is expected)
+prints ``error: <message>`` naming the token and exits 2.
+
 Exit status: 0 on success, 1 when a hypothesis of the requested
-construction fails (reported, expected), 2 on parse or internal errors.
+construction fails (reported, expected), 2 on usage, parse or internal
+errors.
 The enumeration cap (``--cap`` on ``verify`` only, default from the
 environment variable ``WREATHACT_CAP``) bounds its brute-force work, the
 stabilizer count over the full wreath product, which is refused before any
@@ -32,13 +42,12 @@ standard error.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import math
 import operator
 import os
 import random
 import sys
+import types
 from typing import Sequence
 
 from .errors import EnumerationOverflow, HypothesisViolation, ParseError
@@ -345,75 +354,78 @@ def cmd_verify(args, out) -> int:
     return 0 if ok else 2
 
 
-# ----- argument parsing -----
+# ----- reading the command line -----
+
+# subcommand: (help, positionals, {option: (converter, default, help)}); ``...``: required
+FIX = {"fix": (str, None, "point of Pi the conjugating element must fix")}
+COMMANDS = {
+    "components": ("coordinate components and orbits", ("group",), {}),
+    "normalize": ("conjugate so components are constant per orbit", ("group",), FIX),
+    "embed": ("certified embedding into G wr H", ("group",),
+              {"delta1": (int, 0, "coordinate whose component is G"), **FIX}),
+    "split": ("split along an invariant coordinate subset", ("group",),
+              {"delta0": (str, ..., "comma list of coordinates")}),
+    "code-canon": ("pin two words of an equivalent code", ("code", "group"),
+                   {"gamma": (int, ..., "letter of the constant word"),
+                    "nu": (int, ..., "letter of the first d entries")}),
+    "verify": ("oracle suite at a given context size", (), {
+        "q": (int, ..., "alphabet size"), "m": (int, ..., "number of coordinates"),
+        "pairs": (int, 200, "random pairs for the action axiom"),
+        "samples": (int, 500, "random subgroups for the scan"), "seed": (int, 0, "random seed"),
+        "cap": (int, None, f"enumeration cap (default from {ENV_CAP} or {DEFAULT_CAP})")}),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """A new parser; each subcommand names its handler, looked up at call time."""
-    parser = argparse.ArgumentParser(
-        prog="wreathact",
-        description="Exact computations with subgroups of wreath products in product action.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("components", help="coordinate components and orbits")
-    p.add_argument("group", help="group file")
-    p.set_defaults(handler="cmd_components")
-
-    p = sub.add_parser("normalize", help="conjugate so components are constant per orbit")
-    p.add_argument("group", help="group file")
-    p.add_argument("--fix", help="point of Pi the conjugating element must fix")
-    p.set_defaults(handler="cmd_normalize")
-
-    p = sub.add_parser("embed", help="certified embedding into G wr H")
-    p.add_argument("group", help="group file")
-    p.add_argument("--delta1", type=int, default=0, help="coordinate whose component is G")
-    p.add_argument("--fix", help="point of Pi the conjugating element must fix")
-    p.set_defaults(handler="cmd_embed")
-
-    p = sub.add_parser("split", help="split along an invariant coordinate subset")
-    p.add_argument("group", help="group file")
-    p.add_argument("--delta0", required=True, help="comma list of coordinates")
-    p.set_defaults(handler="cmd_split")
-
-    p = sub.add_parser("code-canon", help="pin two words of an equivalent code")
-    p.add_argument("code", help="code file")
-    p.add_argument("group", help="group file of code automorphisms")
-    p.add_argument("--gamma", type=int, required=True, help="letter of the constant word")
-    p.add_argument("--nu", type=int, required=True, help="letter of the first d entries")
-    p.set_defaults(handler="cmd_code_canon")
-
-    p = sub.add_parser("verify", help="oracle suite at a given context size")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--pairs", type=int, default=200, help="random pairs for the action axiom")
-    p.add_argument("--samples", type=int, default=500, help="random subgroups for the scan")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--cap",
-        type=int,
-        default=None,
-        help="enumeration cap for brute-force checks (default from "
-        f"{ENV_CAP} or {DEFAULT_CAP})",
-    )
-    p.set_defaults(handler="cmd_verify")
-
-    return parser
+def print_usage(args, out) -> int:
+    out.write("usage: wreathact COMMAND ARGUMENT... [--OPTION VALUE]...\n")
+    for command, (about, positionals, options) in COMMANDS.items():
+        out.write(f"\n{' '.join([command, *map(str.upper, positionals)])}: {about}\n")
+        for name, (_, default, about) in options.items():
+            note = {...: " (required)", None: ""}.get(default, f" (default {default})")
+            out.write(f"  {f'--{name} {name.upper()}':17}  {about}{note}\n")
+    return 0
 
 
-# built on the first ``main`` call, not at import, and reused for the rest of
-# the process (a one-shot ``python -m wreathact`` builds it once either way)
-_parser = functools.cache(build_parser)
+def read_argv(argv: Sequence[str]) -> types.SimpleNamespace:
+    """The arguments of one subcommand, read from ``argv`` against ``COMMANDS``."""
+    if "-h" in argv or "--help" in argv:
+        return types.SimpleNamespace(handler="print_usage")
+    command, *tokens = argv or [""]
+    if command not in COMMANDS:
+        raise ParseError(f"expected a subcommand ({', '.join(COMMANDS)}), got {command!r}")
+    _, positionals, options = COMMANDS[command]
+    values = {name: default for name, (_, default, _) in options.items()}
+    given, tokens = [], iter(tokens)
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if token == "--":
+            given.extend(tokens)
+        elif not token.startswith("-"):
+            given.append(token)
+        elif flag[2:] not in options or flag[:2] != "--":
+            raise ParseError(f"{command}: unknown option {flag}")
+        else:
+            value = value if eq else next(tokens, None)
+            if value in (None, "--"):
+                raise ParseError(f"{flag} needs a value")
+            try:
+                values[flag[2:]] = options[flag[2:]][0](value)
+            except ValueError:
+                raise ParseError(f"{flag} expects an integer, got {value!r}") from None
+    if len(given) > len(positionals):
+        raise ParseError(f"{command}: unexpected argument {given[len(positionals)]!r}")
+    missing = [*map(str.upper, positionals[len(given):]),
+               *(f"--{name}" for name, value in values.items() if value is ...)]
+    if missing:
+        raise ParseError(f"{command}: missing {' '.join(missing)}")
+    handler = "cmd_" + command.replace("-", "_")
+    return types.SimpleNamespace(handler=handler, **dict(zip(positionals, given)), **values)
 
 
 def main(argv: Sequence[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    args = _parser().parse_args(argv)
     try:
-        # argparse before 3.13 reads --name=-- as an empty list, not as "--"
-        for name, value in vars(args).items():
-            if isinstance(value, list):
-                raise ParseError(f"--{name} needs a value")
+        args = read_argv(sys.argv[1:] if argv is None else argv)
         return globals()[args.handler](args, out)
     except HypothesisViolation as exc:
         out.write(f"error: {exc}\n")

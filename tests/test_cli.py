@@ -2,6 +2,7 @@ import io
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -34,6 +35,17 @@ def run(*argv: str) -> tuple[int, str]:
     out = io.StringIO()
     status = main(list(argv), out=out)
     return status, out.getvalue()
+
+
+def golden(name: str) -> str:
+    with open(os.path.join(GOLDEN, name), encoding="ascii") as handle:
+        return handle.read()
+
+
+GOLDEN_ARGV = {
+    name: [fixture(arg) if arg.endswith((".group", ".code")) else arg for arg in argv]
+    for name, argv in GOLDEN_COMMANDS.items()
+}
 
 
 class TestComponentsCommand:
@@ -137,12 +149,10 @@ class TestSplitCommand:
         assert status == 2
         assert "not invariant" in text
 
-    def test_cap_is_not_an_option(self, capsys):
+    def test_cap_is_not_an_option(self):
         # split certifies from generator data, so it takes no cap
-        with pytest.raises(SystemExit) as exit_info:
-            run("split", fixture("two_orbit_q2m3.group"), "--delta0", "0,1", "--cap", "8")
-        assert exit_info.value.code == 2
-        assert "unrecognized arguments: --cap 8" in capsys.readouterr().err
+        status, text = run("split", fixture("two_orbit_q2m3.group"), "--delta0", "0,1", "--cap", "8")
+        assert (status, text) == (2, "error: split: unknown option --cap\n")
 
 
 class TestCodeCanonCommand:
@@ -308,9 +318,7 @@ class TestCachedParser:
         mixed = names[:]
         random.Random(3).shuffle(mixed)
         for name in names + names + mixed + names[::-1]:
-            argv = [fixture(arg) if arg.endswith((".group", ".code")) else arg
-                    for arg in GOLDEN_COMMANDS[name]]
-            status, text = run(*argv)
+            status, text = run(*GOLDEN_ARGV[name])
             with open(os.path.join(GOLDEN, name), "rb") as handle:
                 assert (status, text.encode("ascii")) == (0, handle.read()), name
 
@@ -335,32 +343,121 @@ class TestCachedParser:
         monkeypatch.setattr(cli, "cmd_components", stub)
         assert run("components", fixture("diag_swap_q2m2.group")) == (0, "stub diag_swap_q2m2.group\n")
 
-    def test_import_builds_no_parser_and_main_builds_one(self):
+    def test_import_and_main_load_no_argparse_or_gettext(self):
+        # one call per subcommand, usage errors and the usage block included
+        first = {argv[0]: argv for argv in reversed(GOLDEN_ARGV.values())}
+        calls = [*first.values(), ["-h"], ["split"], ["bogus"]]
         script = (
-            "import argparse, io\n"
-            "built = []\n"
-            "init = argparse.ArgumentParser.__init__\n"
-            "def counted(self, *args, **kwargs):\n"
-            "    built.append(1)\n"
-            "    init(self, *args, **kwargs)\n"
-            "argparse.ArgumentParser.__init__ = counted\n"
+            "import io, sys\n"
             "import wreathact.cli\n"
-            "counts = [len(built)]\n"
-            "for _ in range(2):\n"
-            "    wreathact.cli.main(['verify', '--q', '2', '--m', '2', '--pairs', '1',"
-            " '--samples', '0'], out=io.StringIO())\n"
-            "    counts.append(len(built))\n"
-            "print(*counts)\n"
+            f"for argv in {calls!r}:\n"
+            "    wreathact.cli.main(argv, out=io.StringIO())\n"
+            "print(*sorted({'argparse', 'gettext'} & set(sys.modules)))\n"
         )
         src = os.path.dirname(os.path.dirname(wreathact.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+            [sys.executable, "-I", "-c", f"import sys; sys.path.insert(0, {src!r})\n{script}"],
+            capture_output=True, text=True, check=True,
         )
-        at_import, first, second = map(int, proc.stdout.split())
-        assert at_import == 0
-        assert first > 0
-        assert second == first
+        assert proc.stdout == "\n"
+
+
+GROUP = fixture("diag_swap_q2m2.group")
+
+# One row per subcommand: a golden report, its positionals, a value for
+# every option of the subcommand (the golden's or the default), and usage
+# errors, each with a token its message must name.
+READER_ROWS = {
+    "components": ("components.txt", [GROUP], {}, [
+        (["components"], "GROUP"),
+        (["components", GROUP, "extra"], "'extra'"),
+        (["components", GROUP, "--fix", "0,0"], "--fix"),
+    ]),
+    "normalize": ("normalize_fix.txt", [fixture("scattered_q4m2.group")], {"fix": "0,0"}, [
+        (["normalize", "--fix", "0,0"], "GROUP"),
+        (["normalize", GROUP, GROUP], repr(GROUP)),
+        (["normalize", GROUP, "--cap", "8"], "--cap"),
+        (["normalize", GROUP, "--fix"], "--fix"),
+    ]),
+    "embed": ("embed_fix.txt", [fixture("repetition_q12_m4_aut.group")],
+              {"delta1": "0", "fix": "3,7,1,10"}, [
+        (["embed"], "GROUP"),
+        (["embed", GROUP, "extra"], "'extra'"),
+        (["embed", GROUP, "--delta", "0"], "--delta"),  # no abbreviations
+        (["embed", GROUP, "--delta1", "x"], "--delta1"),
+        (["embed", GROUP, "--fix"], "--fix"),
+    ]),
+    "split": ("split.txt", [fixture("two_orbit_q2m3.group")], {"delta0": "0,1"}, [
+        (["split", "--delta0", "0,1"], "GROUP"),
+        (["split", GROUP, "extra", "--delta0", "0,1"], "'extra'"),
+        (["split", GROUP, "--delta0", "0,1", "--cap", "8"], "--cap"),
+        (["split", GROUP], "--delta0"),
+        (["split", GROUP, "--delta0"], "--delta0"),
+    ]),
+    "code-canon": ("code_canon.txt", [fixture("even_weight.code"), fixture("even_weight_aut.group")],
+                   {"gamma": "0", "nu": "1"}, [
+        (["code-canon", fixture("even_weight.code"), "--gamma", "0", "--nu", "1"], "GROUP"),
+        (["code-canon", GROUP, GROUP, GROUP, "--gamma", "0", "--nu", "1"], repr(GROUP)),
+        (["code-canon", GROUP, GROUP, "--gam", "0", "--nu", "1"], "--gam"),
+        (["code-canon", GROUP, GROUP, "--gamma", "0"], "--nu"),
+        (["code-canon", GROUP, GROUP, "--gamma", "x", "--nu", "1"], "--gamma"),
+        (["code-canon", GROUP, GROUP, "--gamma", "0", "--nu"], "--nu"),
+    ]),
+    "verify": ("verify.txt", [],
+               {"q": "3", "m": "2", "pairs": "60", "samples": "120", "seed": "0", "cap": "1000000"}, [
+        (["verify", "--q", "2", "--m", "2", "extra"], "'extra'"),
+        (["verify", "--q", "2", "--m", "2", "--fix", "0,0"], "--fix"),
+        (["verify", "--q", "2"], "--m"),
+        (["verify", "--q", "x", "--m", "2"], "--q"),
+        (["verify", "--q", "2", "--m", "2", "--cap"], "--cap"),
+    ]),
+}
+
+
+class TestReadingTheCommandLine:
+    def test_rows_cover_every_subcommand_and_option(self):
+        assert list(READER_ROWS) == list(cli.COMMANDS)
+        for command, (_, positionals, options) in cli.COMMANDS.items():
+            assert len(READER_ROWS[command][1]) == len(positionals)
+            assert list(READER_ROWS[command][2]) == list(options)
+
+    @pytest.mark.parametrize("command", READER_ROWS)
+    def test_every_spelling_gives_the_golden(self, command):
+        name, positionals, options, _ = READER_ROWS[command]
+        spaced = [token for option, value in options.items() for token in (f"--{option}", value)]
+        joined = [f"--{option}={value}" for option, value in options.items()]
+        # options first, each given twice (the last wins), positionals after --
+        repeated = [token for option, value in options.items()
+                    for token in (f"--{option}=9", f"--{option}", value)]
+        for argv in (
+            [command, *positionals, *spaced],
+            [command, *positionals, *joined],
+            [command, *repeated, "--", *positionals],
+        ):
+            assert run(*argv) == (0, golden(name)), argv
+
+    def test_tokens_after_a_bare_double_dash_are_positionals(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        shutil.copyfile(GROUP, tmp_path / "--fix")
+        assert run("components", "--", "--fix") == (0, golden("components.txt"))
+        assert run("components", "--fix")[0] == 2
+
+    @pytest.mark.parametrize("argv, token", [
+        error for row in READER_ROWS.values() for error in row[3]
+    ] + [(["bogus"], "'bogus'"), ([], "subcommand")])
+    def test_usage_errors_exit_two_naming_the_token(self, argv, token):
+        status, text = run(*argv)
+        assert status == 2
+        assert text.startswith("error: ") and text.count("\n") == 1, text
+        assert token in text
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["split", "-h"], ["verify", "--q", "2", "--help"]])
+    def test_help_lists_every_subcommand(self, argv):
+        status, text = run(*argv)
+        assert status == 0
+        assert text.startswith("usage: wreathact")
+        for command in ("components", "normalize", "embed", "split", "code-canon", "verify"):
+            assert f"\n{command}" in text
 
 
 class TestInternalErrors:
@@ -755,13 +852,19 @@ def test_fix_text_exit_codes_on_normalize_and_embed(fix, group):
     (["verify", "--q", "2", "--m", "2", "--cap=--"], "cap"),
 ])
 def test_double_dash_as_an_option_value_is_an_input_error(argv, option):
-    # argparse before 3.13 reads --name=-- as an empty list; from 3.13 an
-    # option's own type check or the handler rejects the text "--"
-    try:
-        status, report = run(*argv)
-    except SystemExit as exc:  # an int option's usage error, from 3.13
-        status, report = exc.code, ""
-    assert status == 2
+    assert run(*argv) == (2, f"error: --{option} needs a value\n")
+
+
+# command lines from subcommand names, option names, values, -- and =
+ARGV_WORD = st.sampled_from([
+    *READER_ROWS, "bogus", "-h", "--", "-", "0", "1", "2", "-1", "x", "0,1", "0,0", GROUP,
+    *{f"--{option}" for _, _, options in cli.COMMANDS.values() for option in options},
+])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=st.lists(st.one_of(ARGV_WORD, st.tuples(ARGV_WORD, ARGV_WORD).map("=".join)), max_size=7))
+def test_arbitrary_command_lines_exit_cleanly(argv):
+    status, report = run(*argv)
+    assert status in (0, 1, 2)
     assert "internal error:" not in report
-    if sys.version_info < (3, 13):
-        assert report == f"error: --{option} needs a value\n"

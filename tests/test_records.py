@@ -170,9 +170,10 @@ def test_importing_the_package_and_cli_loads_no_dataclasses_chain():
 
 
 def test_importing_the_package_alone_loads_no_argparse():
-    loaded = loaded_after("import wreathact")
-    assert "wreathact" in loaded
-    assert "argparse" not in loaded
+    for statement in ("import wreathact", "import wreathact.cli"):
+        loaded = loaded_after(statement)
+        assert "wreathact" in loaded
+        assert loaded & {"argparse", "gettext"} == set(), statement
 
 
 # records every typing.ForwardRef built after it runs, by its string
