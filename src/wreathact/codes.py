@@ -42,10 +42,11 @@ def hamming_distance(a: Point, b: Point) -> int:
 class Code:
     """A nonempty set of words of length m over {0..q-1}.
 
-    ``columns`` is the word set transposed on first read: ``columns[d]``
-    holds entry d of every word, in the iteration order of ``words``. Every
-    word is validated with ``check_point``. Words already known to be valid
-    (a checked code file, the images of a code) skip the check through
+    ``columns`` holds every word once, transposed: ``columns[d]`` holds
+    entry d of every word, in one fixed order; built on first read, or
+    kept from the images that made the code (``transform``). Every word is
+    validated with ``check_point``. Words already known to be valid (a
+    checked code file, the images of a code) skip the check through
     ``_code_from_words``.
     """
 
@@ -150,11 +151,15 @@ class Code:
 
     def transform(self, x: WreathElement) -> "Code":
         """The equivalent code: the images of all words under ``x``, computed
-        from ``columns``. Images of valid words under an element of the
-        same context are valid words, so they are not checked again."""
+        from ``columns`` and kept as its ``columns`` (x is a bijection of
+        Pi). Images of valid words under an element of the same context
+        are valid words, so they are not checked again."""
         if x.ctx != self.ctx:
             raise DegreeMismatchError("element lives in a different context")
-        return _code_from_words(self.ctx, zip(*x.apply_columns(self.columns)))
+        columns = tuple(x.apply_columns(self.columns))
+        code = _code_from_words(self.ctx, zip(*columns))
+        code._columns = columns
+        return code
 
 
 def _collides(columns: tuple[Point, ...], deleted: tuple[int, ...], n: int) -> bool:
@@ -219,21 +224,25 @@ def format_words(code: Code) -> Iterator[str]:
     """The words of ``code`` as bare comma lists (``format_point``), in
     numeric sort order.
 
-    The sorted words are transposed once, and every column gathers its
-    strings in one call from the kept table of ``str(0..q-1)``
-    (``_strings``); past that table's cap each word is written with
-    ``format_point``.
+    Every column gathers its strings in one call from the kept table of
+    ``str(0..q-1)`` (``_strings``). For q <= 10 the code's ``columns`` are
+    joined and the lines sorted: one-digit entries make string order
+    numeric order. For larger q ("10,0" < "9,0") the sorted words are
+    transposed; past the table's cap each is written with ``format_point``.
     """
     strings = _strings(code.ctx.gamma_size)
     if strings is None:
         return map(format_point, code.sorted_words())
+    if code.ctx.gamma_size <= 10:
+        lines = map(",".join, zip(*(_compose(column, strings) for column in code.columns)))
+        return iter(sorted(lines))
     columns = zip(*code.sorted_words())
     return map(",".join, zip(*(_compose(column, strings) for column in columns)))
 
 
 def format_code(code: Code) -> str:
     """The code file of ``code``: the header ``q m``, then its words in
-    numeric sort order, one per line."""
+    numeric sort order, one per line (``format_words``)."""
     header = f"{code.ctx.gamma_size} {code.ctx.delta_size}"
     return "\n".join([header, *format_words(code)]) + "\n"
 

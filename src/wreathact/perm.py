@@ -243,8 +243,9 @@ _STRINGS_CAP = 4096
 def _strings(n: int) -> tuple[str, ...] | None:
     """The kept table of ``str(0..k-1)``, k >= n, for writers that gather
     the strings of entries in 0..n-1 in one call (``_format_images``,
-    ``codes.format_words``), or ``None`` for n over the cap. Built on first
-    use, rebuilt at twice the size when a longer one is asked for."""
+    ``codes.format_words``, which sorts lines of one-digit strings), or
+    ``None`` for n over the cap. Built on first use, rebuilt at twice the
+    size when a longer one is asked for."""
     global _STRINGS
     if len(_STRINGS) < n <= _STRINGS_CAP:
         _STRINGS = tuple(map(str, range(min(max(n, 2 * len(_STRINGS)), _STRINGS_CAP))))

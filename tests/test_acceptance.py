@@ -335,6 +335,12 @@ GOLDEN_COMMANDS = {
         "code-canon", "parity_z3_m4.code", "parity_z3_m4_aut.group",
         "--gamma", "0", "--nu", "1",
     ],
+    # q = 10: the largest q whose transformed words are written by sorting
+    # their lines as strings; the code file's lines are not in order
+    "code_canon_q10.txt": [
+        "code-canon", "repetition_q10_m4.code", "repetition_q10_m4_aut.group",
+        "--gamma", "9", "--nu", "3",
+    ],
     # q = 12: two-digit entries, so numeric and string order of the
     # transformed words differ
     "code_canon_q12.txt": [

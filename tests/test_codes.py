@@ -851,23 +851,34 @@ class TestCodeValidation:
             self.CTX.check_point(w)
         assert Code(self.CTX, words).words == frozenset(map(tuple, words))
 
+    @staticmethod
+    def assert_every_word_once(code: Code) -> None:
+        """``columns`` lists every word exactly once, in some order, and a
+        re-read returns the same object."""
+        columns = code.columns
+        assert isinstance(columns, tuple) and len(columns) == 4
+        rows = list(zip(*columns))
+        assert len(rows) == len(code.words) and set(rows) == code.words
+        assert code.columns is columns
+
     @pytest.mark.parametrize("seed", range(5))
     def test_columns_are_the_transpose_of_the_words(self, seed):
         rng = random.Random(seed)
         words = {tuple(rng.randrange(3) for _ in range(4)) for _ in range(rng.randint(1, 30))}
         code = Code(self.CTX, words)
-        assert len(code.columns) == 4
-        assert list(zip(*code.columns)) == list(code.words)
-        transformed = code.transform(self.CTX.random_element(rng))
-        assert list(zip(*transformed.columns)) == list(transformed.words)
+        self.assert_every_word_once(code)
+        # the transformed code keeps the image columns it was made from
+        x = self.CTX.random_element(rng)
+        transformed = code.transform(x)
+        assert transformed.words == {x.apply(w) for w in words}
+        assert transformed.columns == tuple(x.apply_columns(code.columns))
+        self.assert_every_word_once(transformed)
         # parsed codes, from a file in sort order and from a shuffled one
         lines = [format_point(w) for w in sorted(words)]
         for order in (lines, rng.sample(lines, len(lines))):
             parsed = parse_code("3 4\n" + "\n".join(order) + "\n")
             assert parsed == code
-            assert len(parsed.columns) == 4
-            assert list(zip(*parsed.columns)) == list(parsed.words)
-            assert parsed.columns is parsed.columns
+            self.assert_every_word_once(parsed)
 
 
 class TestCodeFiles:
@@ -887,6 +898,31 @@ class TestCodeFiles:
         text = format_code(code)
         assert text == f"{q} {m}\n" + "".join(format_point(w) + "\n" for w in sorted(code.words))
         assert parse_code(text) == code
+
+    # q <= 10 sorts the lines joined from the columns, larger q the words:
+    # both must give numeric order, whatever order the columns hold
+    @pytest.mark.parametrize("q", range(1, 13))
+    def test_format_words_in_numeric_order(self, q):
+        rng = random.Random(q)
+        for m in range(1, 6):
+            ctx = WreathContext(q, m)
+            size = rng.randint(1, min(q**m, 40))
+            code = Code(ctx, [[rng.randrange(q) for _ in range(m)] for _ in range(size)])
+            lines = [format_point(w) for w in sorted(code.words)]
+            repeated = lines + rng.choices(lines, k=rng.randint(1, 5))
+            variants = {
+                "built": code,
+                "transformed": code.transform(ctx.random_element(rng)),
+            }
+            for name, order in (
+                ("sorted", lines),
+                ("shuffled", rng.sample(lines, len(lines))),
+                ("repeated", rng.sample(repeated, len(repeated))),
+            ):
+                variants[name] = parse_code(f"{q} {m}\n" + "\n".join(order) + "\n")
+            for name, variant in variants.items():
+                expected = [format_point(w) for w in sorted(variant.words)]
+                assert list(codes_module.format_words(variant)) == expected, (q, m, name)
 
     def test_format_past_the_string_table(self):
         # q over the kept str table of perm._strings: each word is written
@@ -947,7 +983,9 @@ class TestLineOrder:
     same ``code-canon`` report. A file in sort order is taken as sorted; any
     other is sorted once."""
 
-    GOLDEN_FILES = {"code_canon.txt", "code_canon_z3.txt", "code_canon_q12.txt"}
+    GOLDEN_FILES = {
+        "code_canon.txt", "code_canon_z3.txt", "code_canon_q10.txt", "code_canon_q12.txt",
+    }
 
     @staticmethod
     def report(code_path: str, group_path: str, gamma: str, nu: str) -> str:
@@ -958,8 +996,15 @@ class TestLineOrder:
     def check_orders(self, text, seed, tmp_path, monkeypatch, group_path, gamma, nu):
         reference = parse_code(text)
         sorts = []
-        monkeypatch.setattr(codes_module, "sorted", lambda ws: sorts.append(len(ws)) or sorted(ws),
-                            raising=False)
+
+        def counted(items):
+            items = list(items)
+            sorts.append((len(items), type(items[0])))
+            return sorted(items)
+
+        monkeypatch.setattr(codes_module, "sorted", counted, raising=False)
+        # one-digit letters: the output lines are sorted as strings
+        output = (len(reference), str if reference.ctx.gamma_size <= 10 else tuple)
         reports = set()
         for name, variant in line_orders(text, random.Random(seed)).items():
             code = parse_code(variant)
@@ -970,9 +1015,10 @@ class TestLineOrder:
             path.write_text(variant, encoding="ascii")
             sorts.clear()
             reports.add(self.report(str(path), group_path, gamma, nu))
-            # the transformed code is sorted once to be written; the input
-            # once, unless its file is in sort order
-            assert sorts == [len(code)] * (1 if name == "sorted" else 2), name
+            # the input words are sorted once, unless the file is in sort
+            # order; the transformed code once to be written: its lines for
+            # q <= 10, else its words
+            assert sorts == ([] if name == "sorted" else [(len(code), tuple)]) + [output], name
         assert len(reports) == 1
         return reports.pop()
 
@@ -997,6 +1043,22 @@ class TestLineOrder:
             format_code(code), seed, tmp_path, monkeypatch, str(group_path), "0", "1"
         )
         assert "transformed-min-distance: 2\n" in report
+
+    def test_two_digit_letters_written_in_numeric_order(self, tmp_path):
+        # q = 11: the pinned words (10,10,10) and (2,2,2) hold 10 and 2 at
+        # every coordinate, and as strings "10,10,10" sorts first
+        code, X = conjugated_repetition_code(random.Random(11), 11, 3)
+        code_path, group_path = tmp_path / "q11.code", tmp_path / "q11.group"
+        code_path.write_text(format_code(code), encoding="ascii")
+        group_path.write_text("11 3\n" + "".join(f"{g}\n" for g in X.generators), encoding="ascii")
+        report = self.report(str(code_path), str(group_path), "10", "2")
+        words = [
+            tuple(map(int, line.split(": ")[1].split(",")))
+            for line in report.splitlines()
+            if line.startswith("transformed-word ")
+        ]
+        assert words == sorted(canonicalize(code, X, 10, 2).code.words)
+        assert words.index((2, 2, 2)) < words.index((10, 10, 10))
 
     def test_sorted_words_returns_a_new_list(self):
         for code in (parse_code("2 2\n0,0\n1,1\n"), parse_code("2 2\n1,1\n0,0\n1,1\n")):
