@@ -57,6 +57,7 @@ from .wreath import (
     WreathElement,
     _entry_tuples,
     _from_parts,
+    _point_columns,
     format_point,
     parse_point,
     parse_with_header,
@@ -314,9 +315,10 @@ def cmd_verify(args, out) -> int:
     _emit(out, "seed", args.seed)
 
     # right-action axiom: applying a product equals applying the factors in
-    # turn, on all of Pi as columns; a failure is a point whose images differ
+    # turn, on all of Pi as columns (bytes for q <= 256, as a code's); a
+    # failure is a point whose images differ
     failures = 0
-    columns = list(zip(*ctx.all_points()))
+    columns = _point_columns(ctx.all_points(), ctx.gamma_size)
     for _ in range(args.pairs):
         a = ctx.random_element(rng)
         b = ctx.random_element(rng)

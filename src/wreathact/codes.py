@@ -17,7 +17,7 @@ import itertools
 import math
 import operator
 from collections import namedtuple
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DegreeMismatchError, HypothesisViolation, ParseError
 from .perm import GenGroup, Permutation, TWO_TRANSITIVE, _compose, _strings
@@ -30,7 +30,11 @@ from .normalize import (
     sift_embedding,
 )
 from .wreath import Point, WreathContext, WreathElement, parse_point, parse_with_header
-from .wreath import _entry_tuples, format_point
+from .wreath import _entry_tuples, _point_columns, format_point
+
+_DIGITS = b"0123456789"
+_FROM_DIGITS = bytes.maketrans(_DIGITS, bytes(range(10)))
+_TO_DIGITS = bytes.maketrans(bytes(range(10)), _DIGITS)
 
 
 def hamming_distance(a: Point, b: Point) -> int:
@@ -44,10 +48,10 @@ class Code:
 
     ``columns`` holds every word once, transposed: ``columns[d]`` holds
     entry d of every word, in one fixed order; built on first read, or
-    kept from the images that made the code (``transform``). Every word is
-    validated with ``check_point``. Words already known to be valid (a
-    checked code file, the images of a code) skip the check through
-    ``_code_from_words``.
+    kept from the file (``parse_code``) or the images (``transform``) that
+    made the code. Every word is validated with ``check_point``. Words
+    already known to be valid (a checked code file, the images of a code)
+    skip the check through ``_code_from_words``.
     """
 
     __slots__ = ("ctx", "words", "_columns", "_sorted", "_min_distance")
@@ -60,14 +64,15 @@ class Code:
             ctx.check_point(w)
         self.ctx = ctx
         self.words = ws
-        self._columns: tuple[Point, ...] | None = None
+        self._columns: tuple[Sequence[int], ...] | None = None
         self._sorted: list[Point] | None = None
         self._min_distance: int | None = None
 
     @property
-    def columns(self) -> tuple[Point, ...]:
+    def columns(self) -> tuple[Sequence[int], ...]:
+        """``bytes`` for q <= 256, tuples above (``_point_columns``)."""
         if self._columns is None:
-            self._columns = tuple(zip(*self.words))
+            self._columns = _point_columns(self.words, self.ctx.gamma_size)
         return self._columns
 
     def __len__(self) -> int:
@@ -162,8 +167,9 @@ class Code:
         return code
 
 
-def _collides(columns: tuple[Point, ...], deleted: tuple[int, ...], n: int) -> bool:
-    """Whether two of the n words agree once the coordinates ``deleted`` are removed."""
+def _collides(columns: tuple[Sequence[int], ...], deleted: tuple[int, ...], n: int) -> bool:
+    """Whether two of the n words agree once the coordinates ``deleted`` are
+    removed; ``bytes`` and tuple columns zip alike, into tuples of ints."""
     return len(set(zip(*[column for i, column in enumerate(columns) if i not in deleted]))) < n
 
 
@@ -200,42 +206,72 @@ def parse_code(text: str) -> Code:
     """Parse the code file format: header ``q m``, then one word per line.
 
     Words are bare comma lists; ``parse_with_header`` frames the file and
-    hands the word lines to ``_entry_tuples`` for one pass: every line must
-    hold m - 1 commas, and each distinct entry is converted with ``int``
-    once and range-checked, so the checks are those of ``parse_point``.
-    Only if that fails are the lines parsed one by one with
-    ``parse_point``, so the error names the first bad line. Either way
-    every word is checked once, and the code is built without a second
-    check. Words strictly increasing, as ``format_code`` writes them, are
-    distinct and sorted, so one linear pass spares such a file the sort.
+    hands the word lines to one pass, by position (``_digit_columns``) or
+    by ``_entry_tuples``: every line must hold m - 1 commas, and each
+    distinct entry is converted with ``int`` once and range-checked, so
+    the checks are those of ``parse_point``. Only if that fails are the
+    lines parsed one by one with ``parse_point``, so the error names the
+    first bad line. Either way every word is checked once, and the code is
+    built without a second check. Words strictly increasing, as
+    ``format_code`` writes them, are distinct and sorted, so one linear
+    pass spares such a file the sort and keeps its digit columns.
     """
-    ctx, words = parse_with_header(
-        text, parse_point, lambda body, ctx: _entry_tuples(body, ctx.delta_size, ctx.gamma_size)
-    )
+    kept = []
+
+    def read_body(lines: list[str], ctx: WreathContext) -> list[Point]:
+        q, m = ctx.gamma_size, ctx.delta_size
+        kept.append(_digit_columns(lines, m, q))
+        return _entry_tuples(lines, m, q) if kept[0] is None else list(zip(*kept[0]))
+
+    ctx, words = parse_with_header(text, parse_point, read_body)
     if not words:
         raise ParseError("code file contains no words")
     code = _code_from_words(ctx, words)
     if all(map(operator.lt, words, itertools.islice(words, 1, None))):
         code._sorted = words
+        code._columns = kept[0]
     return code
+
+
+def _digit_columns(lines: list[str], m: int, q: int) -> tuple[bytes, ...] | None:
+    """The columns of the word lines, read by position, or ``None``. For
+    q <= 10 the n lines ``format_code`` writes, joined by newlines, hold a
+    digit below q at every even index and a comma or, between lines, a
+    newline at every odd one: column d is every m-th digit from the d-th.
+    Any other spelling (spaces, ``01``, ``+1``, non-ASCII digits, q > 10)
+    is left to ``_entry_tuples``."""
+    body, n = "\n".join(lines), len(lines)
+    if q > 10 or len(body) != 2 * m * n - 1 or not body.isascii():
+        return None
+    text = body.encode()
+    if text[1::2] != ((b"," * (m - 1) + b"\n") * n)[:-1] or text[::2].translate(None, _DIGITS[:q]):
+        return None
+    digits = text[::2].translate(_FROM_DIGITS)
+    return tuple(digits[d::m] for d in range(m))
 
 
 def format_words(code: Code) -> Iterator[str]:
     """The words of ``code`` as bare comma lists (``format_point``), in
     numeric sort order.
 
-    Every column gathers its strings in one call from the kept table of
-    ``str(0..q-1)`` (``_strings``). For q <= 10 the code's ``columns`` are
-    joined and the lines sorted: one-digit entries make string order
-    numeric order. For larger q ("10,0" < "9,0") the sorted words are
-    transposed; past the table's cap each is written with ``format_point``.
+    For q <= 10 each ``bytes`` column is written as digits into a
+    ``bytearray`` of all lines by one slice assignment, and the lines are
+    sorted: one-digit entries make string order numeric order. For larger
+    q ("10,0" < "9,0") the sorted words are transposed and each column
+    gathers its strings in one call from the kept table of ``str(0..q-1)``
+    (``_strings``); past the table's cap each is written with ``format_point``.
     """
-    strings = _strings(code.ctx.gamma_size)
+    q, m = code.ctx.gamma_size, code.ctx.delta_size
+    if q <= 10:
+        width = 2 * m
+        text = bytearray(b",") * (len(code) * width)
+        text[width - 1 :: width] = b"\n" * len(code)
+        for d, column in enumerate(code.columns):
+            text[2 * d :: width] = column.translate(_TO_DIGITS)
+        return iter(sorted(text.decode().splitlines()))
+    strings = _strings(q)
     if strings is None:
         return map(format_point, code.sorted_words())
-    if code.ctx.gamma_size <= 10:
-        lines = map(",".join, zip(*(_compose(column, strings) for column in code.columns)))
-        return iter(sorted(lines))
     columns = zip(*code.sorted_words())
     return map(",".join, zip(*(_compose(column, strings) for column in columns)))
 

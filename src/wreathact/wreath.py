@@ -192,23 +192,29 @@ class WreathElement:
             raise
         return tuple(image)
 
-    def apply_columns(self, columns: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    def apply_columns(self, columns: Sequence[Sequence[int]]) -> list[Sequence[int]]:
         """Images of many points at once, given and returned as columns.
 
         ``columns[d]`` holds entry d of every point, in one fixed order;
         mapped by ``base[d]`` it becomes column ``top[d]`` of the images,
-        the rule of ``apply`` with one gather per coordinate. A column
-        whose base entry is the identity is not gathered: it is the given
-        column object itself. Point k of the result is the image of point k
-        of the input. Unlike ``apply``, it does not check the entries:
-        callers pass the columns of a validated code or of all of Pi, and a
-        check would cost a pass over every word.
+        the rule of ``apply`` with one gather per coordinate: a ``bytes``
+        column (q <= 256) in one ``bytes.translate`` and kept ``bytes``,
+        any other into a tuple. A column whose base entry is the identity
+        is the given column object itself. Point k of the result is the
+        image of point k of the input. Unlike ``apply``, it does not check
+        the entries: callers pass the columns of a validated code or of all
+        of Pi, and a check would cost a pass over every word.
         """
         if len(columns) != len(self.base):
             raise ValueError(f"got {len(columns)} columns, expected {len(self.base)}")
-        image: list[tuple[int, ...]] = [()] * len(columns)
+        image: list[Sequence[int]] = [()] * len(columns)
         for p, d, column in zip(self.base, self.top.images, columns):
-            image[d] = column if p.is_identity() else _compose(column, p.images)
+            if p.is_identity():
+                image[d] = column
+            elif type(column) is bytes:
+                image[d] = column.translate(bytes(p.images).ljust(256, b"\0"))
+            else:
+                image[d] = _compose(column, p.images)
         return image
 
     def is_identity(self) -> bool:
@@ -260,6 +266,11 @@ def _from_parts(base: tuple[Permutation, ...], top: Permutation) -> WreathElemen
     w.base = base
     w.top = top
     return w
+
+
+def _point_columns(points: Iterable[Point], q: int) -> tuple[Sequence[int], ...]:
+    """The columns of a nonempty run of points: ``bytes`` for q <= 256, tuples above."""
+    return tuple(map(bytes if q <= 256 else tuple, zip(*points)))
 
 
 def format_point(point: Point) -> str:

@@ -853,10 +853,13 @@ class TestCodeValidation:
 
     @staticmethod
     def assert_every_word_once(code: Code) -> None:
-        """``columns`` lists every word exactly once, in some order, and a
+        """``columns`` lists every word exactly once, in some order, as one
+        ``bytes`` per coordinate for q <= 256 and one tuple above, and a
         re-read returns the same object."""
         columns = code.columns
-        assert isinstance(columns, tuple) and len(columns) == 4
+        kind = bytes if code.ctx.gamma_size <= 256 else tuple
+        assert isinstance(columns, tuple) and len(columns) == code.ctx.delta_size
+        assert all(type(column) is kind for column in columns)
         rows = list(zip(*columns))
         assert len(rows) == len(code.words) and set(rows) == code.words
         assert code.columns is columns
@@ -879,6 +882,42 @@ class TestCodeValidation:
             parsed = parse_code("3 4\n" + "\n".join(order) + "\n")
             assert parsed == code
             self.assert_every_word_once(parsed)
+
+
+class TestByteColumns:
+    """Codes over q <= 256 letters keep ``bytes`` columns and larger ones
+    tuples; on both sides of that edge every pass over the columns agrees
+    with its per-word reference."""
+
+    @staticmethod
+    def codes(q: int, rng: random.Random) -> list[tuple[Code, WreathElement]]:
+        """A random code with a random element, and the repetition code
+        with an automorphism: the same letter swap at both coordinates and
+        the coordinate swap."""
+        ctx = WreathContext(q, 2)
+        words = {(rng.randrange(q), rng.randrange(q)) for _ in range(40)} | {(q - 1, q - 1), (0, q - 1)}
+        swap = random_permutation(rng, q)
+        repetition = Code(ctx, [(a, a) for a in range(q)])
+        return [
+            (Code(ctx, words), ctx.random_element(rng)),
+            (repetition, WreathElement((swap, swap), S)),
+        ]
+
+    @pytest.mark.parametrize("q", [256, 257])
+    def test_passes_agree_with_the_per_word_references(self, q):
+        rng = random.Random(q)
+        for code, x in self.codes(q, rng):
+            TestCodeValidation.assert_every_word_once(code)
+            images = {x.apply(w) for w in code.words}
+            transformed = code.transform(x)
+            assert transformed.words == images
+            TestCodeValidation.assert_every_word_once(transformed)
+            assert is_automorphism(x, code) is (images == code.words)
+            pairs = itertools.combinations(code.words, 2)
+            assert code.min_distance() == min(hamming_distance(a, b) for a, b in pairs)
+            expected = "".join(format_point(w) + "\n" for w in sorted(images))
+            assert format_code(transformed) == f"{q} 2\n" + expected
+        assert is_automorphism(x, code)
 
 
 class TestCodeFiles:
@@ -1156,6 +1195,108 @@ class TestParseParity:
         assert time.perf_counter() - start < 1.0
         assert code == self.assert_parity(text)
         assert (1000000006, 5, 7) in code and len(code) == 3
+
+
+class TestPositionalRead:
+    """One-digit code files in the layout ``format_code`` writes are read by
+    position (``_digit_columns``); every file reads as the comma-split read
+    (``_entry_tuples``) reads it, and any other spelling takes that read."""
+
+    @staticmethod
+    def record_reads(monkeypatch) -> list[bool]:
+        """Whether each positional read accepted its lines."""
+        reads = []
+        digit_columns = codes_module._digit_columns
+
+        def recorded(lines, m, q):
+            columns = digit_columns(lines, m, q)
+            reads.append(columns is not None)
+            return columns
+
+        monkeypatch.setattr(codes_module, "_digit_columns", recorded)
+        return reads
+
+    @staticmethod
+    def comma_split_read(text: str, monkeypatch) -> Code:
+        with monkeypatch.context() as patch:
+            patch.setattr(codes_module, "_digit_columns", lambda lines, m, q: None)
+            return parse_code(text)
+
+    @pytest.mark.parametrize("q", range(1, 11))
+    def test_same_code_as_the_comma_split_read(self, q, monkeypatch):
+        rng = random.Random(100 + q)
+        reads = self.record_reads(monkeypatch)
+        for m in range(1, 7):
+            size = rng.randint(1, min(q**m, 50))
+            words = {tuple(rng.randrange(q) for _ in range(m)) for _ in range(size)}
+            lines = [format_point(w) for w in sorted(words)]
+            repeated = lines + rng.choices(lines, k=rng.randint(1, 5))
+            for name, order in (
+                ("sorted", lines),
+                ("shuffled", rng.sample(lines, len(lines))),
+                ("repeated", rng.sample(repeated, len(repeated))),
+            ):
+                text = f"{q} {m}\n" + "\n".join(order) + "\n"
+                reads.clear()
+                code = parse_code(text)
+                assert reads == [True], (m, name)
+                expected = self.comma_split_read(text, monkeypatch)
+                assert code == expected and code.sorted_words() == expected.sorted_words()
+                # the file's columns are kept only when its lines are
+                # strictly increasing, each word once and in sort order
+                increasing = order == lines
+                assert (code._columns is not None) is increasing, (m, name)
+                if increasing:
+                    assert list(zip(*code.columns)) == sorted(words)
+                TestCodeValidation.assert_every_word_once(code)
+
+    # spellings off the one-digit layout take the comma-split read; CRLF
+    # endings, comments and blank lines are framed away before either read
+    OFF_LAYOUT = {
+        "spaced": ("3 2\n0, 1\n1,2\n2,0\n", False),
+        "leading-zero": ("3 2\n0,1\n01,2\n2,0\n", False),
+        "plus-sign": ("3 2\n0,+1\n1,2\n2,0\n", False),
+        "arabic-indic": ("3 2\n0,\u0661\n1,2\n2,0\n", False),
+        "two-digit-q": ("11 2\n0,1\n1,2\n2,0\n", False),
+        "crlf": ("3 2\r\n0,1\r\n1,2\r\n2,0\r\n", True),
+        "comments": ("# a code\n3 2\n# its words\n0,1\n  # indented\n1,2\n2,0\n", True),
+        "blank-lines": ("\n3 2\n\n0,1\n   \n1,2\n2,0\n\n", True),
+    }
+
+    @pytest.mark.parametrize("name", sorted(OFF_LAYOUT))
+    def test_off_layout_spellings_read_as_before(self, name, monkeypatch):
+        text, positional = self.OFF_LAYOUT[name]
+        reads = self.record_reads(monkeypatch)
+        code = parse_code(text)
+        assert reads == [positional]
+        expected = self.comma_split_read(text, monkeypatch)
+        assert code == expected == reference_parse_code(text)
+        assert code.words == {(0, 1), (1, 2), (2, 0)}
+        assert code.sorted_words() == expected.sorted_words()
+        TestCodeValidation.assert_every_word_once(code)
+
+    # the report of code-canon, exit code and text, on the parity code over
+    # Z_3 with one word line replaced; recorded from the comma-split reader
+    # before the positional read was added
+    MALFORMED = {
+        "digit-at-q": (5, "0,3,1,2", "error: line 9: point entry 3 out of range 0..2\n"),
+        "short-line": (7, "0,1,2", "error: line 11: point has length 3, expected 4\n"),
+        "empty-entry": (3, "0,,1,2", "error: line 7: non-integer entry in point '0,,1,2'\n"),
+        "underscore": (9, "1_0,1,2,0", "error: line 13: point entry 10 out of range 0..2\n"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_files_give_the_recorded_error(self, name, tmp_path):
+        k, line, report = self.MALFORMED[name]
+        with open(os.path.join(DATA, "parity_z3_m4.code"), encoding="ascii") as handle:
+            lines = handle.read().splitlines()
+        lines[lines.index("3 4") + 1 + k] = line
+        path = tmp_path / f"{name}.code"
+        path.write_text("\n".join(lines) + "\n", encoding="ascii")
+        out = io.StringIO()
+        group = os.path.join(DATA, "parity_z3_m4_aut.group")
+        assert main(["code-canon", str(path), group, "--gamma", "0", "--nu", "1"], out=out) == 2
+        assert out.getvalue() == report
 
 
 def _replace(rng: random.Random, word: list[str], entry: str) -> list[str]:

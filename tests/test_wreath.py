@@ -226,6 +226,48 @@ class TestApplyColumns:
             w.apply(phi) for phi in points
         ]
 
+    @staticmethod
+    def assert_bytes_path_matches(w: WreathElement, points: list) -> None:
+        """``bytes`` columns map to ``bytes`` columns that hold the images
+        the tuple columns of the same points map to; a column whose base
+        entry is the identity comes back as the given object (with no
+        points, every column is the one empty ``bytes``)."""
+        tuples = [tuple(phi[d] for phi in points) for d in range(len(w.base))]
+        columns = [bytes(column) for column in tuples]
+        images = w.apply_columns(columns)
+        assert all(type(column) is bytes for column in images)
+        assert [tuple(column) for column in images] == w.apply_columns(tuples)
+        for p, d, column in zip(w.base, w.top.images, columns):
+            assert (images[d] is column) is (p.is_identity() or not points)
+
+    def test_bytes_columns_equal_tuple_columns_on_all_of_pi(self):
+        rng = random.Random(17)
+        for q in range(1, 6):
+            for m in range(1, 6):
+                ctx = WreathContext(q, m)
+                points = list(ctx.all_points())
+                elements = self.elements_with_identity_entries(ctx, rng)
+                for w in elements + [ctx.random_element(rng) for _ in range(2)]:
+                    self.assert_bytes_path_matches(w, points)
+
+    @pytest.mark.parametrize("points", [[(1, 0, 2)], []], ids=["one-point", "zero-points"])
+    def test_bytes_columns_of_one_and_zero_points(self, points):
+        ctx = WreathContext(3, 3)
+        for w in self.elements_with_identity_entries(ctx, random.Random(18)):
+            self.assert_bytes_path_matches(w, points)
+
+    def test_bytes_columns_at_q_256(self):
+        # the largest q whose letters fit a byte: entry 255 maps through
+        # the last slot of the 256-byte table
+        rng = random.Random(19)
+        ctx = WreathContext(256, 3)
+        points = [tuple(rng.randrange(256) for _ in range(3)) for _ in range(40)]
+        points += [(255, 255, 255), (0, 255, 0)]
+        for w in self.elements_with_identity_entries(ctx, rng):
+            self.assert_bytes_path_matches(w, points)
+            images = w.apply_columns([bytes(column) for column in zip(*points)])
+            assert list(zip(*images)) == [w.apply(phi) for phi in points]
+
     def test_column_count_checked(self):
         w = WreathElement((S, ID2), S)
         assert w.apply_columns([(0, 1), (1, 1)]) == [(1, 1), (1, 0)]
