@@ -51,7 +51,7 @@ import types
 from typing import Sequence
 
 from .errors import EnumerationOverflow, HypothesisViolation, ParseError
-from .perm import DEFAULT_CAP, _from_images
+from .perm import DEFAULT_CAP, _from_images, _strings
 from .wreath import (
     WreathContext,
     WreathElement,
@@ -287,8 +287,10 @@ def cmd_code_canon(args, out) -> int:
     _emit(out, "pinned-mixed", format_point(result.pinned_mixed))
     _emit(out, "transformed-size", len(result.code))
     _emit(out, "transformed-min-distance", result.code.min_distance())
-    words = format_words(result.code)
-    out.write("".join([f"transformed-word {i}: {word}\n" for i, word in enumerate(words)]))
+    # one join, the indices gathered from the kept string table
+    n = len(result.code)
+    words = zip(_strings(n) or map(str, range(n)), format_words(result.code))
+    out.write("transformed-word " + "\ntransformed-word ".join(map(": ".join, words)) + "\n")
     _emit(out, "G-generators", _fmt_perm_list(result.component_group.generators))
     _emit(out, "K-generators", _fmt_perm_list(result.induced_group.generators))
     _emit_certificate(out, result.certificate, result.certificate.passed)

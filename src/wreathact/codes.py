@@ -35,6 +35,10 @@ from .wreath import _entry_tuples, _point_columns, format_point
 _DIGITS = b"0123456789"
 _FROM_DIGITS = bytes.maketrans(_DIGITS, bytes(range(10)))
 _TO_DIGITS = bytes.maketrans(bytes(range(10)), _DIGITS)
+_ROW_END = 255  # the byte after each row (``_stored``): rows hold q <= 255 letters
+# an automorphism check cuts its images into rows from this many words on;
+# below, cutting costs more than looking tuples up (measured at m = 5 and 7)
+_ROWS_FROM = 64
 
 
 def hamming_distance(a: Point, b: Point) -> int:
@@ -46,15 +50,17 @@ def hamming_distance(a: Point, b: Point) -> int:
 class Code:
     """A nonempty set of words of length m over {0..q-1}.
 
-    ``columns`` holds every word once, transposed: ``columns[d]`` holds
-    entry d of every word, in one fixed order; built on first read, or
-    kept from the file (``parse_code``) or the images (``transform``) that
-    made the code. Every word is validated with ``check_point``. Words
+    For q <= 255 the set is kept as ``bytes`` rows (``_stored``), and the
+    tuple set ``words`` is built on first read; above, the tuples are the
+    set. ``columns`` holds every word once, transposed: ``columns[d]``
+    holds entry d of every word, in one fixed order; built on first read,
+    or kept from the file (``parse_code``) or the images (``transform``)
+    that made the code. Every word is validated with ``check_point``. Words
     already known to be valid (a checked code file, the images of a code)
-    skip the check through ``_code_from_words``.
+    skip the check through ``_code_from``.
     """
 
-    __slots__ = ("ctx", "words", "_columns", "_sorted", "_min_distance")
+    __slots__ = ("ctx", "_set", "_words", "_columns", "_sorted", "_min_distance")
 
     def __init__(self, ctx: WreathContext, words: Iterable[Point]):
         ws = frozenset(map(tuple, words))
@@ -63,43 +69,65 @@ class Code:
         for w in ws:
             ctx.check_point(w)
         self.ctx = ctx
-        self.words = ws
+        self._set = frozenset(map(bytes, ws)) if ctx.gamma_size <= _ROW_END else ws
+        self._words = ws
         self._columns: tuple[Sequence[int], ...] | None = None
-        self._sorted: list[Point] | None = None
+        self._sorted: list[Sequence[int]] | None = None
         self._min_distance: int | None = None
 
     @property
+    def words(self) -> frozenset[Point]:
+        """The set of word tuples; for q <= 255 zipped from ``columns`` on first read."""
+        if self._words is None:
+            self._words = frozenset(zip(*self.columns))
+        return self._words
+
+    @property
     def columns(self) -> tuple[Sequence[int], ...]:
-        """``bytes`` for q <= 256, tuples above (``_point_columns``)."""
+        """``bytes`` for q <= 256, tuples above (``_point_columns``): from
+        the tuples when held, else sliced from the rows joined once."""
         if self._columns is None:
-            self._columns = _point_columns(self.words, self.ctx.gamma_size)
+            if self._words is None:
+                joined, m = b"".join(self._set), self.ctx.delta_size
+                self._columns = tuple(joined[d::m] for d in range(m))
+            else:
+                self._columns = _point_columns(self._words, self.ctx.gamma_size)
         return self._columns
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self._set)
 
     def __contains__(self, word: Point) -> bool:
-        return tuple(word) in self.words
+        word = tuple(word)
+        try:
+            return bytes(word) in self._set if self._words is None else word in self._words
+        except (TypeError, ValueError):  # not letters below 256: the tuples decide
+            return word in self.words
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Code)
             and self.ctx == other.ctx
-            and self.words == other.words
+            and self._set == other._set
         )
 
     def __hash__(self) -> int:
-        return hash((self.ctx, self.words))
+        return hash((self.ctx, self._set))
 
     def __repr__(self) -> str:
-        return f"Code({self.ctx!r}, {len(self.words)} words)"
+        return f"Code({self.ctx!r}, {len(self)} words)"
 
     def sorted_words(self) -> list[Point]:
-        """The words in numeric sort order, as a new list; sorted at most
-        once per code, and a code file in that order never (``parse_code``)."""
+        """The words in numeric sort order, as a new list of tuples."""
+        return list(map(tuple, self._in_order()))
+
+    def _in_order(self) -> list[Sequence[int]]:
+        """The kept rows or tuples in numeric sort order (rows of one length
+        sort as their words do); sorted at most once per code, and a code
+        file in that order never (``parse_code``)."""
         if self._sorted is None:
-            self._sorted = sorted(self.words)
-        return self._sorted[:]
+            self._sorted = sorted(self._set)
+        return self._sorted
 
     def min_distance(self) -> int:
         """Exact minimum Hamming distance; undefined for singletons.
@@ -118,7 +146,7 @@ class Code:
         the transformed code's with the same distance, since its x is an
         isometry.
         """
-        if len(self.words) < 2:
+        if len(self) < 2:
             raise ValueError("minimum distance is undefined for a singleton code")
         if self._min_distance is None:
             self._min_distance = self._search_min_distance()
@@ -132,7 +160,7 @@ class Code:
         its image under any automorphism's top does."""
         q, m = self.ctx.gamma_size, self.ctx.delta_size
         columns = self.columns
-        n = len(self.words)
+        n = len(self)
         pairs = n * (n - 1) // 2
         others = [i for i in range(m) if i != through]
         for r in range(1, m):
@@ -141,7 +169,7 @@ class Code:
             deletions = math.comb(m, r) if through is None else math.comb(m - 1, r - 1)
             if n * deletions >= pairs:
                 d = m
-                for a, b in itertools.combinations(self.sorted_words(), 2):
+                for a, b in itertools.combinations(self._in_order(), 2):
                     d = min(d, hamming_distance(a, b))
                     if d == r:
                         return r
@@ -162,7 +190,7 @@ class Code:
         if x.ctx != self.ctx:
             raise DegreeMismatchError("element lives in a different context")
         columns = tuple(x.apply_columns(self.columns))
-        code = _code_from_words(self.ctx, zip(*columns))
+        code = _code_from(self.ctx, frozenset(_stored(columns, self.ctx.gamma_size)))
         code._columns = columns
         return code
 
@@ -173,9 +201,9 @@ def _collides(columns: tuple[Sequence[int], ...], deleted: tuple[int, ...], n: i
     return len(set(zip(*[column for i, column in enumerate(columns) if i not in deleted]))) < n
 
 
-def _code_from_words(ctx: WreathContext, words: Iterable[Point]) -> Code:
-    """A ``Code`` on a nonempty run of tuples of length m over ``range(q)``,
-    unchecked.
+def _code_from(ctx: WreathContext, stored: frozenset) -> Code:
+    """A ``Code`` on a nonempty set of words of length m over ``range(q)``
+    as it keeps them (``_stored``), unchecked.
 
     Only for words known to be valid: a code file that passed the checks of
     ``parse_code``, or the images of a code's words (``Code.transform``).
@@ -183,11 +211,23 @@ def _code_from_words(ctx: WreathContext, words: Iterable[Point]) -> Code:
     """
     code = object.__new__(Code)
     code.ctx = ctx
-    code.words = frozenset(words)
-    code._columns = None
-    code._sorted = None
-    code._min_distance = None
+    code._set = stored
+    code._words = None if ctx.gamma_size <= _ROW_END else stored
+    code._columns = code._sorted = code._min_distance = None
     return code
+
+
+def _stored(columns: Sequence[Sequence[int]], q: int) -> list[Sequence[int]]:
+    """The points of nonempty columns as a code keeps them, in column order:
+    for q <= 255 ``bytes`` rows, the columns interleaved into one
+    ``bytearray`` with 255 after each point and split there; tuples above."""
+    if q > _ROW_END:
+        return list(zip(*columns))
+    m = len(columns)
+    text = bytearray(b"\xff") * ((m + 1) * len(columns[0]) - 1)
+    for d, column in enumerate(columns):
+        text[d :: m + 1] = column
+    return bytes(text).split(b"\xff")
 
 
 def is_automorphism(w: WreathElement, code: Code) -> bool:
@@ -195,11 +235,15 @@ def is_automorphism(w: WreathElement, code: Code) -> bool:
 
     Every image, computed by ``w.apply_columns`` on the code's ``columns``,
     must be a codeword. The action is a bijection of Pi, so the |C| images
-    are distinct, and this is set equality.
+    are distinct, and this is set equality: on the rows from
+    ``_ROWS_FROM`` words on, on the tuples ``words`` below.
     """
     if w.ctx != code.ctx:
         raise DegreeMismatchError("element lives in a different context")
-    return code.words.issuperset(zip(*w.apply_columns(code.columns)))
+    images = w.apply_columns(code.columns)
+    if len(code) < _ROWS_FROM:
+        return code.words.issuperset(zip(*images))
+    return code._set.issuperset(_stored(images, code.ctx.gamma_size))
 
 
 def parse_code(text: str) -> Code:
@@ -212,23 +256,27 @@ def parse_code(text: str) -> Code:
     the checks are those of ``parse_point``. Only if that fails are the
     lines parsed one by one with ``parse_point``, so the error names the
     first bad line. Either way every word is checked once, and the code is
-    built without a second check. Words strictly increasing, as
-    ``format_code`` writes them, are distinct and sorted, so one linear
-    pass spares such a file the sort and keeps its digit columns.
+    built without a second check, on rows for q <= 255 (``_stored``). Rows
+    strictly increasing, as ``format_code`` writes them, are distinct and
+    sorted, so one linear pass spares such a file the sort. The digit
+    columns are kept whenever the rows are pairwise distinct.
     """
     kept = []
 
-    def read_body(lines: list[str], ctx: WreathContext) -> list[Point]:
+    def read_body(lines: list[str], ctx: WreathContext) -> list[Sequence[int]]:
         q, m = ctx.gamma_size, ctx.delta_size
         kept.append(_digit_columns(lines, m, q))
-        return _entry_tuples(lines, m, q) if kept[0] is None else list(zip(*kept[0]))
+        return _entry_tuples(lines, m, q) if kept[0] is None else _stored(kept[0], q)
 
     ctx, words = parse_with_header(text, parse_point, read_body)
     if not words:
         raise ParseError("code file contains no words")
-    code = _code_from_words(ctx, words)
+    if kept[0] is None and ctx.gamma_size <= _ROW_END:
+        words = list(map(bytes, words))
+    code = _code_from(ctx, frozenset(words))
     if all(map(operator.lt, words, itertools.islice(words, 1, None))):
         code._sorted = words
+    if len(code) == len(words):
         code._columns = kept[0]
     return code
 
@@ -272,7 +320,7 @@ def format_words(code: Code) -> Iterator[str]:
     strings = _strings(q)
     if strings is None:
         return map(format_point, code.sorted_words())
-    columns = zip(*code.sorted_words())
+    columns = zip(*code._in_order())
     return map(",".join, zip(*(_compose(column, strings) for column in columns)))
 
 
@@ -482,9 +530,9 @@ def _embedding_certificate(
 
 def _first_pair_at_distance(code: Code, d: int) -> tuple[Point, Point]:
     """Lexicographically first pair of words attaining the minimum distance."""
-    words = code.sorted_words()
+    words = code._in_order()
     for i in range(len(words)):
         for j in range(i + 1, len(words)):
             if hamming_distance(words[i], words[j]) == d:
-                return words[i], words[j]
+                return tuple(words[i]), tuple(words[j])
     raise RuntimeError("internal invariant: no pair attains the minimum distance")

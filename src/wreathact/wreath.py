@@ -306,7 +306,9 @@ def parse_with_header(
     from ``read_line`` becomes a ``ParseError`` prefixed with the line
     number, which is counted only then.
     """
-    lines = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
+    lines = list(filter(None, map(str.strip, text.splitlines())))
+    if "#" in text:
+        lines = [line for line in lines if line[0] != "#"]
     if not lines:
         raise ParseError("missing header line 'q m'")
     k = 0

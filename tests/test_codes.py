@@ -24,6 +24,7 @@ from wreathact import (
     hamming_distance,
     is_automorphism,
     parse_code,
+    parse_point,
     random_permutation,
     symmetric_gens,
 )
@@ -886,16 +887,18 @@ class TestCodeValidation:
 
 class TestByteColumns:
     """Codes over q <= 256 letters keep ``bytes`` columns and larger ones
-    tuples; on both sides of that edge every pass over the columns agrees
-    with its per-word reference."""
+    tuples, and codes over q <= 255 keep their words as ``bytes`` rows;
+    on both sides of those edges every pass over the columns and every
+    lookup agrees with its per-word reference."""
 
     @staticmethod
     def codes(q: int, rng: random.Random) -> list[tuple[Code, WreathElement]]:
         """A random code with a random element, and the repetition code
         with an automorphism: the same letter swap at both coordinates and
-        the coordinate swap."""
+        the coordinate swap; both of at least 64 words, so that the
+        automorphism check cuts rows for q <= 255 (``_ROWS_FROM``)."""
         ctx = WreathContext(q, 2)
-        words = {(rng.randrange(q), rng.randrange(q)) for _ in range(40)} | {(q - 1, q - 1), (0, q - 1)}
+        words = {(rng.randrange(q), rng.randrange(q)) for _ in range(100)} | {(q - 1, q - 1), (0, q - 1)}
         swap = random_permutation(rng, q)
         repetition = Code(ctx, [(a, a) for a in range(q)])
         return [
@@ -903,10 +906,11 @@ class TestByteColumns:
             (repetition, WreathElement((swap, swap), S)),
         ]
 
-    @pytest.mark.parametrize("q", [256, 257])
+    @pytest.mark.parametrize("q", [255, 256, 257])
     def test_passes_agree_with_the_per_word_references(self, q):
         rng = random.Random(q)
         for code, x in self.codes(q, rng):
+            assert len(code) >= codes_module._ROWS_FROM
             TestCodeValidation.assert_every_word_once(code)
             images = {x.apply(w) for w in code.words}
             transformed = code.transform(x)
@@ -917,7 +921,119 @@ class TestByteColumns:
             assert code.min_distance() == min(hamming_distance(a, b) for a, b in pairs)
             expected = "".join(format_point(w) + "\n" for w in sorted(images))
             assert format_code(transformed) == f"{q} 2\n" + expected
+            # rows below the separator byte 255, tuples from q = 256 on
+            kind = bytes if q <= 255 else tuple
+            assert all(type(w) is kind for w in (*code._set, *transformed._set))
+            a, b = min(images)
+            probes = [*images, (q - 1, 0), (q, 0), (255, 255), (-1, 0), (0,), [a, b],
+                      (float(a), float(b)), (a + 0.5, b), (a == 1 or a, b)]
+            for probe in probes:
+                # a fresh code, on rows alone, and one whose tuples are built
+                assert (probe in code.transform(x)) is (tuple(probe) in images), probe
+                assert (probe in transformed) is (tuple(probe) in images), probe
         assert is_automorphism(x, code)
+
+
+class TestRows:
+    """Codes over q <= 255 keep their words as ``bytes`` rows and build the
+    tuple set ``words`` on first read; ``==``, ``hash``, ``len`` and ``in``
+    read the rows, and agree with the tuples on every q."""
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 200])
+    def test_automorphism_check_on_both_sides_of_the_row_cut(self, n, monkeypatch):
+        # x swaps coordinates 0 and 1: its orbits on Pi have 1 or 2 words,
+        # so a union of orbits of exactly n words is closed under x
+        rng = random.Random(n)
+        ctx = WreathContext(3, 6)
+        x = WreathElement((Permutation.identity(3),) * 6, Permutation([1, 0, 2, 3, 4, 5]))
+        points = list(ctx.all_points())
+        rng.shuffle(points)
+        closed: set = set()
+        for w in points:
+            orbit = {w, x.apply(w)}
+            if len(closed | orbit) <= n:
+                closed |= orbit
+            if len(closed) == n:
+                break
+        # one word swapped for a word b outside whose image is outside too:
+        # n words again, not closed under x
+        b = next(w for w in points if not {w, x.apply(w)} & closed and x.apply(w) != w)
+        broken = closed - {min(closed)} | {b}
+        cuts = []
+        stored = codes_module._stored
+        monkeypatch.setattr(codes_module, "_stored", lambda *args: cuts.append(1) or stored(*args))
+        for words, closed_under_x in ((closed, True), (broken, False)):
+            for code in (Code(ctx, words), parse_code(format_code(Code(ctx, words)))):
+                for element in (x, ctx.random_element(rng)):
+                    images = {element.apply(w) for w in words}
+                    cuts.clear()
+                    assert is_automorphism(element, code) is (images == words)
+                    assert len(cuts) == (n >= codes_module._ROWS_FROM)
+                assert is_automorphism(x, code) is closed_under_x
+
+    @pytest.mark.parametrize("q", [3, 255, 256])
+    def test_words_built_on_first_read(self, q):
+        rng = random.Random(q)
+        ctx = WreathContext(q, 3)
+        words = {tuple(rng.randrange(q) for _ in range(3)) for _ in range(30)}
+        code = parse_code(format_code(Code(ctx, words)))
+        if q <= 255:
+            assert code._words is None and all(type(w) is bytes for w in code._set)
+        else:
+            assert code._words is code._set
+        assert code.words == words and code.words is code.words
+        assert all(type(w) is tuple for w in code.words)
+
+    @pytest.mark.parametrize("q", [3, 255, 256])
+    def test_equal_codes_from_every_builder(self, q):
+        rng = random.Random(q)
+        ctx = WreathContext(q, 4)
+        words = sorted({tuple(rng.randrange(q) for _ in range(4)) for _ in range(40)})
+        lines = [format_point(w) for w in words]
+        shuffled = rng.sample(lines, len(lines)) + lines[:3]
+        codes = [
+            Code(ctx, words),
+            Code(ctx, [[True if e == 1 else e for e in w] for w in words]),
+            parse_code(f"{q} 4\n" + "\n".join(lines) + "\n"),
+            parse_code(f"{q} 4\n" + "\n".join(shuffled) + "\n"),
+            Code(ctx, words).transform(ctx.identity_element()),
+        ]
+        for code in codes:
+            assert code == codes[0] and hash(code) == hash(codes[0])
+            assert len(code) == len(words) and code.words == set(words)
+            assert code.sorted_words() == words
+        assert len(set(codes)) == 1
+        assert Code(WreathContext(q + 1, 4), words) != codes[0]
+        assert Code(ctx, words[1:]) != codes[0]
+        with pytest.raises(TypeError):
+            5 in codes[0]
+
+    def test_transformed_words_past_the_string_table(self, tmp_path, monkeypatch):
+        # the parity code over Z_3 at m = 9, 6561 words, past the 4096
+        # strings of the kept table: every index is written, and the
+        # canonicalization never builds the tuple set of either code
+        rng = random.Random(9)
+        q, m = 3, 9
+        ctx = WreathContext(q, m)
+        shift = Permutation([1, 2, 0])
+        identity = Permutation.identity(q)
+        gens = [
+            WreathElement((shift, shift.inverse()) + (identity,) * (m - 2), Permutation.identity(m)),
+            WreathElement((Permutation([0, 2, 1]),) * m, Permutation.identity(m)),
+        ] + [WreathElement((identity,) * m, top) for top in symmetric_gens(m)]
+        words = [w for w in ctx.all_points() if sum(w) % q == 0]
+        code, X = conjugated_code(Code(ctx, words), WreathSubgroup(ctx, tuple(gens)), rng)
+        code_path, group_path = tmp_path / "z3m9.code", tmp_path / "z3m9.group"
+        code_path.write_text(format_code(code), encoding="ascii")
+        group_path.write_text(f"{q} {m}\n" + "".join(f"{g}\n" for g in X.generators), encoding="ascii")
+        with monkeypatch.context() as patch:
+            patch.setattr(Code, "words", property(lambda self: pytest.fail("words built")))
+            out = io.StringIO()
+            assert main(["code-canon", str(code_path), str(group_path), "--gamma", "0", "--nu", "1"], out=out) == 0
+        listed = [line for line in out.getvalue().splitlines() if line.startswith("transformed-word ")]
+        transformed = canonicalize(code, X, 0, 1).code
+        expected = [f"transformed-word {i}: {format_point(w)}" for i, w in enumerate(sorted(transformed.words))]
+        assert len(expected) == 6561 and listed == expected
 
 
 class TestCodeFiles:
@@ -1042,8 +1158,9 @@ class TestLineOrder:
             return sorted(items)
 
         monkeypatch.setattr(codes_module, "sorted", counted, raising=False)
-        # one-digit letters: the output lines are sorted as strings
-        output = (len(reference), str if reference.ctx.gamma_size <= 10 else tuple)
+        # one-digit letters: the output lines are sorted as strings; larger
+        # ones the rows, which a code over q <= 255 keeps in place of tuples
+        output = (len(reference), str if reference.ctx.gamma_size <= 10 else bytes)
         reports = set()
         for name, variant in line_orders(text, random.Random(seed)).items():
             code = parse_code(variant)
@@ -1056,8 +1173,8 @@ class TestLineOrder:
             reports.add(self.report(str(path), group_path, gamma, nu))
             # the input words are sorted once, unless the file is in sort
             # order; the transformed code once to be written: its lines for
-            # q <= 10, else its words
-            assert sorts == ([] if name == "sorted" else [(len(code), tuple)]) + [output], name
+            # q <= 10, else its rows
+            assert sorts == ([] if name == "sorted" else [(len(code), bytes)]) + [output], name
         assert len(reports) == 1
         return reports.pop()
 
@@ -1242,12 +1359,12 @@ class TestPositionalRead:
                 assert reads == [True], (m, name)
                 expected = self.comma_split_read(text, monkeypatch)
                 assert code == expected and code.sorted_words() == expected.sorted_words()
-                # the file's columns are kept only when its lines are
-                # strictly increasing, each word once and in sort order
-                increasing = order == lines
-                assert (code._columns is not None) is increasing, (m, name)
-                if increasing:
-                    assert list(zip(*code.columns)) == sorted(words)
+                # the file's columns are kept exactly when its lines are
+                # pairwise distinct, listing the words in file order
+                distinct = len(set(order)) == len(order)
+                assert (code._columns is not None) is distinct, (m, name)
+                if distinct:
+                    assert list(zip(*code.columns)) == [parse_point(line) for line in order]
                 TestCodeValidation.assert_every_word_once(code)
 
     # spellings off the one-digit layout take the comma-split read; CRLF

@@ -20,6 +20,7 @@ from wreathact import (
     stabilizer_order_oracle,
 )
 from wreathact import cli
+from wreathact.wreath import parse_with_header
 from helpers import p, we
 
 S = p(1, 0)
@@ -398,3 +399,76 @@ class TestSerialization:
             parse_point("0,5", WreathContext(2, 2))
         with pytest.raises(ParseError):
             parse_point("0,1,0", WreathContext(2, 2))
+
+
+class TestFileFraming:
+    """``parse_with_header`` drops blank lines first, and ``#`` lines only
+    when the text holds a ``#``. The lines it keeps, and the line number of
+    every error, are those of one strip-and-filter pass over every line
+    (``reference``)."""
+
+    # line breaks of str.splitlines and whitespace of str.strip, ASCII and not
+    BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    SPACES = [" ", "\t", "\x1f", "\xa0", "\u2003", "\u3000"]
+
+    @staticmethod
+    def reference(text: str) -> list[tuple[int, str]]:
+        raw = map(str.strip, text.splitlines())
+        return [(number, line) for number, line in enumerate(raw, start=1) if line and line[0] != "#"]
+
+    def fuzzed_text(self, rng: random.Random) -> str:
+        comments = rng.random() < 0.5
+
+        def line(word: float) -> str:
+            roll = rng.random()
+            pad = "".join(rng.choices(self.SPACES, k=rng.randint(0, 2)))
+            if roll < 0.5 and comments:
+                return pad + rng.choice(["#", "# a comment", "#0,1,1", "0,1#"])
+            if roll < word:
+                return pad + ",".join(rng.choice("01") for _ in range(3)) + pad[::-1]
+            return pad
+
+        lines = [line(0.05) for _ in range(rng.randint(0, 4))]
+        lines.append(rng.choice(["2 3", " 2\t3 ", "2 3", "2 3 4"]))
+        lines += [line(0.8) for _ in range(rng.randint(0, 30))]
+        breaks = rng.choices(self.BREAKS, k=len(lines))
+        return "".join(map(str.__add__, lines, breaks))[: None if rng.random() < 0.5 else -1]
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_lines_and_error_numbers_match_the_comprehension(self, seed):
+        self.check(self.fuzzed_text(random.Random(seed)))
+
+    # a "#" only at the start of the text, only inside a word line, or none
+    @pytest.mark.parametrize("text", [
+        "#\n2 3\n0,1,1\n", "# q m\r\n2 3\r\n\x0b0,1,1\x1c1,1,0", "2 3\n0,1#\n 1,0,1\n",
+        "\xa02 3\xa0\n\u2028\n\t0,1,1\u3000\n\n", "2 3", "\n\x0c\n", "#",
+    ])
+    def test_edge_texts_match_the_comprehension(self, text):
+        self.check(text)
+
+    def check(self, text: str) -> None:
+        expected = self.reference(text)
+
+        def failing_body(lines, ctx):
+            raise ValueError("body")
+
+        try:
+            ctx, lines = parse_with_header(text, None, lambda lines, ctx: lines)
+        except ParseError as exc:
+            # the header is the first kept line, or there is none
+            message = f"line {expected[0][0]}: " if expected else "missing header"
+            assert str(exc).startswith(message)
+            return
+        assert lines == [line for _, line in expected[1:]]
+        assert (ctx.gamma_size, ctx.delta_size) == (2, 3)
+        for k, (number, _) in enumerate(expected[1:]):
+            calls = iter(range(len(expected)))
+
+            def read_line(line, ctx):
+                if next(calls) == k:
+                    raise ValueError("bad")
+                return line
+
+            with pytest.raises(ParseError) as info:
+                parse_with_header(text, read_line, failing_body)
+            assert str(info.value) == f"line {number}: bad"
